@@ -48,6 +48,7 @@ from .matkernel import (
     adj,
     as_cmat,
     fro_norm,
+    gram_power,
     herm_eig,
     herm_fun,
     herm_inv_sqrt,

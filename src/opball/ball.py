@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigenvalueBelowFloor, OutOfBall, OutOfDisc, ShapeMismatch, Singular
-from .matkernel import adj, as_cmat, herm_fun, inverse, op_norm
+from .matkernel import adj, as_cmat, gram_power, inverse, op_norm
 from .tolerances import DEFAULT
 
 
@@ -70,20 +70,11 @@ def _require_same_shape(a: BallPoint, z: BallPoint) -> None:
         raise ShapeMismatch(f"ball points have shapes {a.shape} and {z.shape}")
 
 
-def _defect_inv_sqrt(mat: np.ndarray) -> np.ndarray:
-    """(I - M M*)^(-1/2), failing loudly when the margin has collapsed."""
-    d = np.eye(mat.shape[0]) - mat @ adj(mat)
+def _defect(mat: np.ndarray, power: float, side: str) -> np.ndarray:
+    """(I - M M*)^power (side "left") or (I - M* M)^power (side "right"),
+    failing loudly when the margin has collapsed."""
     try:
-        return herm_fun(d, lambda x: 1.0 / math.sqrt(x), floor=DEFAULT.defect_floor)
-    except EigenvalueBelowFloor as exc:
-        raise Singular(f"defect eigenvalue {exc.eigenvalue:.3e}: margin too small") from exc
-
-
-def _defect_sqrt(mat: np.ndarray) -> np.ndarray:
-    """(I - M* M)^(1/2), failing loudly when the margin has collapsed."""
-    d = np.eye(mat.shape[1]) - adj(mat) @ mat
-    try:
-        return herm_fun(d, math.sqrt, floor=DEFAULT.defect_floor)
+        return gram_power(mat, -1.0, power, side, floor=DEFAULT.defect_floor)
     except EigenvalueBelowFloor as exc:
         raise Singular(f"defect eigenvalue {exc.eigenvalue:.3e}: margin too small") from exc
 
@@ -97,7 +88,7 @@ def _mobius_mat(a: np.ndarray, z: np.ndarray, sign: float) -> np.ndarray:
         bracket_inv = inverse(bracket)
     except Singular as exc:
         raise Singular("Moebius bracket is singular: margin too small") from exc
-    return _defect_inv_sqrt(a) @ middle @ bracket_inv @ _defect_sqrt(a)
+    return _defect(a, -0.5, "left") @ middle @ bracket_inv @ _defect(a, 0.5, "right")
 
 
 def mobius(a: BallPoint, z: BallPoint) -> BallPoint:

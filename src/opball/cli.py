@@ -112,7 +112,12 @@ def _cmd_metric(args) -> int:
             file=sys.stderr,
         )
         return 2
-    print(_fmt12(operator_dist(OperatorHK(mat_t), OperatorHK(mat_s))))
+    try:
+        dist = operator_dist(OperatorHK(mat_t), OperatorHK(mat_s))
+    except OpballError as exc:
+        print(f"metric: {exc}", file=sys.stderr)
+        return 2
+    print(_fmt12(dist))
     return 0
 
 

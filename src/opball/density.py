@@ -68,6 +68,27 @@ class StepInfo:
     ball_norm: float
 
 
+def _require_pair_dims(t: OperatorHK, pair: ConjugationPair) -> None:
+    if (pair.dim_src, pair.dim_dst) != (t.dim_k, t.dim_h):
+        raise BadDims(
+            f"pair dims ({pair.dim_src}, {pair.dim_dst}) do not match operator "
+            f"spaces (K={t.dim_k}, H={t.dim_h})"
+        )
+
+
+def _approximant_step(
+    that: BallPoint, pair: ConjugationPair, big_pair: ConjugationPair, depth: int
+) -> tuple[OperatorHK, ConjugationPair, StepInfo]:
+    """Steps 1-3 of the pipeline for the ball point ``that`` of an operator,
+    with ``big_pair`` the doubled ``pair``."""
+    cut = truncate(that, depth)
+    doubled = BallPoint(extension_blocks(cut.mat, pair))
+    out_pair = induced_pair(doubled, big_pair)
+    approx = inverse_bounded_transform(doubled)
+    info = StepInfo(depth=depth, margin=doubled.margin, ball_norm=1.0 - doubled.margin)
+    return approx, out_pair, info
+
+
 def symmetric_approximant(
     t: OperatorHK, pair: ConjugationPair, depth: int
 ) -> tuple[OperatorHK, ConjugationPair, StepInfo]:
@@ -76,19 +97,8 @@ def symmetric_approximant(
     ``pair`` runs from K to H (the contraction side).  Returns the doubled
     operator, the conjugation pair certifying its symmetry, and diagnostics.
     """
-    if (pair.dim_src, pair.dim_dst) != (t.dim_k, t.dim_h):
-        raise BadDims(
-            f"pair dims ({pair.dim_src}, {pair.dim_dst}) do not match operator "
-            f"spaces (K={t.dim_k}, H={t.dim_h})"
-        )
-    that = bounded_transform(t)
-    cut = truncate(that, depth)
-    doubled = BallPoint(extension_blocks(cut.mat, pair))
-    big_pair = double_pair(pair)
-    out_pair = induced_pair(doubled, big_pair)
-    approx = inverse_bounded_transform(doubled)
-    info = StepInfo(depth=depth, margin=doubled.margin, ball_norm=1.0 - doubled.margin)
-    return approx, out_pair, info
+    _require_pair_dims(t, pair)
+    return _approximant_step(bounded_transform(t), pair, double_pair(pair), depth)
 
 
 @dataclass(frozen=True)
@@ -136,22 +146,26 @@ def approximation_profile(
     """
     if reference not in ("full_depth", "extension"):
         raise BadDims(f"unknown reference {reference!r}")
+    _require_pair_dims(t, pair)
+    that = bounded_transform(t)
+    big_pair = double_pair(pair)
+    steps = [
+        _approximant_step(that, pair, big_pair, depth) for depth in range(1, t.dim_h + 1)
+    ]
     if reference == "full_depth":
-        t_ref, _, _ = symmetric_approximant(t, pair, t.dim_h)
+        t_ref = steps[-1][0]
     else:
         # the extension of t runs H -> K, so the pair acts with roles swapped
         t_ref = OperatorHK(extension_blocks(t.mat, swap_roles(pair)))
-    rows = []
-    for depth in range(1, t.dim_h + 1):
-        approx, out_pair, info = symmetric_approximant(t, pair, depth)
-        rows.append(
-            ProfileRow(
-                depth=depth,
-                dist=operator_dist(approx, t_ref),
-                sym_residual=symmetry_residual(approx, out_pair),
-                margin=info.margin,
-            )
+    rows = [
+        ProfileRow(
+            depth=info.depth,
+            dist=operator_dist(approx, t_ref),
+            sym_residual=symmetry_residual(approx, out_pair),
+            margin=info.margin,
         )
+        for approx, out_pair, info in steps
+    ]
     return ApproxProfile(tuple(rows))
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .ball import BallPoint
 from .errors import BadDims, NotSymmetric, ShapeMismatch
-from .matkernel import adj, as_cmat, herm_fun, herm_sqrt, op_norm
+from .matkernel import adj, as_cmat, gram_power, herm_fun, op_norm
 from .tolerances import DEFAULT
 from .transform import OperatorHK, inverse_bounded_transform
 
@@ -301,7 +301,7 @@ def induced_pair(a: BallPoint, pair: ConjugationPair) -> ConjugationPair:
         link = j1 @ np.conj(j2)
         gram = np.eye(q) - adj(m) @ link @ m
         gram_inv_sqrt = _inv_sqrt_psd(gram, DEFAULT.psd_floor)
-        defect_sqrt = herm_sqrt(np.eye(p) - m @ adj(m))
+        defect_sqrt = gram_power(m, -1.0, 0.5, "left")
         fwd = gram_inv_sqrt @ j2 @ np.conj(defect_sqrt)
         bwd = defect_sqrt @ j1 @ np.conj(gram_inv_sqrt)
         return ConjugationPair(
@@ -311,7 +311,7 @@ def induced_pair(a: BallPoint, pair: ConjugationPair) -> ConjugationPair:
     link = j2 @ np.conj(j1)
     gram = np.eye(p) - m @ link @ adj(m)
     gram_inv_sqrt = _inv_sqrt_psd(gram, DEFAULT.psd_floor)
-    defect_sqrt = herm_sqrt(np.eye(q) - adj(m) @ m)
+    defect_sqrt = gram_power(m, -1.0, 0.5, "right")
     fwd = defect_sqrt @ j2 @ np.conj(gram_inv_sqrt)
     bwd = gram_inv_sqrt @ j1 @ np.conj(defect_sqrt)
     return ConjugationPair(

@@ -29,7 +29,7 @@ import numpy as np
 
 from .ball import BallPoint, _atanh_checked
 from .errors import NearBoundaryWarning, ShapeMismatch
-from .matkernel import adj, as_cmat, herm_inv_sqrt, herm_sqrt, inverse, op_norm
+from .matkernel import adj, as_cmat, gram_power, inverse, op_norm
 from .tolerances import DEFAULT
 
 
@@ -58,10 +58,12 @@ def _require_same_spaces(t: OperatorHK, s: OperatorHK) -> None:
 
 
 def bounded_transform(t: OperatorHK) -> BallPoint:
-    """(I + T*T)^(-1/2) T*, a strict contraction of shape dimH x dimK."""
+    """(I + T*T)^(-1/2) T*, a strict contraction of shape dimH x dimK.
+
+    Evaluated as T* (I + T T*)^(-1/2), with the function on the K side.
+    """
     m = t.mat
-    grow = np.eye(t.dim_h) + adj(m) @ m
-    return BallPoint(herm_inv_sqrt(grow, floor=0.5) @ adj(m))
+    return BallPoint(adj(m) @ gram_power(m, 1.0, -0.5, "left", floor=0.5))
 
 
 def inverse_bounded_transform(a: BallPoint) -> OperatorHK:
@@ -79,16 +81,16 @@ def inverse_bounded_transform(a: BallPoint) -> OperatorHK:
             stacklevel=2,
         )
     m = a.mat
-    shrink = np.eye(a.dim_k) - adj(m) @ m
-    return OperatorHK(herm_inv_sqrt(shrink, floor=DEFAULT.defect_floor) @ adj(m))
+    shrink = gram_power(m, -1.0, -0.5, "right", floor=DEFAULT.defect_floor)
+    return OperatorHK(shrink @ adj(m))
 
 
 def left_defect(t: OperatorHK, x: OperatorHK) -> np.ndarray:
     """(I + T*T)^(1/2) X* - T* (I + X X*)^(1/2), of shape dimH x dimK."""
     _require_same_spaces(t, x)
     tm, xm = t.mat, x.mat
-    left = herm_sqrt(np.eye(t.dim_h) + adj(tm) @ tm)
-    right = herm_sqrt(np.eye(x.dim_k) + xm @ adj(xm))
+    left = gram_power(tm, 1.0, 0.5, "right")
+    right = gram_power(xm, 1.0, 0.5, "left")
     return left @ adj(xm) - adj(tm) @ right
 
 
@@ -96,8 +98,8 @@ def right_defect(t: OperatorHK, x: OperatorHK) -> np.ndarray:
     """(I + X X*)^(1/2) (I + T T*)^(1/2) - X T*, of shape dimK x dimK."""
     _require_same_spaces(t, x)
     tm, xm = t.mat, x.mat
-    left = herm_sqrt(np.eye(x.dim_k) + xm @ adj(xm))
-    right = herm_sqrt(np.eye(t.dim_k) + tm @ adj(tm))
+    left = gram_power(xm, 1.0, 0.5, "left")
+    right = gram_power(tm, 1.0, 0.5, "left")
     return left @ right - xm @ adj(tm)
 
 
@@ -106,17 +108,16 @@ def right_defect_inv(s: OperatorHK, t: OperatorHK) -> np.ndarray:
 
     (I+SS*)^(-1/2) [I - T (I+T*T)^(-1/2) (I+S*S)^(-1/2) S*]^(-1) (I+TT*)^(-1/2);
     the bracket is a strict perturbation of the identity, so a Singular error
-    here signals a transcription bug rather than admissible input.
+    here signals a transcription bug rather than admissible input.  Pushing
+    T and S* through the inner factors turns the bracket into
+    I - (I+TT*)^(-1/2) T S* (I+SS*)^(-1/2), so the two outer factors are all
+    that is solved.
     """
     _require_same_spaces(s, t)
     sm, tm = s.mat, t.mat
-    eye_h = np.eye(t.dim_h)
-    eye_k = np.eye(t.dim_k)
-    outer_left = herm_inv_sqrt(eye_k + sm @ adj(sm), floor=0.5)
-    outer_right = herm_inv_sqrt(eye_k + tm @ adj(tm), floor=0.5)
-    bracket = eye_k - tm @ herm_inv_sqrt(eye_h + adj(tm) @ tm, floor=0.5) @ herm_inv_sqrt(
-        eye_h + adj(sm) @ sm, floor=0.5
-    ) @ adj(sm)
+    outer_left = gram_power(sm, 1.0, -0.5, "left", floor=0.5)
+    outer_right = gram_power(tm, 1.0, -0.5, "left", floor=0.5)
+    bracket = np.eye(t.dim_k) - outer_right @ tm @ adj(sm) @ outer_left
     return outer_left @ inverse(bracket) @ outer_right
 
 

@@ -15,8 +15,10 @@ thresholds below are the contract.
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -293,8 +295,12 @@ def test_c13_density_pipeline():
 
 def test_c14_determinism(tmp_path):
     cmd = [sys.executable, "-m", "opball", "identities", "--trials", "2", "--seed", "42"]
-    first = subprocess.run(cmd, capture_output=True, cwd=tmp_path)
-    second = subprocess.run(cmd, capture_output=True, cwd=tmp_path)
+    # the subprocess runs in tmp_path, so a relative PYTHONPATH no longer resolves
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, inherited]))}
+    first = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env=env)
+    second = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env=env)
     identities_ok = first.stdout == second.stdout and first.returncode == second.returncode == 0
 
     args = ["approx", "--dim-h", "5", "--dim-k", "2", "--trials", "3", "--seed", "9"]

@@ -99,6 +99,16 @@ def test_metric_shape_mismatch(tmp_path, capsys):
     assert "1x2" in err and "2x1" in err
 
 
+def test_metric_out_of_disc_exits_two(tmp_path, capsys):
+    # the distance saturates in double precision: a typed error, no traceback
+    big = save(tmp_path, "big.json", [[1e8]])
+    neg = save(tmp_path, "neg.json", [[-1e8]])
+    assert main(["metric", big, neg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("metric: ") and captured.err.count("\n") == 1
+
+
 def test_metric_unreadable_file(tmp_path, capsys):
     a = save(tmp_path, "a.json", [[0.0]])
     assert main(["metric", a, str(tmp_path / "missing.json")]) == 2

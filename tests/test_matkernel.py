@@ -8,17 +8,21 @@ import numpy as np
 import pytest
 
 from opball import (
+    BallPoint,
     EigenvalueBelowFloor,
     NotHermitian,
     ShapeMismatch,
     Singular,
     as_cmat,
     fro_norm,
+    gram_power,
     herm_eig,
     herm_fun,
     herm_inv_sqrt,
     herm_sqrt,
     inverse,
+    mobius,
+    mobius_inv,
     op_norm,
 )
 
@@ -129,6 +133,112 @@ def test_op_norm_against_svd_and_unitary_invariance():
         u = herm_eig(rand_herm(rng, p)).basis
         v = herm_eig(rand_herm(rng, q)).basis
         assert abs(op_norm(u @ a @ v) - op_norm(a)) <= 1e-10 * (1 + ref)
+
+
+def test_op_norm_extreme_range():
+    # the Gram matrix squares the entries; scaling first keeps them in range
+    assert op_norm([[1e-200]]) == 1e-200
+    assert op_norm([[1e160]]) == 1e160
+    rng = np.random.default_rng(56)
+    a = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    ref = np.linalg.svd(a, compute_uv=False)[0]
+    for scale in (1e-300, 1e-200, 1e200, 1e300):
+        assert op_norm(a * scale) == pytest.approx(ref * scale, rel=1e-12)
+
+
+# tall, wide, square, 1 x n and n x 1; the last two have zero rows, so one
+# Gram matrix is singular and the other is rank deficient
+GRAM_SHAPES = [(3, 5), (5, 3), (4, 4), (1, 6), (6, 1), (5, 3, "zero rows"), (3, 5, "zero rows")]
+
+
+def gram_operand(rng, shape, norm):
+    rows, cols = shape[:2]
+    m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    if len(shape) > 2:
+        m[1:3] = 0.0
+    return m * (norm / op_norm(m))
+
+
+def gram_reference(m, sign, power, side, floor):
+    """The same power through herm_fun on the explicitly formed I + sign G."""
+    g = m @ m.conj().T if side == "left" else m.conj().T @ m
+    big = np.eye(g.shape[0]) + sign * g
+    if power > 0:
+        return herm_fun(big, lambda x: np.sqrt(max(x, 0.0)), floor=floor)
+    return herm_fun(big, lambda x: 1.0 / np.sqrt(x), floor=floor)
+
+
+@pytest.mark.parametrize("shape", GRAM_SHAPES)
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("power", [0.5, -0.5])
+def test_gram_power_matches_explicit_route(shape, side, sign, power):
+    rng = np.random.default_rng(57)
+    eps = float(np.finfo(float).eps)
+    norms = [1.0 - margin for margin in (0.5, 1e-2, 1e-6, 1e-10)]
+    if sign > 0:
+        norms += [10.0, 1e3]
+    elif power > 0:
+        norms += [1.5]  # no floor: 1 - x < 0 is clipped to 0
+    for norm in norms:
+        m = gram_operand(rng, shape, norm)
+        floor = 1e-13 if power < 0 else None
+        ref = gram_reference(m, sign, power, side, floor)
+        got = gram_power(m, sign, power, side, floor=floor)
+        assert got.shape == ref.shape
+        # forward error of the spectral function: roundoff in an eigenvalue
+        # of size eps (1 + ||G||), amplified by 1 / (smallest eigenvalue)
+        lowest = abs(1.0 - norm**2) if sign < 0 else 1.0
+        bound = 1e2 * eps * (1.0 + norm**2) / lowest * max(1.0, op_norm(ref))
+        assert op_norm(got - ref) <= bound
+
+
+def floor_outcome(fn):
+    try:
+        fn()
+    except EigenvalueBelowFloor as exc:
+        return exc.eigenvalue
+    return None
+
+
+@pytest.mark.parametrize("shape", GRAM_SHAPES)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_gram_power_floor_matches_explicit_route(shape, side):
+    rng = np.random.default_rng(58)
+    for norm in (1.0 - 1e-10, 1.0 - 1e-15, 1.0, 1.5):
+        m = gram_operand(rng, shape, norm)
+        for power in (0.5, -0.5):
+            ref = floor_outcome(lambda: gram_reference(m, -1.0, power, side, 1e-13))
+            got = floor_outcome(lambda: gram_power(m, -1.0, power, side, floor=1e-13))
+            assert (got is None) == (ref is None) == (norm == 1.0 - 1e-10)
+            if ref is not None:
+                assert got == pytest.approx(ref, abs=1e-14)
+
+
+def test_gram_power_rejects_unsupported_arguments():
+    with pytest.raises(ValueError):
+        gram_power(np.eye(2), 1.0, 1.0, "left")
+    with pytest.raises(ValueError):
+        gram_power(np.eye(2), 1.0, 0.5, "up")
+    with pytest.raises(ValueError):
+        gram_power(np.eye(2), 1.0, -0.5, "left")
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 2), (2, 4)])
+def test_mobius_singular_exactly_where_the_explicit_defect_is(shape):
+    rng = np.random.default_rng(59)
+    z = BallPoint(0.1 * gram_operand(rng, shape, 1.0))
+    for margin in (1e-10, 1e-15):
+        a = BallPoint(gram_operand(rng, shape, 1.0 - margin))
+        big = np.eye(shape[0]) - a.mat @ a.mat.conj().T
+        explicit = floor_outcome(lambda: herm_inv_sqrt(big, floor=1e-13))
+        for move in (mobius, mobius_inv):
+            if explicit is None:
+                move(a, z)
+            else:
+                with pytest.raises(Singular):
+                    move(a, z)
+        assert (explicit is None) == (margin == 1e-10)
 
 
 def test_inverse_examples():
