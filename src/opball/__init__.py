@@ -44,10 +44,12 @@ from .errors import (
     Singular,
 )
 from .matkernel import (
+    GramFactor,
     HermSpectrum,
     adj,
     as_cmat,
     fro_norm,
+    gram_factor,
     gram_power,
     herm_eig,
     herm_fun,

@@ -28,24 +28,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigenvalueBelowFloor, OutOfBall, OutOfDisc, ShapeMismatch, Singular
-from .matkernel import adj, as_cmat, gram_power, inverse, op_norm
+from .matkernel import GramFactor, adj, gram_factor, inverse
 from .tolerances import DEFAULT
 
 
 @dataclass(frozen=True)
 class BallPoint:
-    """A strict contraction from K to H, stored as a dimH x dimK matrix."""
+    """A strict contraction from K to H, stored as a dimH x dimK matrix.
+
+    ``factor`` is the point's one Gram factorization; its norm gives the
+    margin and its powers give every defect of the point.
+    """
 
     mat: np.ndarray
     margin: float = field(init=False)
+    factor: GramFactor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = as_cmat(self.mat)
-        norm = op_norm(m)
-        if norm >= 1.0:
-            raise OutOfBall(f"operator norm {norm:.12f} is not strictly below 1")
-        object.__setattr__(self, "mat", m)
-        object.__setattr__(self, "margin", 1.0 - norm)
+        factor = gram_factor(self.mat)
+        if factor.norm >= 1.0:
+            raise OutOfBall(f"operator norm {factor.norm:.12f} is not strictly below 1")
+        object.__setattr__(self, "mat", factor.mat)
+        object.__setattr__(self, "margin", 1.0 - factor.norm)
+        object.__setattr__(self, "factor", factor)
 
     @property
     def dim_h(self) -> int:
@@ -70,20 +75,21 @@ def _require_same_shape(a: BallPoint, z: BallPoint) -> None:
         raise ShapeMismatch(f"ball points have shapes {a.shape} and {z.shape}")
 
 
-def _defect(mat: np.ndarray, power: float, side: str) -> np.ndarray:
-    """(I - M M*)^power (side "left") or (I - M* M)^power (side "right"),
+def _defect(a: BallPoint, power: float, side: str) -> np.ndarray:
+    """(I - A A*)^power (side "left") or (I - A* A)^power (side "right"),
     failing loudly when the margin has collapsed."""
     try:
-        return gram_power(mat, -1.0, power, side, floor=DEFAULT.defect_floor)
+        return a.factor.power(-1.0, power, side, floor=DEFAULT.defect_floor)
     except EigenvalueBelowFloor as exc:
         raise Singular(f"defect eigenvalue {exc.eigenvalue:.3e}: margin too small") from exc
 
 
-def _mobius_mat(a: np.ndarray, z: np.ndarray, sign: float) -> np.ndarray:
+def _mobius_mat(a: BallPoint, z: np.ndarray, sign: float) -> np.ndarray:
     """Shared core of the Moebius map (sign=+1) and its inverse (sign=-1)."""
-    eye_k = np.eye(a.shape[1])
-    middle = z + sign * a
-    bracket = eye_k + sign * adj(a) @ z
+    m = a.mat
+    eye_k = np.eye(m.shape[1])
+    middle = z + sign * m
+    bracket = eye_k + sign * adj(m) @ z
     try:
         bracket_inv = inverse(bracket)
     except Singular as exc:
@@ -98,24 +104,24 @@ def mobius(a: BallPoint, z: BallPoint) -> BallPoint:
     it maps the ball bi-holomorphically onto itself and sends 0 to ``a``.
     """
     _require_same_shape(a, z)
-    return BallPoint(_mobius_mat(a.mat, z.mat, +1.0))
+    return BallPoint(_mobius_mat(a, z.mat, +1.0))
 
 
 def mobius_inv(a: BallPoint, z: BallPoint) -> BallPoint:
     """Inverse of :func:`mobius` with the same center: sends ``a`` to 0."""
     _require_same_shape(a, z)
-    return BallPoint(_mobius_mat(a.mat, z.mat, -1.0))
+    return BallPoint(_mobius_mat(a, z.mat, -1.0))
 
 
 def mobius_to_origin(center: BallPoint, point: BallPoint) -> BallPoint:
     """The automorphism that moves ``center`` to the origin, at ``point``.
 
-    This is :func:`mobius` with center ``-center``; deriving it by center
-    negation keeps a single Moebius formula under test.  It satisfies
+    This is :func:`mobius` with center ``-center``, which is exactly
+    :func:`mobius_inv` with center ``center`` (IEEE negation is exact), so it
+    reuses the center's factorization.  It satisfies
     mobius_to_origin(X, X) = 0 and mobius_to_origin(X, 0) = -X.
     """
-    _require_same_shape(center, point)
-    return BallPoint(_mobius_mat(-center.mat, point.mat, +1.0))
+    return mobius_inv(center, point)
 
 
 def _atanh_checked(x: float) -> float:
@@ -141,4 +147,4 @@ def ball_dist(x: BallPoint, y: BallPoint) -> float:
     :func:`poincare_dist` for 1 x 1 points and to atanh ||y|| at the origin.
     """
     _require_same_shape(x, y)
-    return _atanh_checked(op_norm(mobius_to_origin(x, y).mat))
+    return _atanh_checked(mobius_to_origin(x, y).factor.norm)

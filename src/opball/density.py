@@ -23,9 +23,11 @@ results do not depend on scheduling and may be computed in parallel.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -144,6 +146,13 @@ def approximation_profile(
     compares against the depth-dimH approximant, whose leading block equals
     ``t``; ``"extension"`` compares against the symmetric extension of ``t``.
     """
+    return _profile(t, pair, reference)[0]
+
+
+def _profile(
+    t: OperatorHK, pair: ConjugationPair, reference: str
+) -> tuple[ApproxProfile, OperatorHK]:
+    """:func:`approximation_profile` together with its depth-dimH approximant."""
     if reference not in ("full_depth", "extension"):
         raise BadDims(f"unknown reference {reference!r}")
     _require_pair_dims(t, pair)
@@ -152,8 +161,9 @@ def approximation_profile(
     steps = [
         _approximant_step(that, pair, big_pair, depth) for depth in range(1, t.dim_h + 1)
     ]
+    full = steps[-1][0]
     if reference == "full_depth":
-        t_ref = steps[-1][0]
+        t_ref = full
     else:
         # the extension of t runs H -> K, so the pair acts with roles swapped
         t_ref = OperatorHK(extension_blocks(t.mat, swap_roles(pair)))
@@ -166,7 +176,7 @@ def approximation_profile(
         )
         for approx, out_pair, info in steps
     ]
-    return ApproxProfile(tuple(rows))
+    return ApproxProfile(tuple(rows)), full
 
 
 @dataclass(frozen=True)
@@ -207,8 +217,7 @@ def _run_trial(dim_h: int, dim_k: int, child: np.random.SeedSequence) -> TrialRe
     scale = rng.uniform(0.5, 10.0)
     t = OperatorHK(complex_gaussian(rng, dim_k, dim_h, scale))
     pair = random_pair(dim_k, dim_h, rng)
-    profile = approximation_profile(t, pair)
-    full, _, _ = symmetric_approximant(t, pair, dim_h)
+    profile, full = _profile(t, pair, "full_depth")
     recovery = op_norm(full.mat[:dim_k, :dim_h] - t.mat)
     return TrialResult(profile=profile, recovery_residual=recovery)
 
@@ -220,18 +229,23 @@ def ensemble_experiment(
 
     Deterministic for a fixed seed regardless of ``jobs``: trial inputs are
     derived from spawned seed-sequence children in trial order and results
-    are collected by index.
+    are collected by index.  ``jobs`` > 1 runs trials in worker processes,
+    at most one per trial and per CPU; threads would gain nothing, since
+    the Jacobi loop holds the GIL.
     """
     if dim_k > dim_h or min(dim_h, dim_k) < 1:
         raise BadDims(f"need 1 <= dim_k <= dim_h, got ({dim_h}, {dim_k})")
     if trials < 1:
         raise BadDims(f"need trials >= 1, got {trials}")
     children = np.random.SeedSequence(seed).spawn(trials)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda c: _run_trial(dim_h, dim_k, c), children))
+    run = partial(_run_trial, dim_h, dim_k)
+    workers = min(jobs, trials, os.cpu_count() or 1)
+    if workers > 1:
+        # concurrent.futures imports its multiprocessing machinery on first use
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, children))
     else:
-        results = [_run_trial(dim_h, dim_k, c) for c in children]
+        results = [run(c) for c in children]
     return EnsembleReport(
         dim_h=dim_h, dim_k=dim_k, trials=trials, seed=seed, results=tuple(results)
     )

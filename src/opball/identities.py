@@ -230,8 +230,8 @@ def graph_identity(rng, dim_h, dim_k) -> float:
     worst = 0.0
     for _ in range(5):
         x = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-        rhs = float(np.linalg.norm(lift @ x) ** 2)
-        lhs = float(np.linalg.norm(t.mat @ x) ** 2 + np.linalg.norm(x) ** 2)
+        rhs = float((np.abs(lift @ x) ** 2).sum())
+        lhs = float((np.abs(t.mat @ x) ** 2).sum() + (np.abs(x) ** 2).sum())
         worst = max(worst, abs(lhs - rhs) / rhs)
     return worst
 

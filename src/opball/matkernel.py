@@ -5,10 +5,14 @@ Hermitian eigendecomposition, Hermitian functional calculus (square roots and
 inverse square roots in particular), the defect powers (I +- G)^(+-1/2) of a
 Gram matrix G, the spectral norm, and general inversion.
 
-Defect powers are always solved on the smaller of the two Gram matrices M*M
-and MM*: both share their nonzero spectrum, and the larger one follows from
-the push-through identity f(AB) A = A f(BA) (Higham, *Functions of
-Matrices*, SIAM 2008, ch. 1).
+Each operand is factored once: :func:`gram_factor` eigen-solves the smaller
+of its two Gram matrices M*M and MM* (MM* when M is square), and the
+resulting :class:`GramFactor` serves the spectral norm and every defect
+power.  Both Gram matrices share their nonzero spectrum, and the one not
+held follows from the push-through identity f(AB) A = A f(BA) (Higham,
+*Functions of Matrices*, SIAM 2008, ch. 1); for a square M that is the
+M*M side.  Ball points and operators keep their factor, so a defect never
+costs a second solve of the same operand.
 
 The eigensolver is a cyclic two-sided complex Jacobi iteration.  At desk
 sizes (matrix side <= 64) it converges in a handful of sweeps and keeps both
@@ -224,75 +228,109 @@ def herm_inv_sqrt(p, floor: float) -> np.ndarray:
     return herm_fun(p, lambda x: 1.0 / math.sqrt(x), floor=floor)
 
 
+def _scaled_gram(m: np.ndarray) -> tuple[np.ndarray, int, str]:
+    """The smaller Gram matrix of M scaled by 4^-e, where 2^e is the power of
+    two that brings max|M| into [1/2, 1), so it neither underflows nor
+    overflows; in the normal range the scaling is exact.  Returns
+    (Gram matrix, e, side), with side "left" for MM* and "right" for M*M."""
+    _, exp = math.frexp(float(np.abs(m).max()))
+    m = np.ldexp(m.real, -exp) + 1j * np.ldexp(m.imag, -exp)
+    if m.shape[0] <= m.shape[1]:
+        return m @ adj(m), exp, "left"
+    return adj(m) @ m, exp, "right"
+
+
+@dataclass(frozen=True)
+class GramFactor:
+    """One eigen-solve of the smaller Gram matrix of M, serving every power.
+
+    ``side`` names the Gram matrix held, "left" for MM* (also when M is
+    square) and "right" for M*M; ``eigenvalues`` (ascending) and ``basis``
+    are its spectrum.  ``norm`` is the spectral norm of M, equal to
+    :func:`op_norm` bit for bit.
+    """
+
+    mat: np.ndarray
+    side: str
+    eigenvalues: np.ndarray
+    basis: np.ndarray
+    norm: float
+
+    def power(
+        self, sign: float, power: float, side: str, floor: float | None = None
+    ) -> np.ndarray:
+        """(I + sign G)^power for G = M*M (``side="right"``) or MM* (``"left"``).
+
+        ``sign`` is +1 or -1 and ``power`` is +1/2 or -1/2.  When ``side``
+        names the Gram matrix not held, the push-through identity gives
+
+            (I + sign N*N)^power = I + N* h(NN*) N,   h(x) = (g(x) - 1) / x,
+
+        with N = M for the right side and M* for the left, g(x) =
+        (1 + sign x)^power and r = sqrt(1 + sign x), in the
+        cancellation-free forms h = sign / (1 + r) for power 1/2 and
+        h = -sign / (r (1 + r)) for power -1/2.  Any eigenvalue that only
+        the pushed side has is exactly 1, so ``floor`` is checked on the
+        held spectrum and on 1; an eigenvalue below it raises
+        :class:`EigenvalueBelowFloor` as in :func:`herm_fun`.  Without a
+        floor, roundoff negatives of 1 + sign x are clipped to 0 as in
+        :func:`herm_sqrt`; power -1/2 needs a floor.
+
+        In the pushed form, an entry of size one cancels where g is small,
+        leaving an absolute error of order eps there.  A product g(M*M) M*
+        is therefore best written M* g(MM*) when MM* is the held matrix.
+        """
+        if side not in ("left", "right") or sign not in (1, -1) or power not in (0.5, -0.5):
+            raise ValueError(f"unsupported Gram power sign={sign}, power={power}, side={side!r}")
+        if power < 0 and floor is None:
+            raise ValueError("power -1/2 needs an eigenvalue floor")
+        push = side != self.side
+        x = self.eigenvalues
+        d = 1.0 + sign * x
+        lo = min(float(d.min()), 1.0) if push else float(d.min())
+        if floor is not None and lo < floor:
+            raise EigenvalueBelowFloor(lo, floor)
+        r = np.sqrt(np.maximum(d, 0.0))
+        basis = self.basis
+        if not push:
+            vals = r if power > 0 else 1.0 / r
+            out = (basis * vals) @ adj(basis)
+        else:
+            if power > 0:
+                # where 1 + sign x was clipped, g = 0 and h = -1 / x with x >= 1
+                h = np.where(d > 0.0, sign / (1.0 + r), -1.0 / np.maximum(x, 1.0))
+            else:
+                h = -sign / (r * (1.0 + r))
+            n = self.mat if side == "right" else adj(self.mat)
+            out = np.eye(n.shape[1]) + adj(n) @ (basis * h) @ adj(basis) @ n
+        return _freeze(0.5 * (out + adj(out)))
+
+
+def gram_factor(m) -> GramFactor:
+    """Factor M once: one :func:`herm_eig` of its smaller Gram matrix."""
+    m = as_cmat(m)
+    gram, exp, side = _scaled_gram(m)
+    spectrum = herm_eig(gram)
+    top = float(spectrum.eigenvalues[-1])
+    norm = math.ldexp(math.sqrt(top), exp) if top > 0.0 else 0.0
+    vals = _freeze(np.ldexp(spectrum.eigenvalues, 2 * exp))
+    return GramFactor(m, side, vals, spectrum.basis, norm)
+
+
 def gram_power(
     m, sign: float, power: float, side: str, floor: float | None = None
 ) -> np.ndarray:
-    """(I + sign G)^power for G = M*M (``side="right"``) or MM* (``"left"``).
-
-    ``sign`` is +1 or -1 and ``power`` is +1/2 or -1/2.  One eigen-solve of
-    the smaller Gram matrix serves both sides.  When ``side`` names the
-    larger one, the push-through identity gives
-
-        (I + sign M*M)^power = I + M* h(MM*) M,   h(x) = (g(x) - 1) / x,
-
-    with g(x) = (1 + sign x)^power and r = sqrt(1 + sign x), in the
-    cancellation-free forms h = sign / (1 + r) for power 1/2 and
-    h = -sign / (r (1 + r)) for power -1/2.  The eigenvalues that only the
-    larger side has are exactly 1, so ``floor`` is checked on the small
-    spectrum and on 1; an eigenvalue below it raises
-    :class:`EigenvalueBelowFloor` as in :func:`herm_fun`.  Without a floor,
-    roundoff negatives of 1 + sign x are clipped to 0 as in
-    :func:`herm_sqrt`; power -1/2 needs a floor.
-
-    In the larger-side form, an entry of size one cancels where g is small,
-    leaving an absolute error of order eps there.  A product g(M*M) M* is
-    therefore best written M* g(MM*) when MM* is the smaller Gram matrix.
-    """
-    if side not in ("left", "right") or sign not in (1, -1) or power not in (0.5, -0.5):
-        raise ValueError(f"unsupported gram_power(sign={sign}, power={power}, side={side!r})")
-    if power < 0 and floor is None:
-        raise ValueError("power -1/2 needs an eigenvalue floor")
-    # the left side of M is the right side of M*, so only G = N*N is handled
-    n = as_cmat(m) if side == "right" else adj(as_cmat(m))
-    push = n.shape[1] > n.shape[0]
-    spectrum = herm_eig(n @ adj(n) if push else adj(n) @ n)
-    x = spectrum.eigenvalues
-    d = 1.0 + sign * x
-    lo = min(float(d.min()), 1.0) if push else float(d.min())
-    if floor is not None and lo < floor:
-        raise EigenvalueBelowFloor(lo, floor)
-    r = np.sqrt(np.maximum(d, 0.0))
-    basis = spectrum.basis
-    if not push:
-        vals = r if power > 0 else 1.0 / r
-        out = (basis * vals) @ adj(basis)
-    else:
-        if power > 0:
-            # where 1 + sign x was clipped, g = 0 and h = -1 / x with x >= 1
-            h = np.where(d > 0.0, sign / (1.0 + r), -1.0 / np.maximum(x, 1.0))
-        else:
-            h = -sign / (r * (1.0 + r))
-        out = np.eye(n.shape[1]) + adj(n) @ (basis * h) @ adj(basis) @ n
-    return _freeze(0.5 * (out + adj(out)))
+    """(I + sign G)^power for G = M*M or MM*; see :meth:`GramFactor.power`."""
+    return gram_factor(m).power(sign, power, side, floor)
 
 
 def op_norm(a) -> float:
-    """Spectral norm: largest singular value, via the smaller Gram matrix.
-
-    The matrix is first scaled by the power of two that brings its largest
-    entry into [1/2, 1), so the Gram matrix neither underflows nor
-    overflows; in the normal range the scaling is exact.
-    """
+    """Spectral norm: largest singular value, via the smaller Gram matrix
+    scaled as in :func:`gram_factor` (whose ``norm`` it equals)."""
     m = as_cmat(a)
-    peak = float(np.abs(m).max())
-    if peak == 0.0:
+    if not m.any():
         return 0.0
-    _, exp = math.frexp(peak)
-    m = np.ldexp(m.real, -exp) + 1j * np.ldexp(m.imag, -exp)
-    if m.shape[0] <= m.shape[1]:
-        gram = m @ adj(m)
-    else:
-        gram = adj(m) @ m
+    gram, exp, _ = _scaled_gram(m)
     vals, _ = _jacobi(0.5 * (gram + adj(gram)), want_vectors=False)
     top = float(vals.max())
     return math.ldexp(math.sqrt(top), exp) if top > 0.0 else 0.0

@@ -35,7 +35,7 @@ import numpy as np
 
 from .ball import BallPoint
 from .errors import BadDims, NotSymmetric, ShapeMismatch
-from .matkernel import adj, as_cmat, gram_power, herm_fun, op_norm
+from .matkernel import adj, as_cmat, fro_norm, herm_fun, op_norm
 from .tolerances import DEFAULT
 from .transform import OperatorHK, inverse_bounded_transform
 
@@ -72,11 +72,10 @@ class ConjugationPair:
                 f"j_fwd {fwd.shape} and j_bwd {bwd.shape} are not transposes in shape"
             )
         tol = DEFAULT.pair_residual if check_tol is None else check_tol
-        res = pair_residuals(self)
-        worst = max(res.values())
-        if worst > tol:
+        if not all(_norm_within(gap, tol) for gap in _pair_gaps(self).values()):
             raise ShapeMismatch(
-                f"conjugation pair invariants violated: {res} exceed {tol:.1e}"
+                f"conjugation pair invariants violated: {pair_residuals(self)} "
+                f"exceed {tol:.1e}"
             )
 
     @property
@@ -88,21 +87,27 @@ class ConjugationPair:
         return self.j_fwd.shape[0]
 
 
-def pair_residuals(pair: ConjugationPair) -> dict[str, float]:
-    """Numeric residuals of the three pair invariants, by name."""
+def _norm_within(gap: np.ndarray, tol: float) -> bool:
+    """||gap|| <= tol in the spectral norm.  Since ||X|| <= ||X||_F, a
+    Frobenius norm within ``tol`` decides it without an eigen-solve."""
+    return fro_norm(gap) <= tol or op_norm(gap) <= tol
+
+
+def _pair_gaps(pair: ConjugationPair) -> dict[str, np.ndarray]:
+    """The matrices whose norms are the three pair invariants, by name."""
     fwd, bwd = pair.j_fwd, pair.j_bwd
-    pairing = op_norm(fwd - bwd.T)
     if pair.side is Side.BWD_FWD:
         comp = bwd @ np.conj(fwd) - np.eye(pair.dim_src)
         iso = adj(fwd) @ fwd - np.eye(pair.dim_src)
     else:
         comp = fwd @ np.conj(bwd) - np.eye(pair.dim_dst)
         iso = adj(bwd) @ bwd - np.eye(pair.dim_dst)
-    return {
-        "pairing": pairing,
-        "composition": op_norm(comp),
-        "isometry": op_norm(iso),
-    }
+    return {"pairing": fwd - bwd.T, "composition": comp, "isometry": iso}
+
+
+def pair_residuals(pair: ConjugationPair) -> dict[str, float]:
+    """Numeric residuals (spectral norms) of the three pair invariants, by name."""
+    return {name: op_norm(gap) for name, gap in _pair_gaps(pair).items()}
 
 
 def canonical_pair(m: int, n: int) -> ConjugationPair:
@@ -171,23 +176,30 @@ def conj_apply(pair: ConjugationPair, direction: str, x) -> np.ndarray:
     return j @ np.conj(vec)
 
 
-def _residual_mat(mat: np.ndarray, pair: ConjugationPair) -> float:
-    """Symmetry residual for a dst x src matrix against a src -> dst pair."""
+def _require_pair_shape(mat: np.ndarray, pair: ConjugationPair) -> None:
+    """A src -> dst pair acts on dst x src matrices."""
     if mat.shape != (pair.dim_dst, pair.dim_src):
         raise ShapeMismatch(
-            f"operator shape {mat.shape} does not match pair "
-            f"({pair.dim_dst}, {pair.dim_src})"
+            f"matrix shape {mat.shape} does not match pair ({pair.dim_dst}, {pair.dim_src})"
         )
+
+
+def _flipped(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
+    """C1 M* C1 as a linear matrix: j_fwd transpose(M) conj(j_fwd)."""
+    return pair.j_fwd @ mat.T @ np.conj(pair.j_fwd)
+
+
+def _symmetry_gap(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
+    """Symmetry mismatch of a dst x src matrix against a src -> dst pair."""
+    _require_pair_shape(mat, pair)
     if pair.side is Side.BWD_FWD:
-        gap = pair.j_bwd @ np.conj(mat) - adj(mat) @ pair.j_fwd
-    else:
-        gap = mat @ pair.j_bwd - pair.j_fwd @ mat.T
-    return op_norm(gap)
+        return pair.j_bwd @ np.conj(mat) - adj(mat) @ pair.j_fwd
+    return mat @ pair.j_bwd - pair.j_fwd @ mat.T
 
 
 def symmetry_residual(t: OperatorHK, pair: ConjugationPair) -> float:
     """How far T is from being (C1, C2)-symmetric; zero iff symmetric."""
-    return _residual_mat(t.mat, pair)
+    return op_norm(_symmetry_gap(t.mat, pair))
 
 
 def symmetric_part(mat, pair: ConjugationPair) -> np.ndarray:
@@ -198,12 +210,8 @@ def symmetric_part(mat, pair: ConjugationPair) -> np.ndarray:
     manufacture admissible inputs for the induced-pair construction.
     """
     m = as_cmat(mat)
-    if m.shape != (pair.dim_dst, pair.dim_src):
-        raise ShapeMismatch(
-            f"matrix shape {m.shape} does not match pair ({pair.dim_dst}, {pair.dim_src})"
-        )
-    flipped = pair.j_fwd @ m.T @ np.conj(pair.j_fwd)
-    return 0.5 * (m + flipped)
+    _require_pair_shape(m, pair)
+    return 0.5 * (m + _flipped(m, pair))
 
 
 def swap_roles(pair: ConjugationPair) -> ConjugationPair:
@@ -234,15 +242,11 @@ def extension_blocks(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
     """diag(M, C1 M* C1) as one doubled matrix; the linear matrix of the
     conjugated adjoint block is j_fwd transpose(M) conj(j_fwd)."""
     m = as_cmat(mat)
-    if m.shape != (pair.dim_dst, pair.dim_src):
-        raise ShapeMismatch(
-            f"matrix shape {m.shape} does not match pair ({pair.dim_dst}, {pair.dim_src})"
-        )
-    flipped = pair.j_fwd @ m.T @ np.conj(pair.j_fwd)
+    _require_pair_shape(m, pair)
     s, d = pair.dim_src, pair.dim_dst
     out = np.zeros((2 * d, 2 * s), dtype=np.complex128)
     out[:d, :s] = m
-    out[d:, s:] = flipped
+    out[d:, s:] = _flipped(m, pair)
     return out
 
 
@@ -255,11 +259,6 @@ def symmetric_extension(
     the doubled pair no matter whether T itself was, and its leading block
     equals T exactly.
     """
-    if t.mat.shape != (pair.dim_dst, pair.dim_src):
-        raise ShapeMismatch(
-            f"operator shape {t.mat.shape} does not match pair "
-            f"({pair.dim_dst}, {pair.dim_src})"
-        )
     return OperatorHK(extension_blocks(t.mat, pair)), double_pair(pair)
 
 
@@ -290,10 +289,10 @@ def induced_pair(a: BallPoint, pair: ConjugationPair) -> ConjugationPair:
             f"pair dims ({pair.dim_src}, {pair.dim_dst}) do not match a "
             f"contraction of shape {m.shape}"
         )
-    residual = _residual_mat(m, pair)
-    if residual > DEFAULT.symmetry_pre:
+    gap = _symmetry_gap(m, pair)
+    if not _norm_within(gap, DEFAULT.symmetry_pre):
         raise NotSymmetric(
-            f"contraction has symmetry residual {residual:.3e} for the given pair"
+            f"contraction has symmetry residual {op_norm(gap):.3e} for the given pair"
         )
     j1, j2 = pair.j_fwd, pair.j_bwd
     if pair.side is Side.BWD_FWD:
@@ -301,7 +300,7 @@ def induced_pair(a: BallPoint, pair: ConjugationPair) -> ConjugationPair:
         link = j1 @ np.conj(j2)
         gram = np.eye(q) - adj(m) @ link @ m
         gram_inv_sqrt = _inv_sqrt_psd(gram, DEFAULT.psd_floor)
-        defect_sqrt = gram_power(m, -1.0, 0.5, "left")
+        defect_sqrt = a.factor.power(-1.0, 0.5, "left")
         fwd = gram_inv_sqrt @ j2 @ np.conj(defect_sqrt)
         bwd = defect_sqrt @ j1 @ np.conj(gram_inv_sqrt)
         return ConjugationPair(
@@ -311,7 +310,7 @@ def induced_pair(a: BallPoint, pair: ConjugationPair) -> ConjugationPair:
     link = j2 @ np.conj(j1)
     gram = np.eye(p) - m @ link @ adj(m)
     gram_inv_sqrt = _inv_sqrt_psd(gram, DEFAULT.psd_floor)
-    defect_sqrt = gram_power(m, -1.0, 0.5, "right")
+    defect_sqrt = a.factor.power(-1.0, 0.5, "right")
     fwd = defect_sqrt @ j2 @ np.conj(gram_inv_sqrt)
     bwd = gram_inv_sqrt @ j1 @ np.conj(defect_sqrt)
     return ConjugationPair(

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .ball import BallPoint, _atanh_checked
 from .errors import NearBoundaryWarning, ShapeMismatch
-from .matkernel import adj, as_cmat, gram_power, inverse, op_norm
+from .matkernel import GramFactor, adj, as_cmat, gram_factor, inverse, op_norm
 from .tolerances import DEFAULT
 
 
@@ -47,6 +48,11 @@ class OperatorHK:
         object.__setattr__(self, "dim_k", m.shape[0])
         object.__setattr__(self, "dim_h", m.shape[1])
 
+    @cached_property
+    def factor(self) -> GramFactor:
+        """The operator's one Gram factorization, computed on first use."""
+        return gram_factor(self.mat)
+
 
 def zero_operator(dim_h: int, dim_k: int) -> OperatorHK:
     return OperatorHK(np.zeros((dim_k, dim_h), dtype=np.complex128))
@@ -62,8 +68,7 @@ def bounded_transform(t: OperatorHK) -> BallPoint:
 
     Evaluated as T* (I + T T*)^(-1/2), with the function on the K side.
     """
-    m = t.mat
-    return BallPoint(adj(m) @ gram_power(m, 1.0, -0.5, "left", floor=0.5))
+    return BallPoint(adj(t.mat) @ t.factor.power(1.0, -0.5, "left", floor=0.5))
 
 
 def inverse_bounded_transform(a: BallPoint) -> OperatorHK:
@@ -80,27 +85,24 @@ def inverse_bounded_transform(a: BallPoint) -> OperatorHK:
             NearBoundaryWarning,
             stacklevel=2,
         )
-    m = a.mat
-    shrink = gram_power(m, -1.0, -0.5, "right", floor=DEFAULT.defect_floor)
-    return OperatorHK(shrink @ adj(m))
+    shrink = a.factor.power(-1.0, -0.5, "right", floor=DEFAULT.defect_floor)
+    return OperatorHK(shrink @ adj(a.mat))
 
 
 def left_defect(t: OperatorHK, x: OperatorHK) -> np.ndarray:
     """(I + T*T)^(1/2) X* - T* (I + X X*)^(1/2), of shape dimH x dimK."""
     _require_same_spaces(t, x)
-    tm, xm = t.mat, x.mat
-    left = gram_power(tm, 1.0, 0.5, "right")
-    right = gram_power(xm, 1.0, 0.5, "left")
-    return left @ adj(xm) - adj(tm) @ right
+    left = t.factor.power(1.0, 0.5, "right")
+    right = x.factor.power(1.0, 0.5, "left")
+    return left @ adj(x.mat) - adj(t.mat) @ right
 
 
 def right_defect(t: OperatorHK, x: OperatorHK) -> np.ndarray:
     """(I + X X*)^(1/2) (I + T T*)^(1/2) - X T*, of shape dimK x dimK."""
     _require_same_spaces(t, x)
-    tm, xm = t.mat, x.mat
-    left = gram_power(xm, 1.0, 0.5, "left")
-    right = gram_power(tm, 1.0, 0.5, "left")
-    return left @ right - xm @ adj(tm)
+    left = x.factor.power(1.0, 0.5, "left")
+    right = t.factor.power(1.0, 0.5, "left")
+    return left @ right - x.mat @ adj(t.mat)
 
 
 def right_defect_inv(s: OperatorHK, t: OperatorHK) -> np.ndarray:
@@ -114,10 +116,9 @@ def right_defect_inv(s: OperatorHK, t: OperatorHK) -> np.ndarray:
     that is solved.
     """
     _require_same_spaces(s, t)
-    sm, tm = s.mat, t.mat
-    outer_left = gram_power(sm, 1.0, -0.5, "left", floor=0.5)
-    outer_right = gram_power(tm, 1.0, -0.5, "left", floor=0.5)
-    bracket = np.eye(t.dim_k) - outer_right @ tm @ adj(sm) @ outer_left
+    outer_left = s.factor.power(1.0, -0.5, "left", floor=0.5)
+    outer_right = t.factor.power(1.0, -0.5, "left", floor=0.5)
+    bracket = np.eye(t.dim_k) - outer_right @ t.mat @ adj(s.mat) @ outer_left
     return outer_left @ inverse(bracket) @ outer_right
 
 
