@@ -7,7 +7,8 @@ Subcommands: ``identities`` (seeded invariant suites, JSON report),
 ensemble report).
 
 Exit codes: 0 success, 1 identity/verdict/invariant failure, 2 usage or
-input errors.
+input errors; every :class:`OpballError` becomes one stderr line
+"<command>: <error>" and exit code 2.
 """
 
 from __future__ import annotations
@@ -99,12 +100,8 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_metric(args) -> int:
-    try:
-        mat_t = read_matrix(args.file_t)
-        mat_s = read_matrix(args.file_s)
-    except OpballError as exc:
-        print(f"metric: {exc}", file=sys.stderr)
-        return 2
+    mat_t = read_matrix(args.file_t)
+    mat_s = read_matrix(args.file_s)
     if mat_t.shape != mat_s.shape:
         print(
             f"metric: shape mismatch: {args.file_t} is {mat_t.shape[0]}x{mat_t.shape[1]}, "
@@ -112,39 +109,24 @@ def _cmd_metric(args) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        dist = operator_dist(OperatorHK(mat_t), OperatorHK(mat_s))
-    except OpballError as exc:
-        print(f"metric: {exc}", file=sys.stderr)
-        return 2
-    print(_fmt12(dist))
+    print(_fmt12(operator_dist(OperatorHK(mat_t), OperatorHK(mat_s))))
     return 0
 
 
 def _cmd_symcheck(args) -> int:
-    try:
-        mat = read_matrix(args.file_t)
-    except OpballError as exc:
-        print(f"symcheck: {exc}", file=sys.stderr)
-        return 2
+    mat = read_matrix(args.file_t)
     rows, cols = mat.shape
-    try:
-        if args.pair == "identity":
-            if rows != cols:
-                raise OpballError(f"identity pair needs a square matrix, got {rows}x{cols}")
-            pair = identity_pair(rows)
-        elif args.pair == "canonical":
-            if rows < cols:
-                raise OpballError(
-                    f"canonical pair needs rows >= cols, got {rows}x{cols}"
-                )
-            pair = canonical_pair(cols, rows)
-        else:
-            pair = read_pair(args.pair)
-        residual = symmetry_residual(OperatorHK(mat), pair)
-    except OpballError as exc:
-        print(f"symcheck: {exc}", file=sys.stderr)
-        return 2
+    if args.pair == "identity":
+        if rows != cols:
+            raise OpballError(f"identity pair needs a square matrix, got {rows}x{cols}")
+        pair = identity_pair(rows)
+    elif args.pair == "canonical":
+        if rows < cols:
+            raise OpballError(f"canonical pair needs rows >= cols, got {rows}x{cols}")
+        pair = canonical_pair(cols, rows)
+    else:
+        pair = read_pair(args.pair)
+    residual = symmetry_residual(OperatorHK(mat), pair)
     verdict = "SYMMETRIC" if residual <= args.tol else "NOT-SYMMETRIC"
     print(f"residual {residual!r}")
     print(verdict)
@@ -178,7 +160,11 @@ def main(argv=None) -> int:
         "symcheck": _cmd_symcheck,
         "approx": _cmd_approx,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except OpballError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

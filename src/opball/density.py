@@ -48,17 +48,22 @@ from .tolerances import DEFAULT
 from .transform import OperatorHK, bounded_transform, inverse_bounded_transform, operator_dist
 
 
+def _cut(point: BallPoint, depth: int) -> np.ndarray:
+    """The matrix of ``point`` with every row past ``depth`` zeroed."""
+    if not 1 <= depth <= point.dim_h:
+        raise BadDepth(f"depth {depth} outside 1..{point.dim_h}")
+    cut = point.mat.copy()
+    cut[depth:, :] = 0.0
+    return cut
+
+
 def truncate(point: BallPoint, depth: int) -> BallPoint:
     """Keep the first ``depth`` rows of a ball point, zero the rest.
 
     Row selection never increases the spectral norm, so the result stays
     strictly inside the ball.
     """
-    if not 1 <= depth <= point.dim_h:
-        raise BadDepth(f"depth {depth} outside 1..{point.dim_h}")
-    cut = point.mat.copy()
-    cut[depth:, :] = 0.0
-    return BallPoint(cut)
+    return BallPoint(_cut(point, depth))
 
 
 @dataclass(frozen=True)
@@ -82,9 +87,9 @@ def _approximant_step(
     that: BallPoint, pair: ConjugationPair, big_pair: ConjugationPair, depth: int
 ) -> tuple[OperatorHK, ConjugationPair, StepInfo]:
     """Steps 1-3 of the pipeline for the ball point ``that`` of an operator,
-    with ``big_pair`` the doubled ``pair``."""
-    cut = truncate(that, depth)
-    doubled = BallPoint(extension_blocks(cut.mat, pair))
+    with ``big_pair`` the doubled ``pair``.  The cut is not factored on its
+    own: the doubled point's factor checks the norm of both blocks."""
+    doubled = BallPoint(extension_blocks(_cut(that, depth), pair))
     out_pair = induced_pair(doubled, big_pair)
     approx = inverse_bounded_transform(doubled)
     info = StepInfo(depth=depth, margin=doubled.margin, ball_norm=1.0 - doubled.margin)

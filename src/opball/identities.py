@@ -69,11 +69,12 @@ def mobius_commutation(rng, dim_h, dim_k) -> float:
     """Factor-exchange identity behind the Moebius inverse, normalized by
     1 + ||A|| + ||Z||: (Z-A)(I-A*A)^(-1)(I-A*Z) = (I-ZA*)(I-AA*)^(-1)(Z-A)."""
     p, q = random_dims(rng, dim_h, dim_k)
-    a = random_ball_point(rng, p, q, margin_min=0.05).mat
-    z = random_ball_point(rng, p, q, margin_min=0.05).mat
+    a_pt = random_ball_point(rng, p, q, margin_min=0.05)
+    z_pt = random_ball_point(rng, p, q, margin_min=0.05)
+    a, z = a_pt.mat, z_pt.mat
     lhs = (z - a) @ inverse(np.eye(q) - adj(a) @ a) @ (np.eye(q) - adj(a) @ z)
     rhs = (np.eye(p) - z @ adj(a)) @ inverse(np.eye(p) - a @ adj(a)) @ (z - a)
-    return op_norm(lhs - rhs) / (1.0 + op_norm(a) + op_norm(z))
+    return op_norm(lhs - rhs) / (1.0 + a_pt.factor.norm + z_pt.factor.norm)
 
 
 def ball_membership(rng, dim_h, dim_k) -> float:
@@ -81,7 +82,7 @@ def ball_membership(rng, dim_h, dim_k) -> float:
     p, q = random_dims(rng, dim_h, dim_k)
     a = random_ball_point(rng, p, q, margin_min=0.05)
     z = random_ball_point(rng, p, q, margin_min=0.05)
-    return max(0.0, op_norm(mobius(a, z).mat) - 1.0)
+    return max(0.0, mobius(a, z).factor.norm - 1.0)
 
 
 def mobius_invariance(rng, dim_h, dim_k) -> float:
@@ -97,7 +98,7 @@ def origin_distance(rng, dim_h, dim_k) -> float:
     """| ball_dist(0, Y) - atanh ||Y|| |."""
     p, q = random_dims(rng, dim_h, dim_k)
     y = random_ball_point(rng, p, q, margin_min=0.05)
-    return abs(ball_dist(zero_point(p, q), y) - math.atanh(op_norm(y.mat)))
+    return abs(ball_dist(zero_point(p, q), y) - math.atanh(y.factor.norm))
 
 
 def scalar_reduction(rng, dim_h, dim_k) -> float:
@@ -114,7 +115,7 @@ def transform_norm_identity(rng, dim_h, dim_k) -> float:
     p, q = random_dims(rng, dim_h, dim_k)
     t = random_operator(rng, p, q, 10 ** rng.uniform(-2, 3))
     tt = op_norm(t.mat @ adj(t.mat))
-    gap = abs(op_norm(bounded_transform(t).mat) ** 2 - tt / (1.0 + tt))
+    gap = abs(bounded_transform(t).factor.norm ** 2 - tt / (1.0 + tt))
     return gap / (1.0 + tt)
 
 
@@ -129,7 +130,7 @@ def transform_round_trip(rng, dim_h, dim_k) -> float:
     ball_gap = op_norm(bounded_transform(inverse_bounded_transform(a)).mat - a.mat)
     t = random_operator(rng, p, q, 10 ** rng.uniform(-2, math.log10(30.0)))
     back = inverse_bounded_transform(bounded_transform(t))
-    op_gap = op_norm(back.mat - t.mat) / (1.0 + op_norm(t.mat))
+    op_gap = op_norm(back.mat - t.mat) / (1.0 + t.factor.norm)
     return max(ball_gap, op_gap)
 
 
@@ -239,10 +240,11 @@ def graph_identity(rng, dim_h, dim_k) -> float:
 def defect_commutation(rng, dim_h, dim_k) -> float:
     """|| (I-A*A)^(-1/2) A* - A* (I-AA*)^(-1/2) || / (1 + ||A||)."""
     p, q = random_dims(rng, dim_h, dim_k)
-    a = random_ball_point(rng, p, q, margin_min=0.05).mat
+    a_pt = random_ball_point(rng, p, q, margin_min=0.05)
+    a = a_pt.mat
     left = herm_inv_sqrt(np.eye(q) - adj(a) @ a, floor=1e-13) @ adj(a)
     right = adj(a) @ herm_inv_sqrt(np.eye(p) - a @ adj(a), floor=1e-13)
-    return op_norm(left - right) / (1.0 + op_norm(a))
+    return op_norm(left - right) / (1.0 + a_pt.factor.norm)
 
 
 CHECKS: dict[str, Callable] = {

@@ -87,10 +87,6 @@ class HermSpectrum:
     eigenvalues: np.ndarray
     basis: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 _ROUNDS_CACHE: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
@@ -174,21 +170,20 @@ def _jacobi(h: np.ndarray, want_vectors: bool = True) -> tuple[np.ndarray, np.nd
     raise NoConvergence(f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps")
 
 
-def herm_eig(p, asym_tol: float | None = None) -> HermSpectrum:
+def herm_eig(p) -> HermSpectrum:
     """Eigendecomposition of a (near-)Hermitian matrix.
 
     The input is symmetrized to (P + P*)/2 before decomposition; asymmetry
-    beyond ``asym_tol`` relative to max(1, ||P||) raises
+    beyond ``DEFAULT.herm_asym`` relative to max(1, ||P||) raises
     :class:`NotHermitian` instead of being repaired silently.
     """
     m = as_cmat(p)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"eigendecomposition needs a square matrix, got {m.shape}")
-    tol = DEFAULT.herm_asym if asym_tol is None else asym_tol
     asym = fro_norm(m - adj(m))
-    if asym > tol * max(1.0, fro_norm(m)):
+    if asym > DEFAULT.herm_asym * max(1.0, fro_norm(m)):
         raise NotHermitian(
-            f"asymmetry {asym:.3e} exceeds {tol:.1e} * max(1, ||P||)"
+            f"asymmetry {asym:.3e} exceeds {DEFAULT.herm_asym:.1e} * max(1, ||P||)"
         )
     h = 0.5 * (m + adj(m))
     vals, basis = _jacobi(h)

@@ -16,10 +16,16 @@ j_fwd = transpose(j_bwd); that equivalence is the basis of the pair
 invariant.  The convention has to be fixed for the matrix model to be
 testable at all, and this is the one used everywhere in this package.
 
-An operator T (matrix M of shape dst x src) is (C1, C2)-symmetric when
+Each side-dependent formula is written once, in two roles: ``first`` is the
+linear part of the map applied first in the identity composition (the
+isometry) and ``second`` its partner, (j_fwd, j_bwd) for BWD_FWD and
+(j_bwd, j_fwd) for FWD_BWD, so second conj(first) = I on either side.  A
+FWD_BWD pair is a BWD_FWD pair between the exchanged spaces, and T is
+(C1, C2)-symmetric exactly when T* is (C2, C1)-symmetric, so the formulas
+act on the oriented matrix N: M for BWD_FWD, M* for FWD_BWD.  An operator T
+(matrix M of shape dst x src) is (C1, C2)-symmetric when
 
-    side BWD_FWD:   j_bwd conj(M) = M* j_fwd      (C2 T = T* C1)
-    side FWD_BWD:   M j_bwd = j_fwd transpose(M)  (T C2 = C1 T*)
+    second conj(N) = N* first     (BWD_FWD: C2 T = T* C1; FWD_BWD: T C2 = C1 T*)
 
 and ``symmetry_residual`` returns the spectral norm of the mismatch.  With
 the canonical pair this is exactly ||B - transpose(B)|| for the leading
@@ -35,7 +41,7 @@ import numpy as np
 
 from .ball import BallPoint
 from .errors import BadDims, NotSymmetric, ShapeMismatch
-from .matkernel import adj, as_cmat, fro_norm, herm_fun, op_norm
+from .matkernel import adj, as_cmat, fro_norm, herm_inv_sqrt, op_norm
 from .tolerances import DEFAULT
 from .transform import OperatorHK, inverse_bounded_transform
 
@@ -45,6 +51,10 @@ class Side(Enum):
 
     BWD_FWD = "bwd_fwd"  # C2 C1 = id on the source space
     FWD_BWD = "fwd_bwd"  # C1 C2 = id on the destination space
+
+
+def _other_side(side: Side) -> Side:
+    return Side.FWD_BWD if side is Side.BWD_FWD else Side.BWD_FWD
 
 
 @dataclass(frozen=True)
@@ -93,16 +103,23 @@ def _norm_within(gap: np.ndarray, tol: float) -> bool:
     return fro_norm(gap) <= tol or op_norm(gap) <= tol
 
 
+def _roles(pair: ConjugationPair) -> tuple[np.ndarray, np.ndarray]:
+    """(first, second): the linear parts of the map applied first in the
+    identity composition (the isometry) and of its partner."""
+    if pair.side is Side.BWD_FWD:
+        return pair.j_fwd, pair.j_bwd
+    return pair.j_bwd, pair.j_fwd
+
+
 def _pair_gaps(pair: ConjugationPair) -> dict[str, np.ndarray]:
     """The matrices whose norms are the three pair invariants, by name."""
-    fwd, bwd = pair.j_fwd, pair.j_bwd
-    if pair.side is Side.BWD_FWD:
-        comp = bwd @ np.conj(fwd) - np.eye(pair.dim_src)
-        iso = adj(fwd) @ fwd - np.eye(pair.dim_src)
-    else:
-        comp = fwd @ np.conj(bwd) - np.eye(pair.dim_dst)
-        iso = adj(bwd) @ bwd - np.eye(pair.dim_dst)
-    return {"pairing": fwd - bwd.T, "composition": comp, "isometry": iso}
+    first, second = _roles(pair)
+    eye = np.eye(first.shape[1])
+    return {
+        "pairing": pair.j_fwd - pair.j_bwd.T,
+        "composition": second @ np.conj(first) - eye,
+        "isometry": adj(first) @ first - eye,
+    }
 
 
 def pair_residuals(pair: ConjugationPair) -> dict[str, float]:
@@ -189,12 +206,19 @@ def _flipped(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
     return pair.j_fwd @ mat.T @ np.conj(pair.j_fwd)
 
 
+def _oriented(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
+    """M as seen from the primary orientation: M itself for ``BWD_FWD``,
+    M* for ``FWD_BWD``, whose roles run between the exchanged spaces."""
+    return mat if pair.side is Side.BWD_FWD else adj(mat)
+
+
 def _symmetry_gap(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
-    """Symmetry mismatch of a dst x src matrix against a src -> dst pair."""
+    """Symmetry mismatch of a dst x src matrix against a src -> dst pair:
+    second conj(N) - N* first, with N the oriented matrix."""
     _require_pair_shape(mat, pair)
-    if pair.side is Side.BWD_FWD:
-        return pair.j_bwd @ np.conj(mat) - adj(mat) @ pair.j_fwd
-    return mat @ pair.j_bwd - pair.j_fwd @ mat.T
+    first, second = _roles(pair)
+    n = _oriented(mat, pair)
+    return second @ np.conj(n) - adj(n) @ first
 
 
 def symmetry_residual(t: OperatorHK, pair: ConjugationPair) -> float:
@@ -218,8 +242,7 @@ def swap_roles(pair: ConjugationPair) -> ConjugationPair:
     """The same two conjugate-linear maps viewed as a pair in the opposite
     direction; the identity composition stays on the same space, so the side
     flag flips."""
-    side = Side.FWD_BWD if pair.side is Side.BWD_FWD else Side.BWD_FWD
-    return ConjugationPair(pair.j_bwd, pair.j_fwd, side)
+    return ConjugationPair(pair.j_bwd, pair.j_fwd, _other_side(pair.side))
 
 
 def double_pair(pair: ConjugationPair) -> ConjugationPair:
@@ -262,12 +285,6 @@ def symmetric_extension(
     return OperatorHK(extension_blocks(t.mat, pair)), double_pair(pair)
 
 
-def _inv_sqrt_psd(m: np.ndarray, floor: float) -> np.ndarray:
-    # m is Hermitian by construction; symmetrize only to scrub roundoff
-    sym = 0.5 * (m + adj(m))
-    return herm_fun(sym, lambda x: 1.0 / np.sqrt(x), floor=floor)
-
-
 def induced_pair(a: BallPoint, pair: ConjugationPair) -> ConjugationPair:
     """Conjugation pair under which the inverse transform of ``a`` is symmetric.
 
@@ -277,10 +294,12 @@ def induced_pair(a: BallPoint, pair: ConjugationPair) -> ConjugationPair:
     space as the input's.  Non-symmetric inputs are refused with
     :class:`NotSymmetric` because the construction presumes symmetry.
 
-    Both orientations of the input pair are handled; the orientation with the
-    identity composition on K is the primary one, the mirrored orientation is
-    obtained by exchanging the roles of the two spaces and is validated
-    empirically by the test suite.
+    With (first, second) the roles of the pair and N the oriented
+    contraction, G = I - N* (first conj(second)) N and D = (I - N N*)^(1/2),
+    the result has the parts X = G^(-1/2) second conj(D) and
+    Y = D first conj(G^(-1/2)).  For ``BWD_FWD`` these are (fwd, bwd); for
+    ``FWD_BWD``, whose roles and N are those of the exchanged spaces, the
+    same construction yields (bwd, fwd).
     """
     m = a.mat
     p, q = m.shape
@@ -294,27 +313,19 @@ def induced_pair(a: BallPoint, pair: ConjugationPair) -> ConjugationPair:
         raise NotSymmetric(
             f"contraction has symmetry residual {op_norm(gap):.3e} for the given pair"
         )
-    j1, j2 = pair.j_fwd, pair.j_bwd
-    if pair.side is Side.BWD_FWD:
-        # identity composition on K: gram = I - A* (C1 C2) A on K
-        link = j1 @ np.conj(j2)
-        gram = np.eye(q) - adj(m) @ link @ m
-        gram_inv_sqrt = _inv_sqrt_psd(gram, DEFAULT.psd_floor)
-        defect_sqrt = a.factor.power(-1.0, 0.5, "left")
-        fwd = gram_inv_sqrt @ j2 @ np.conj(defect_sqrt)
-        bwd = defect_sqrt @ j1 @ np.conj(gram_inv_sqrt)
-        return ConjugationPair(
-            fwd, bwd, Side.FWD_BWD, check_tol=DEFAULT.induced_pair_residual
-        )
-    # mirrored orientation: identity composition on H
-    link = j2 @ np.conj(j1)
-    gram = np.eye(p) - m @ link @ adj(m)
-    gram_inv_sqrt = _inv_sqrt_psd(gram, DEFAULT.psd_floor)
-    defect_sqrt = a.factor.power(-1.0, 0.5, "right")
-    fwd = defect_sqrt @ j2 @ np.conj(gram_inv_sqrt)
-    bwd = gram_inv_sqrt @ j1 @ np.conj(defect_sqrt)
+    primary = pair.side is Side.BWD_FWD
+    first, second = _roles(pair)
+    n = _oriented(m, pair)
+    link = first @ np.conj(second)
+    gram = np.eye(n.shape[1]) - adj(n) @ link @ n
+    gram_inv_sqrt = herm_inv_sqrt(gram, DEFAULT.psd_floor)
+    # (I - N N*)^(1/2) from the factor of M: I - MM* or I - M*M
+    defect_sqrt = a.factor.power(-1.0, 0.5, "left" if primary else "right")
+    x = gram_inv_sqrt @ second @ np.conj(defect_sqrt)
+    y = defect_sqrt @ first @ np.conj(gram_inv_sqrt)
+    fwd, bwd = (x, y) if primary else (y, x)
     return ConjugationPair(
-        fwd, bwd, Side.BWD_FWD, check_tol=DEFAULT.induced_pair_residual
+        fwd, bwd, _other_side(pair.side), check_tol=DEFAULT.induced_pair_residual
     )
 
 

@@ -14,10 +14,6 @@ from dataclasses import dataclass
 class Tolerances:
     # relative asymmetry admitted before a Hermitian input is rejected
     herm_asym: float = 1e-10
-    # unitarity budget for an eigenbasis, per matrix row
-    basis_unitarity: float = 1e-10
-    # reconstruction budget for an eigendecomposition, scaled by 1 + norm
-    recon: float = 1e-9
     # pivot threshold factor for Gaussian elimination
     pivot_floor: float = 1e-13
     # smallest defect eigenvalue tolerated by ball operations

@@ -29,6 +29,7 @@ from opball import (
     random_pair,
     symmetry_residual,
 )
+from opball.identities import run_identities
 from opball.matkernel import fro_norm
 
 
@@ -75,8 +76,17 @@ def test_pair_validation_at_roundoff_needs_no_solve(solves):
 
 
 def test_approx_trial_solve_budget(solves):
+    # five solves per depth (doubled point, induced Gram, approximant,
+    # distance quotient, symmetry residual) plus the operand, its transform
+    # and the recovery residual
     ensemble_experiment(8, 2, 1, seed=113)
-    assert solves() <= 55
+    assert solves() <= 43
+
+
+def test_identities_trial_solve_budget(solves):
+    # norms the operands already hold are read, not solved again
+    run_identities(0, 1, 8, 3, 1e-8)
+    assert solves() <= 86
 
 
 def _near_identity_pair(delta, tol):

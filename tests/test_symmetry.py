@@ -24,6 +24,7 @@ from opball import (
     symmetric_extension,
     symmetric_part,
     symmetry_residual,
+    swap_roles,
 )
 from opball.sampling import complex_gaussian, random_operator, random_symmetric_ball_point
 
@@ -194,7 +195,7 @@ def test_induced_pair_random_ensemble():
 
 
 def test_induced_pair_mirrored_branch():
-    # reversed orientation: identity composition on H; validated empirically
+    # reversed orientation: identity composition on H
     rng = np.random.default_rng(48)
     for _ in range(20):
         p = int(rng.integers(1, 5))
@@ -209,6 +210,49 @@ def test_induced_pair_mirrored_branch():
         assert max(pair_residuals(out).values()) <= 1e-8
         t, out2 = induced_operator(a, pair)
         assert symmetry_residual(t, out2) <= 1e-8
+
+
+def _random_side_pairs(rng, count):
+    """(p, q, pair) for random pairs from C^q to C^p on both sides: the
+    identity composition sits on the smaller space, either one when square."""
+    for _ in range(count):
+        p, q = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        pair = random_pair(q, p, rng)
+        if p == q and rng.uniform() < 0.5:
+            pair = ConjugationPair(pair.j_fwd, pair.j_bwd, Side.FWD_BWD)
+        yield p, q, pair
+
+
+def test_symmetry_residual_is_role_swap_invariant():
+    # T is (C1, C2)-symmetric exactly when T* is (C2, C1)-symmetric; both
+    # residuals evaluate one formula on the same roles and the same matrix
+    rng = np.random.default_rng(53)
+    sides = set()
+    for p, q, pair in _random_side_pairs(rng, 60):
+        sides.add(pair.side)
+        m = complex_gaussian(rng, p, q, 2.0)
+        sym = symmetric_part(m, pair)
+        for mat in (m, sym):
+            direct = symmetry_residual(OperatorHK(mat), pair)
+            swapped = symmetry_residual(OperatorHK(adj(mat)), swap_roles(pair))
+            assert direct == swapped
+    assert sides == {Side.BWD_FWD, Side.FWD_BWD}
+
+
+def test_induced_pair_is_role_swap_covariant():
+    # the mirrored orientation is the primary construction on the exchanged
+    # spaces: induced_pair(A, pair) = swap(induced_pair(A*, swap(pair)))
+    rng = np.random.default_rng(54)
+    sides = set()
+    for _, _, pair in _random_side_pairs(rng, 60):
+        sides.add(pair.side)
+        a = random_symmetric_ball_point(rng, pair, margin_min=0.05)
+        out = induced_pair(a, pair)
+        mirrored = swap_roles(induced_pair(BallPoint(adj(a.mat)), swap_roles(pair)))
+        assert out.side is mirrored.side is not pair.side
+        assert op_norm(out.j_fwd - mirrored.j_fwd) <= 1e-12
+        assert op_norm(out.j_bwd - mirrored.j_bwd) <= 1e-12
+    assert sides == {Side.BWD_FWD, Side.FWD_BWD}
 
 
 def test_induced_pair_refuses_asymmetric():
