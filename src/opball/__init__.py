@@ -50,7 +50,6 @@ from .matkernel import (
     as_cmat,
     fro_norm,
     gram_factor,
-    gram_power,
     herm_eig,
     herm_fun,
     herm_inv_sqrt,

@@ -13,11 +13,12 @@ which is adopted as definitional here: the chain-infimum description of the
 invariant (Kobayashi) pseudo-metric reduces to this expression on the ball,
 so chains are never constructed (they are documentation only).
 
-Boundary policy: constructors demand a strictly positive margin, and the
-transformations additionally fail with :class:`Singular` when a defect
-eigenvalue drops below the configured floor, rather than returning digits
-that are mostly noise.  atanh operands are checked first and raise
-:class:`OutOfDisc` instead of returning infinity.
+Boundary policy: constructors demand a strictly positive margin, and every
+defect (I - A A*)^(+-1/2) or (I - A* A)^(+-1/2) comes from
+:meth:`BallPoint.defect`, which fails with :class:`Singular` when an inverse
+square root meets a defect eigenvalue below ``DEFAULT.defect_floor``, rather
+than returning digits that are mostly noise.  atanh operands are checked
+first and raise :class:`OutOfDisc` instead of returning infinity.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 
 from .errors import EigenvalueBelowFloor, OutOfBall, OutOfDisc, ShapeMismatch, Singular
 from .matkernel import GramFactor, adj, gram_factor, inverse
-from .tolerances import DEFAULT
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class BallPoint:
     """A strict contraction from K to H, stored as a dimH x dimK matrix.
 
     ``factor`` is the point's one Gram factorization; its norm gives the
-    margin and its powers give every defect of the point.
+    margin and :meth:`defect` gives every defect of the point.
     """
 
     mat: np.ndarray
@@ -64,6 +64,18 @@ class BallPoint:
     def shape(self) -> tuple[int, int]:
         return self.mat.shape
 
+    def defect(self, power: float, side: str) -> np.ndarray:
+        """(I - A A*)^power (side "left") or (I - A* A)^power (side "right")
+        for power +1/2 or -1/2.
+
+        Power -1/2 raises :class:`Singular` when a defect eigenvalue lies
+        below ``DEFAULT.defect_floor``: the margin has collapsed.
+        """
+        try:
+            return self.factor.power(-1.0, power, side)
+        except EigenvalueBelowFloor as exc:
+            raise Singular(f"defect eigenvalue {exc.eigenvalue:.3e}: margin too small") from exc
+
 
 def zero_point(dim_h: int, dim_k: int) -> BallPoint:
     """The base point 0 of the ball."""
@@ -73,15 +85,6 @@ def zero_point(dim_h: int, dim_k: int) -> BallPoint:
 def _require_same_shape(a: BallPoint, z: BallPoint) -> None:
     if a.shape != z.shape:
         raise ShapeMismatch(f"ball points have shapes {a.shape} and {z.shape}")
-
-
-def _defect(a: BallPoint, power: float, side: str) -> np.ndarray:
-    """(I - A A*)^power (side "left") or (I - A* A)^power (side "right"),
-    failing loudly when the margin has collapsed."""
-    try:
-        return a.factor.power(-1.0, power, side, floor=DEFAULT.defect_floor)
-    except EigenvalueBelowFloor as exc:
-        raise Singular(f"defect eigenvalue {exc.eigenvalue:.3e}: margin too small") from exc
 
 
 def _mobius_mat(a: BallPoint, z: np.ndarray, sign: float) -> np.ndarray:
@@ -94,7 +97,7 @@ def _mobius_mat(a: BallPoint, z: np.ndarray, sign: float) -> np.ndarray:
         bracket_inv = inverse(bracket)
     except Singular as exc:
         raise Singular("Moebius bracket is singular: margin too small") from exc
-    return _defect(a, -0.5, "left") @ middle @ bracket_inv @ _defect(a, 0.5, "right")
+    return a.defect(-0.5, "left") @ middle @ bracket_inv @ a.defect(0.5, "right")
 
 
 def mobius(a: BallPoint, z: BallPoint) -> BallPoint:

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .density import ensemble_experiment, profile_csv, report_json
-from .errors import OpballError
+from .errors import BadDims, OpballError, ShapeMismatch
 from .identities import run_identities
 from .matio import read_matrix, read_pair
 from .symmetry import canonical_pair, identity_pair, symmetry_residual
@@ -74,11 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_identities(args) -> int:
     if not (1 <= args.dim_k <= 8 and args.dim_k <= args.dim_h <= 32):
-        print("identities: need 1 <= dim-k <= 8 and dim-k <= dim-h <= 32", file=sys.stderr)
-        return 2
+        raise BadDims("need 1 <= dim-k <= 8 and dim-k <= dim-h <= 32")
     if args.trials < 0 or args.tol <= 0:
-        print("identities: need trials >= 0 and tol > 0", file=sys.stderr)
-        return 2
+        raise BadDims("need trials >= 0 and tol > 0")
     reports = run_identities(args.seed, args.trials, args.dim_h, args.dim_k, args.tol)
     payload = {
         "seed": args.seed,
@@ -103,12 +101,10 @@ def _cmd_metric(args) -> int:
     mat_t = read_matrix(args.file_t)
     mat_s = read_matrix(args.file_s)
     if mat_t.shape != mat_s.shape:
-        print(
-            f"metric: shape mismatch: {args.file_t} is {mat_t.shape[0]}x{mat_t.shape[1]}, "
-            f"{args.file_s} is {mat_s.shape[0]}x{mat_s.shape[1]}",
-            file=sys.stderr,
+        raise ShapeMismatch(
+            f"shape mismatch: {args.file_t} is {mat_t.shape[0]}x{mat_t.shape[1]}, "
+            f"{args.file_s} is {mat_s.shape[0]}x{mat_s.shape[1]}"
         )
-        return 2
     print(_fmt12(operator_dist(OperatorHK(mat_t), OperatorHK(mat_s))))
     return 0
 
@@ -135,11 +131,9 @@ def _cmd_symcheck(args) -> int:
 
 def _cmd_approx(args) -> int:
     if not (1 <= args.dim_k <= args.dim_h <= 32):
-        print("approx: need 1 <= dim-k <= dim-h <= 32", file=sys.stderr)
-        return 2
+        raise BadDims("need 1 <= dim-k <= dim-h <= 32")
     if args.trials < 1 or args.jobs < 1:
-        print("approx: need trials >= 1 and jobs >= 1", file=sys.stderr)
-        return 2
+        raise BadDims("need trials >= 1 and jobs >= 1")
     report = ensemble_experiment(
         args.dim_h, args.dim_k, args.trials, args.seed, jobs=args.jobs
     )

@@ -122,8 +122,9 @@ class ApproxProfile:
 
     rows: tuple[ProfileRow, ...]
 
-    def violations(self, tol: float = DEFAULT.profile) -> list[str]:
+    def violations(self) -> list[str]:
         """Invariant violations, empty when the profile is healthy."""
+        tol = DEFAULT.profile
         out: list[str] = []
         depths = [r.depth for r in self.rows]
         if depths != list(range(1, len(self.rows) + 1)):
@@ -211,9 +212,9 @@ class EnsembleReport:
         per_depth = zip(*[[row.dist for row in r.profile.rows] for r in self.results])
         return [float(np.median(list(col))) for col in per_depth]
 
-    def all_valid(self, tol: float = DEFAULT.profile) -> bool:
-        return all(not r.profile.violations(tol) for r in self.results) and all(
-            r.recovery_residual <= tol for r in self.results
+    def all_valid(self) -> bool:
+        return all(not r.profile.violations() for r in self.results) and all(
+            r.recovery_residual <= DEFAULT.profile for r in self.results
         )
 
 

@@ -12,7 +12,10 @@ power.  Both Gram matrices share their nonzero spectrum, and the one not
 held follows from the push-through identity f(AB) A = A f(BA) (Higham,
 *Functions of Matrices*, SIAM 2008, ch. 1); for a square M that is the
 M*M side.  Ball points and operators keep their factor, so a defect never
-costs a second solve of the same operand.
+costs a second solve of the same operand.  The eigenvalue floor of a power
+is not a parameter: only the inverse square root of a defect, (I - G)^(-1/2),
+is checked against ``DEFAULT.defect_floor``, and ``BallPoint.defect`` is the
+one place that asks for defect powers.
 
 The eigensolver is a cyclic two-sided complex Jacobi iteration.  At desk
 sizes (matrix side <= 64) it converges in a handful of sweeps and keeps both
@@ -251,9 +254,7 @@ class GramFactor:
     basis: np.ndarray
     norm: float
 
-    def power(
-        self, sign: float, power: float, side: str, floor: float | None = None
-    ) -> np.ndarray:
+    def power(self, sign: float, power: float, side: str) -> np.ndarray:
         """(I + sign G)^power for G = M*M (``side="right"``) or MM* (``"left"``).
 
         ``sign`` is +1 or -1 and ``power`` is +1/2 or -1/2.  When ``side``
@@ -264,12 +265,15 @@ class GramFactor:
         with N = M for the right side and M* for the left, g(x) =
         (1 + sign x)^power and r = sqrt(1 + sign x), in the
         cancellation-free forms h = sign / (1 + r) for power 1/2 and
-        h = -sign / (r (1 + r)) for power -1/2.  Any eigenvalue that only
-        the pushed side has is exactly 1, so ``floor`` is checked on the
-        held spectrum and on 1; an eigenvalue below it raises
-        :class:`EigenvalueBelowFloor` as in :func:`herm_fun`.  Without a
-        floor, roundoff negatives of 1 + sign x are clipped to 0 as in
-        :func:`herm_sqrt`; power -1/2 needs a floor.
+        h = -sign / (r (1 + r)) for power -1/2.
+
+        The floor follows from sign and power.  Only the inverse square root
+        of a defect (sign -1, power -1/2) is singular at the boundary: an
+        eigenvalue of I - G below ``DEFAULT.defect_floor`` raises
+        :class:`EigenvalueBelowFloor`, checked on the held spectrum and on
+        1, the eigenvalue that only the pushed side has.  The square root of
+        a defect stays well conditioned there, so its roundoff negatives are
+        clipped to 0 as in :func:`herm_sqrt`; for sign +1, 1 + x >= 1.
 
         In the pushed form, an entry of size one cancels where g is small,
         leaving an absolute error of order eps there.  A product g(M*M) M*
@@ -277,14 +281,13 @@ class GramFactor:
         """
         if side not in ("left", "right") or sign not in (1, -1) or power not in (0.5, -0.5):
             raise ValueError(f"unsupported Gram power sign={sign}, power={power}, side={side!r}")
-        if power < 0 and floor is None:
-            raise ValueError("power -1/2 needs an eigenvalue floor")
         push = side != self.side
         x = self.eigenvalues
         d = 1.0 + sign * x
-        lo = min(float(d.min()), 1.0) if push else float(d.min())
-        if floor is not None and lo < floor:
-            raise EigenvalueBelowFloor(lo, floor)
+        if sign < 0 and power < 0:
+            lo = min(float(d.min()), 1.0) if push else float(d.min())
+            if lo < DEFAULT.defect_floor:
+                raise EigenvalueBelowFloor(lo, DEFAULT.defect_floor)
         r = np.sqrt(np.maximum(d, 0.0))
         basis = self.basis
         if not push:
@@ -310,13 +313,6 @@ def gram_factor(m) -> GramFactor:
     norm = math.ldexp(math.sqrt(top), exp) if top > 0.0 else 0.0
     vals = _freeze(np.ldexp(spectrum.eigenvalues, 2 * exp))
     return GramFactor(m, side, vals, spectrum.basis, norm)
-
-
-def gram_power(
-    m, sign: float, power: float, side: str, floor: float | None = None
-) -> np.ndarray:
-    """(I + sign G)^power for G = M*M or MM*; see :meth:`GramFactor.power`."""
-    return gram_factor(m).power(sign, power, side, floor)
 
 
 def op_norm(a) -> float:

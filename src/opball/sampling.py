@@ -20,20 +20,23 @@ def complex_gaussian(rng: np.random.Generator, rows: int, cols: int, scale: floa
     return (scale / np.sqrt(2.0)) * g
 
 
-def random_ball_point(
-    rng: np.random.Generator,
-    dim_h: int,
-    dim_k: int,
-    margin_min: float = 0.05,
-    margin_max: float = 0.95,
+def _at_random_margin(
+    rng: np.random.Generator, g: np.ndarray, margin_min: float, margin_max: float
 ) -> BallPoint:
-    """A uniformly-directed contraction with margin in [margin_min, margin_max]."""
-    g = complex_gaussian(rng, dim_h, dim_k)
+    """``g`` rescaled to a margin drawn uniformly from [margin_min, margin_max]
+    (left as is when it is zero)."""
     norm = op_norm(g)
     if norm == 0.0:
         return BallPoint(g)
     target = 1.0 - rng.uniform(margin_min, margin_max)
     return BallPoint(g * (target / norm))
+
+
+def random_ball_point(
+    rng: np.random.Generator, dim_h: int, dim_k: int, margin_min: float = 0.05
+) -> BallPoint:
+    """A uniformly-directed contraction with margin in [margin_min, 0.95]."""
+    return _at_random_margin(rng, complex_gaussian(rng, dim_h, dim_k), margin_min, 0.95)
 
 
 def random_operator(
@@ -44,23 +47,15 @@ def random_operator(
 
 
 def random_symmetric_ball_point(
-    rng: np.random.Generator,
-    pair: ConjugationPair,
-    margin_min: float = 0.1,
-    margin_max: float = 0.9,
+    rng: np.random.Generator, pair: ConjugationPair, margin_min: float = 0.1
 ) -> BallPoint:
     """A contraction symmetric for ``pair`` (projection of a Gaussian draw).
 
-    The pair runs src -> dst; the matrix produced is dst x src with the
-    requested margin, and its symmetry residual is at roundoff level.
+    The pair runs src -> dst; the matrix produced is dst x src with a margin
+    in [margin_min, 0.9], and its symmetry residual is at roundoff level.
     """
     g = complex_gaussian(rng, pair.dim_dst, pair.dim_src)
-    sym = symmetric_part(g, pair)
-    norm = op_norm(sym)
-    if norm == 0.0:
-        return BallPoint(sym)
-    target = 1.0 - rng.uniform(margin_min, margin_max)
-    return BallPoint(sym * (target / norm))
+    return _at_random_margin(rng, symmetric_part(g, pair), margin_min, 0.9)
 
 
 def random_dims(

@@ -302,12 +302,6 @@ def induced_pair(a: BallPoint, pair: ConjugationPair) -> ConjugationPair:
     same construction yields (bwd, fwd).
     """
     m = a.mat
-    p, q = m.shape
-    if (pair.dim_src, pair.dim_dst) != (q, p):
-        raise ShapeMismatch(
-            f"pair dims ({pair.dim_src}, {pair.dim_dst}) do not match a "
-            f"contraction of shape {m.shape}"
-        )
     gap = _symmetry_gap(m, pair)
     if not _norm_within(gap, DEFAULT.symmetry_pre):
         raise NotSymmetric(
@@ -319,8 +313,8 @@ def induced_pair(a: BallPoint, pair: ConjugationPair) -> ConjugationPair:
     link = first @ np.conj(second)
     gram = np.eye(n.shape[1]) - adj(n) @ link @ n
     gram_inv_sqrt = herm_inv_sqrt(gram, DEFAULT.psd_floor)
-    # (I - N N*)^(1/2) from the factor of M: I - MM* or I - M*M
-    defect_sqrt = a.factor.power(-1.0, 0.5, "left" if primary else "right")
+    # (I - N N*)^(1/2): the left defect of M for BWD_FWD, the right for FWD_BWD
+    defect_sqrt = a.defect(0.5, "left" if primary else "right")
     x = gram_inv_sqrt @ second @ np.conj(defect_sqrt)
     y = defect_sqrt @ first @ np.conj(gram_inv_sqrt)
     fwd, bwd = (x, y) if primary else (y, x)

@@ -68,7 +68,7 @@ def bounded_transform(t: OperatorHK) -> BallPoint:
 
     Evaluated as T* (I + T T*)^(-1/2), with the function on the K side.
     """
-    return BallPoint(adj(t.mat) @ t.factor.power(1.0, -0.5, "left", floor=0.5))
+    return BallPoint(adj(t.mat) @ t.factor.power(1.0, -0.5, "left"))
 
 
 def inverse_bounded_transform(a: BallPoint) -> OperatorHK:
@@ -76,7 +76,8 @@ def inverse_bounded_transform(a: BallPoint) -> OperatorHK:
 
     Margins below the configured accuracy threshold are allowed but flagged
     with :class:`NearBoundaryWarning`, since the inverse square root then
-    amplifies roundoff.
+    amplifies roundoff; a collapsed margin raises :class:`Singular`, as in
+    :func:`~opball.ball.mobius`.
     """
     if a.margin < DEFAULT.near_boundary:
         warnings.warn(
@@ -85,8 +86,7 @@ def inverse_bounded_transform(a: BallPoint) -> OperatorHK:
             NearBoundaryWarning,
             stacklevel=2,
         )
-    shrink = a.factor.power(-1.0, -0.5, "right", floor=DEFAULT.defect_floor)
-    return OperatorHK(shrink @ adj(a.mat))
+    return OperatorHK(a.defect(-0.5, "right") @ adj(a.mat))
 
 
 def left_defect(t: OperatorHK, x: OperatorHK) -> np.ndarray:
@@ -116,8 +116,8 @@ def right_defect_inv(s: OperatorHK, t: OperatorHK) -> np.ndarray:
     that is solved.
     """
     _require_same_spaces(s, t)
-    outer_left = s.factor.power(1.0, -0.5, "left", floor=0.5)
-    outer_right = t.factor.power(1.0, -0.5, "left", floor=0.5)
+    outer_left = s.factor.power(1.0, -0.5, "left")
+    outer_right = t.factor.power(1.0, -0.5, "left")
     bracket = np.eye(t.dim_k) - outer_right @ t.mat @ adj(s.mat) @ outer_left
     return outer_left @ inverse(bracket) @ outer_right
 

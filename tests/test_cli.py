@@ -65,6 +65,31 @@ def test_identities_flag_validation(capsys):
     assert main(["identities", "--trials", "-1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (["identities", "--dim-k", "9"],
+         "identities: need 1 <= dim-k <= 8 and dim-k <= dim-h <= 32"),
+        (["identities", "--tol", "0"], "identities: need trials >= 0 and tol > 0"),
+        (["approx", "--dim-h", "2", "--dim-k", "3"], "approx: need 1 <= dim-k <= dim-h <= 32"),
+        (["approx", "--jobs", "0"], "approx: need trials >= 1 and jobs >= 1"),
+        (["metric"], "metric: shape mismatch: {a} is 1x2, {b} is 2x1"),
+    ],
+)
+def test_rejected_input_prints_one_line(tmp_path, capsys, args, line):
+    a = save(tmp_path, "a.json", [[0.0, 1.0]])
+    b = save(tmp_path, "b.json", [[0.0], [1.0]])
+    if args[0] == "metric":
+        args = [*args, a, b]
+    elif args[0] == "approx":
+        args = [*args, "--out", str(tmp_path / "x")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line.format(a=a, b=b) + "\n"
+    assert not list(tmp_path.glob("x*"))
+
+
 def test_identities_failure_exit_code(capsys, monkeypatch):
     import opball.identities as ids
 

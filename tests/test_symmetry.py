@@ -9,6 +9,7 @@ from opball import (
     ConjugationPair,
     NotSymmetric,
     OperatorHK,
+    ShapeMismatch,
     Side,
     adj,
     canonical_pair,
@@ -262,6 +263,14 @@ def test_induced_pair_refuses_asymmetric():
     a = BallPoint(0.5 * g / op_norm(g))
     with pytest.raises(NotSymmetric):
         induced_pair(a, pair)
+
+
+def test_induced_pair_rejects_mis_shaped_pair():
+    rng = np.random.default_rng(50)
+    a = random_symmetric_ball_point(rng, random_pair(2, 5, rng))
+    for pair in (random_pair(5, 2, rng), identity_pair(5), canonical_pair(2, 6)):
+        with pytest.raises(ShapeMismatch):
+            induced_pair(a, pair)
 
 
 def test_induced_operator_scalar():

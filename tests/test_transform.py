@@ -10,12 +10,15 @@ from opball import (
     NearBoundaryWarning,
     OperatorHK,
     ShapeMismatch,
+    Singular,
     adj,
     ball_dist,
     bounded_transform,
     inverse,
     inverse_bounded_transform,
     left_defect,
+    mobius,
+    mobius_inv,
     op_norm,
     operator_dist,
     right_defect,
@@ -85,6 +88,20 @@ def test_round_trips_both_directions():
 def test_near_boundary_warning():
     a = BallPoint(np.array([[1.0 - 1e-9]]))
     with pytest.warns(NearBoundaryWarning):
+        inverse_bounded_transform(a)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 2), (2, 4)])
+def test_collapsed_margin_raises_singular(shape):
+    # margin 1e-15: the smallest defect eigenvalue 1 - ||A||^2 is below 1e-13
+    g = complex_gaussian(np.random.default_rng(31), *shape)
+    a = BallPoint(g * ((1.0 - 1e-15) / op_norm(g)))
+    assert a.margin < 1e-13
+    z = BallPoint(np.zeros(shape))
+    for move in (mobius, mobius_inv):
+        with pytest.raises(Singular):
+            move(a, z)
+    with pytest.warns(NearBoundaryWarning), pytest.raises(Singular):
         inverse_bounded_transform(a)
 
 
