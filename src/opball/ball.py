@@ -7,29 +7,37 @@ is the Moebius transformation
 
 a bi-holomorphic automorphism of the ball.  Distances use the closed form
 
-    ball_dist(X, Y) = atanh || mobius_to_origin(X, Y) ||,
+    ball_dist(X, Y) = asinh || (I - X X*)^(-1/2) (Y - X) (I - Y* Y)^(-1/2) ||,
 
-which is adopted as definitional here: the chain-infimum description of the
-invariant (Kobayashi) pseudo-metric reduces to this expression on the ball,
-so chains are never constructed (they are documentation only).
+the off-diagonal block of g_X^(-1) g_Y for the lift g_X of X to U(p, q), of
+singular values sinh(r_i); it equals atanh ||mobius_to_origin(X, Y)|| without
+forming that image, and is definitional here: the chain-infimum (Kobayashi)
+pseudo-metric reduces to it on the ball, so chains are never constructed.
 
 Boundary policy: constructors demand a strictly positive margin, and every
 defect (I - A A*)^(+-1/2) or (I - A* A)^(+-1/2) comes from
-:meth:`BallPoint.defect`, which fails with :class:`Singular` when an inverse
-square root meets a defect eigenvalue below ``DEFAULT.defect_floor``, rather
-than returning digits that are mostly noise.  atanh operands are checked
-first and raise :class:`OutOfDisc` instead of returning infinity.
+:meth:`BallPoint.defect`, which warns for an inverse square root near the
+sphere and raises :class:`Singular` rather than return digits that are noise.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EigenvalueBelowFloor, OutOfBall, OutOfDisc, ShapeMismatch, Singular
-from .matkernel import GramFactor, adj, gram_factor, inverse
+from .errors import (
+    EigenvalueBelowFloor,
+    NearBoundaryWarning,
+    OutOfBall,
+    OutOfDisc,
+    ShapeMismatch,
+    Singular,
+)
+from .matkernel import GramFactor, adj, gram_factor, inverse, op_norm
+from .tolerances import DEFAULT
 
 
 @dataclass(frozen=True)
@@ -68,9 +76,15 @@ class BallPoint:
         """(I - A A*)^power (side "left") or (I - A* A)^power (side "right")
         for power +1/2 or -1/2.
 
-        Power -1/2 raises :class:`Singular` when a defect eigenvalue lies
-        below ``DEFAULT.defect_floor``: the margin has collapsed.
+        Power -1/2 amplifies roundoff by about 1/margin: it warns with
+        :class:`NearBoundaryWarning` below ``DEFAULT.near_boundary`` and
+        raises :class:`Singular` when a defect eigenvalue lies below
+        ``DEFAULT.defect_floor``: the margin has collapsed.
         """
+        if power < 0 and self.margin < DEFAULT.near_boundary:
+            message = (f"ball margin {self.margin:.3e} below {DEFAULT.near_boundary:.0e}; "
+                       "inverse defect loses accuracy")
+            warnings.warn(message, NearBoundaryWarning, stacklevel=3)
         try:
             return self.factor.power(-1.0, power, side)
         except EigenvalueBelowFloor as exc:
@@ -127,27 +141,22 @@ def mobius_to_origin(center: BallPoint, point: BallPoint) -> BallPoint:
     return mobius_inv(center, point)
 
 
-def _atanh_checked(x: float) -> float:
-    if x >= 1.0:
-        raise OutOfDisc(f"atanh operand {x!r} is not strictly below 1")
-    return math.atanh(x)
-
-
 def poincare_dist(a: complex, b: complex) -> float:
-    """Hyperbolic distance on the unit disc: atanh(|a - b| / |1 - conj(a) b|)."""
+    """Hyperbolic distance on the unit disc, the 1 x 1 case of :func:`ball_dist`:
+    asinh(|b - a| / sqrt((1 - |a|^2)(1 - |b|^2))) = atanh(|a - b| / |1 - conj(a) b|).
+    """
     if abs(a) >= 1.0 or abs(b) >= 1.0:
         raise OutOfDisc(f"disc points required, got |a|={abs(a)}, |b|={abs(b)}")
-    num = abs(a - b)
-    if num == 0.0:
-        return 0.0
-    return _atanh_checked(num / abs(1.0 - np.conj(a) * b))
+    return math.asinh(abs(b - a) / math.sqrt((1.0 - abs(a) ** 2) * (1.0 - abs(b) ** 2)))
 
 
 def ball_dist(x: BallPoint, y: BallPoint) -> float:
     """Invariant distance between two ball points.
 
-    Closed form atanh || mobius_to_origin(x, y) ||; reduces to
-    :func:`poincare_dist` for 1 x 1 points and to atanh ||y|| at the origin.
+    asinh || (I - X X*)^(-1/2) (Y - X) (I - Y* Y)^(-1/2) ||, which equals
+    atanh || mobius_to_origin(x, y) ||; reduces to :func:`poincare_dist` for
+    1 x 1 points and to atanh ||y|| at the origin.
     """
     _require_same_shape(x, y)
-    return _atanh_checked(mobius_to_origin(x, y).factor.norm)
+    lift = x.defect(-0.5, "left") @ (y.mat - x.mat) @ y.defect(-0.5, "right")
+    return math.asinh(op_norm(lift))

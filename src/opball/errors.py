@@ -51,7 +51,7 @@ class OutOfBall(OpballError):
 
 
 class OutOfDisc(OpballError):
-    """A scalar (or computed contraction norm) is not strictly inside the unit disc."""
+    """A scalar input of ``poincare_dist`` is not strictly inside the unit disc."""
 
 
 class BadDims(OpballError):

@@ -6,12 +6,14 @@ trials.  Residuals are normalized where the natural tolerance scales with the
 input (the docstring of each check says how), so a single threshold is
 meaningful across the whole table.
 
-Ensemble design notes.  Distances in this geometry saturate like atanh, so
-double precision supports tight cross-checks only while operands stay away
-from the representational boundary.  The metric checks therefore stratify:
-independent operator pairs at moderate entry scales, additively coupled
-pairs at larger scales, and equal pairs at the largest norms.  The strata
-were calibrated empirically; the thresholds themselves are never loosened.
+Ensemble design notes.  The distances themselves hold their digits at any
+scale, but the bounded transform of an operator of norm s has ball margin
+about 1/(2 s^2), and the ball route amplifies roundoff by 1/margin, so tight
+cross-checks through the ball need operands away from the sphere.  The
+metric checks therefore stratify: independent operator pairs at moderate
+entry scales, additively coupled pairs at larger scales, and equal pairs at
+the largest norms.  The strata were calibrated empirically; the thresholds
+themselves are never loosened.
 """
 
 from __future__ import annotations
@@ -134,7 +136,8 @@ def transform_round_trip(rng, dim_h, dim_k) -> float:
 
 
 def metric_two_routes(rng, dim_h, dim_k) -> float:
-    """Defect-quotient metric against the ball-distance route.
+    """Operator lift asinh ||left_defect(T, S)|| against the ball lift of the
+    transforms, ball_dist(T-hat, S-hat).
 
     Stratified: independent pairs at entry scales up to 3, coupled pairs up
     to scale 30, equal pairs (on small spaces) up to operator norms ~1e3."""

@@ -26,7 +26,7 @@ class Tolerances:
     induced_pair_residual: float = 1e-8
     # symmetry residual admitted for inputs of the induced-pair construction
     symmetry_pre: float = 1e-8
-    # ball margin below which the inverse bounded transform warns
+    # ball margin below which BallPoint.defect warns for an inverse square root
     near_boundary: float = 1e-8
     # approximation profile invariants (final distance, symmetry residuals)
     profile: float = 1e-8

@@ -8,11 +8,13 @@ contraction
 whose norm satisfies ||T-hat||^2 = ||T T*|| / (1 + ||T T*||) < 1.  The map is
 inverted in closed form by (I - A*A)^(-1/2) A*.  The distance
 
-    operator_dist(T, S) = atanh || left_defect(T, S) @ right_defect_inv(S, T) ||
+    operator_dist(T, S) = asinh || left_defect(T, S) ||
 
 is a metric on operators and coincides with the invariant ball distance
-between the transforms; the left/right-defect route is canonical for output
-while the ball route serves as an independent cross-check.
+between the transforms: left_defect(T, S) is the off-diagonal block of
+g_T^(-1) g_S for the lift g_T = [[(I+T*T)^(1/2), T*], [T, (I+TT*)^(1/2)]] of T
+to U(p, q), whose singular values are sinh(r_i).  This route is canonical for
+output, while the ball route serves as an independent cross-check.
 
 Desk-scale model: H and K are finite dimensional, so every finite matrix is
 admitted as a "closed densely-defined" operator; unboundedness is emulated by
@@ -22,16 +24,15 @@ a hidden assumption.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .ball import BallPoint, _atanh_checked
-from .errors import NearBoundaryWarning, ShapeMismatch
+from .ball import BallPoint
+from .errors import ShapeMismatch
 from .matkernel import GramFactor, adj, as_cmat, gram_factor, inverse, op_norm
-from .tolerances import DEFAULT
 
 
 @dataclass(frozen=True)
@@ -74,18 +75,9 @@ def bounded_transform(t: OperatorHK) -> BallPoint:
 def inverse_bounded_transform(a: BallPoint) -> OperatorHK:
     """Closed-form inverse of :func:`bounded_transform`: (I - A*A)^(-1/2) A*.
 
-    Margins below the configured accuracy threshold are allowed but flagged
-    with :class:`NearBoundaryWarning`, since the inverse square root then
-    amplifies roundoff; a collapsed margin raises :class:`Singular`, as in
-    :func:`~opball.ball.mobius`.
+    Near the sphere it warns, and at a collapsed margin raises
+    :class:`Singular`, through :meth:`~opball.ball.BallPoint.defect`.
     """
-    if a.margin < DEFAULT.near_boundary:
-        warnings.warn(
-            f"ball margin {a.margin:.3e} below {DEFAULT.near_boundary:.0e}; "
-            "inverse transform loses accuracy",
-            NearBoundaryWarning,
-            stacklevel=2,
-        )
     return OperatorHK(a.defect(-0.5, "right") @ adj(a.mat))
 
 
@@ -123,11 +115,7 @@ def right_defect_inv(s: OperatorHK, t: OperatorHK) -> np.ndarray:
 
 
 def operator_dist(t: OperatorHK, s: OperatorHK) -> float:
-    """Metric on operators from H to K.
-
-    atanh || left_defect(t, s) @ inverse(right_defect(s, t)) ||, which equals
-    the invariant ball distance between the two bounded transforms.
+    """Metric on operators from H to K: asinh || left_defect(t, s) ||, which
+    equals the invariant ball distance between the two bounded transforms.
     """
-    _require_same_spaces(t, s)
-    quotient = left_defect(t, s) @ inverse(right_defect(s, t))
-    return _atanh_checked(op_norm(quotient))
+    return math.asinh(op_norm(left_defect(t, s)))

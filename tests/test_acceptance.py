@@ -6,8 +6,8 @@ derived from observed residuals.
 
 Ensemble notes.  Where a criterion leaves the ensemble free, operands are
 drawn so the check stays inside what double precision can certify; in
-particular, distances saturate like atanh, so operator pairs with the
-largest norms (up to ~1e3, exercised on small spaces) are drawn equal or
+particular, the ball route through the bounded transform is conditioned
+at 1/margin ~ 2 ||T||^2, so operator pairs with the largest norms (up to ~1e3, exercised on small spaces) are drawn equal or
 nearly equal, while independent pairs carry the moderate-norm strata.  The
 calibration behind these choices is recorded in the repository notes; the
 thresholds below are the contract.

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from opball import (
     BallPoint,
+    NearBoundaryWarning,
     OutOfBall,
     OutOfDisc,
     ShapeMismatch,
@@ -85,7 +86,7 @@ def test_mobius_shape_mismatch():
 
 def test_mobius_near_boundary_raises_singular():
     a = BallPoint(np.array([[1.0 - 1e-14]]))
-    with pytest.raises(Singular):
+    with pytest.warns(NearBoundaryWarning), pytest.raises(Singular):
         mobius(a, scalar_point(0.1))
 
 

@@ -124,14 +124,14 @@ def test_metric_shape_mismatch(tmp_path, capsys):
     assert "1x2" in err and "2x1" in err
 
 
-def test_metric_out_of_disc_exits_two(tmp_path, capsys):
-    # the distance saturates in double precision: a typed error, no traceback
+def test_metric_far_apart_scalars(tmp_path, capsys):
+    # d(1e8, -1e8) = 2 asinh(1e8): the lift does not saturate where atanh would
     big = save(tmp_path, "big.json", [[1e8]])
     neg = save(tmp_path, "neg.json", [[-1e8]])
-    assert main(["metric", big, neg]) == 2
+    assert main(["metric", big, neg]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("metric: ") and captured.err.count("\n") == 1
+    assert captured.out == "38.2276558490\n"
+    assert captured.err == ""
 
 
 def test_metric_unreadable_file(tmp_path, capsys):

@@ -9,7 +9,9 @@ defect, which is what the counts below pin down.
 import numpy as np
 import pytest
 
+import opball.ball
 import opball.matkernel as matkernel
+import opball.transform
 from opball import (
     BallPoint,
     ConjugationPair,
@@ -17,6 +19,7 @@ from opball import (
     OperatorHK,
     ShapeMismatch,
     Side,
+    ball_dist,
     ensemble_experiment,
     gram_factor,
     identity_pair,
@@ -55,9 +58,29 @@ def test_operator_dist_factors_each_operand_once(solves):
     t = OperatorHK(complex_draw(rng, 8, 32))
     s = OperatorHK(complex_draw(rng, 8, 32))
     operator_dist(t, s)
-    assert solves() == 3  # one factor per operand, one norm of the quotient
+    assert solves() == 3  # one factor per operand, one norm of the left defect
     operator_dist(s, t)
     assert solves() == 4  # both factors reused
+
+
+def test_distances_invert_nothing(solves, monkeypatch):
+    # the lift needs no inverse: one norm of a defect-sandwiched difference
+    inversions = [0]
+
+    def counted(m):
+        inversions[0] += 1
+        return matkernel.inverse(m)
+
+    monkeypatch.setattr(opball.ball, "inverse", counted)
+    monkeypatch.setattr(opball.transform, "inverse", counted)
+    rng = np.random.default_rng(26)
+    operator_dist(OperatorHK(complex_draw(rng, 5, 3)), OperatorHK(complex_draw(rng, 5, 3)))
+    x = BallPoint(0.2 * complex_draw(rng, 5, 3))
+    y = BallPoint(0.2 * complex_draw(rng, 5, 3))
+    before = solves()
+    ball_dist(x, y)
+    assert solves() - before == 1
+    assert inversions[0] == 0
 
 
 def test_mobius_solves_only_for_its_result(solves):
@@ -76,7 +99,7 @@ def test_pair_validation_at_roundoff_needs_no_solve(solves):
 
 def test_approx_trial_solve_budget(solves):
     # five solves per depth (doubled point, induced Gram, approximant,
-    # distance quotient, symmetry residual) plus the operand, its transform
+    # distance, symmetry residual) plus the operand, its transform
     # and the recovery residual
     ensemble_experiment(8, 2, 1, seed=113)
     assert solves() <= 43

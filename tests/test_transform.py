@@ -1,6 +1,7 @@
 """Bounded transform, defect maps, and the operator metric."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,10 +86,23 @@ def test_round_trips_both_directions():
         assert op_norm(again.mat - a.mat) <= 1e-8
 
 
-def test_near_boundary_warning():
-    a = BallPoint(np.array([[1.0 - 1e-9]]))
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: mobius(a, BallPoint(np.array([[0.5]]))),
+        lambda a: mobius_inv(a, BallPoint(np.array([[0.5]]))),
+        inverse_bounded_transform,
+        lambda a: ball_dist(BallPoint(np.array([[0.5]])), a),
+    ],
+    ids=["mobius", "mobius_inv", "inverse_bounded_transform", "ball_dist"],
+)
+def test_near_boundary_warning(call):
+    # every inverse defect warns from BallPoint.defect, below 1e-8 only
     with pytest.warns(NearBoundaryWarning):
-        inverse_bounded_transform(a)
+        call(BallPoint(np.array([[1.0 - 1e-9]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NearBoundaryWarning)
+        call(BallPoint(np.array([[1.0 - 1e-7]])))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (4, 2), (2, 4)])
@@ -98,11 +112,10 @@ def test_collapsed_margin_raises_singular(shape):
     a = BallPoint(g * ((1.0 - 1e-15) / op_norm(g)))
     assert a.margin < 1e-13
     z = BallPoint(np.zeros(shape))
-    for move in (mobius, mobius_inv):
-        with pytest.raises(Singular):
-            move(a, z)
-    with pytest.warns(NearBoundaryWarning), pytest.raises(Singular):
-        inverse_bounded_transform(a)
+    moves = (lambda: mobius(a, z), lambda: mobius_inv(a, z), lambda: inverse_bounded_transform(a))
+    for move in moves:
+        with pytest.warns(NearBoundaryWarning), pytest.raises(Singular):
+            move()
 
 
 def test_left_defect_examples():
