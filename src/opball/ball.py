@@ -23,6 +23,7 @@ sphere and raises :class:`Singular` rather than return digits that are noise.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -82,9 +83,13 @@ class BallPoint:
         ``DEFAULT.defect_floor``: the margin has collapsed.
         """
         if power < 0 and self.margin < DEFAULT.near_boundary:
+            # name the nearest caller outside the package, however deep the call
+            frame, level = sys._getframe(1), 2
+            while frame is not None and frame.f_globals.get("__package__") == __package__:
+                frame, level = frame.f_back, level + 1
             message = (f"ball margin {self.margin:.3e} below {DEFAULT.near_boundary:.0e}; "
                        "inverse defect loses accuracy")
-            warnings.warn(message, NearBoundaryWarning, stacklevel=3)
+            warnings.warn(message, NearBoundaryWarning, stacklevel=level)
         try:
             return self.factor.power(-1.0, power, side)
         except EigenvalueBelowFloor as exc:

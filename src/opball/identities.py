@@ -115,7 +115,7 @@ def transform_norm_identity(rng, dim_h, dim_k) -> float:
     Entry scales span 1e-2 .. 1e3 (large norms emulate unboundedness)."""
     p, q = random_dims(rng, dim_h, dim_k)
     t = random_operator(rng, p, q, 10 ** rng.uniform(-2, 3))
-    tt = op_norm(t.mat @ adj(t.mat))
+    tt = t.factor.norm ** 2
     gap = abs(bounded_transform(t).factor.norm ** 2 - tt / (1.0 + tt))
     return gap / (1.0 + tt)
 

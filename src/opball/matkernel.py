@@ -17,11 +17,13 @@ is not a parameter: only the inverse square root of a defect, (I - G)^(-1/2),
 is checked against ``DEFAULT.defect_floor``, and ``BallPoint.defect`` is the
 one place that asks for defect powers.
 
-The eigensolver is a cyclic two-sided complex Jacobi iteration.  At desk
-sizes (matrix side <= 64) it converges in a handful of sweeps and keeps both
-the eigenbasis unitary and the reconstruction residual at roundoff level,
-which is what the downstream geometry needs.  Inversion is Gaussian
-elimination with partial pivoting, with an explicit pivot floor so
+The eigensolver is a cyclic two-sided complex Jacobi iteration, run on the
+input scaled by a power of two (exact, and no square overflows or
+underflows).  Each round rotates its active pairs at once by the
+overflow-free hypot angle, from one cached plan per size.  At desk sizes
+(side <= 64) it converges in a handful of sweeps and keeps the eigenbasis
+unitary and the reconstruction residual at roundoff level.  Inversion is
+Gaussian elimination with partial pivoting and an explicit pivot floor, so
 near-singular systems fail loudly instead of returning garbage.
 
 All functions are pure: inputs are never mutated and returned arrays are
@@ -75,8 +77,11 @@ def adj(a: np.ndarray) -> np.ndarray:
 
 
 def fro_norm(a: np.ndarray) -> float:
-    """Frobenius norm (cheap upper bound for the spectral norm)."""
-    return float(np.sqrt((np.abs(a) ** 2).sum()))
+    """Frobenius norm (cheap upper bound for the spectral norm), summed at the
+    power-of-two scale of max|a| so that no square overflows or underflows."""
+    s = np.abs(a)
+    _, exp = math.frexp(float(s.max(initial=0.0)))
+    return float(np.ldexp(np.sqrt((np.ldexp(s, -exp) ** 2).sum()), exp))
 
 
 @dataclass(frozen=True)
@@ -91,13 +96,14 @@ class HermSpectrum:
     basis: np.ndarray
 
 
-_ROUNDS_CACHE: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+_PLANS: dict[int, tuple] = {}
 
 
-def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Tournament schedule: each sweep visits every index pair exactly once,
-    grouped into rounds of mutually disjoint pairs."""
-    cached = _ROUNDS_CACHE.get(n)
+def _plan(n: int) -> tuple:
+    """Per-size Jacobi constants: the tournament schedule (each sweep visits
+    every index pair once, in rounds of mutually disjoint pairs), the
+    off-diagonal mask, the identity and the diagonal index."""
+    cached = _PLANS.get(n)
     if cached is not None:
         return cached
     players = list(range(n)) + ([-1] if n % 2 else [])
@@ -112,62 +118,67 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
                 qs.append(max(x, y))
         rounds.append((np.array(ps), np.array(qs)))
         players = [players[0], players[-1], *players[1:-1]]
-    _ROUNDS_CACHE[n] = rounds
-    return rounds
+    plan = rounds, ~np.eye(n, dtype=bool), np.eye(n, dtype=np.complex128), np.arange(n)
+    _PLANS[n] = plan
+    return plan
+
+
+def _pow2_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """(M 2^-e, e) with 2^-e max|M| in [1/2, 1): exact in the normal range."""
+    _, exp = math.frexp(float(np.abs(m).max()))
+    return np.ldexp(m.view(np.float64), -exp).view(np.complex128), exp
 
 
 def _jacobi(h: np.ndarray, want_vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Cyclic complex Jacobi iteration on a Hermitian matrix.
 
-    Rotations are scheduled round-robin: the disjoint pairs of a round share
-    one snapshot of the matrix and are applied together as a single unitary,
-    which keeps the Python overhead per rotation small.  Returns (diagonal
-    values, accumulated unitary or None); the caller sorts.
+    It runs on H at the power-of-two scale of :func:`_pow2_scaled`.  In each
+    round-robin round the active pairs (|a_pq| > ``skip``) rotate together as
+    one unitary by the overflow-free angle tan = sign(d) 2|a_pq| / (|d| +
+    hypot(d, 2|a_pq|)), d = a_qq - a_pp (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., sec. 8.5).  Returns (eigenvalues, accumulated
+    unitary or None); the caller sorts.
     """
     n = h.shape[0]
-    a = h.copy()
-    v = np.eye(n, dtype=np.complex128) if want_vectors else None
+    rounds, off, ident, diag = _plan(n)
+    v = ident.copy() if want_vectors else None
     if n == 1:
-        return a.real.diagonal().copy(), v
-
-    scale = fro_norm(a)
+        return h.real.diagonal().copy(), v
+    a, exp = _pow2_scaled(h)
+    scale = math.sqrt(np.vdot(a, a).real)
     if scale == 0.0:
         return np.zeros(n), v
     eps = float(np.finfo(float).eps)
     stop = 0.5 * n * (n - 1) * (eps * scale) ** 2
     # entries this small cannot lift the off-diagonal mass above `stop`
     skip = eps * scale / (4.0 * n)
-    rounds = _round_robin(n)
 
     for _ in range(_MAX_SWEEPS):
-        strict = a.copy()
-        np.fill_diagonal(strict, 0.0)
-        if (np.abs(strict) ** 2).sum() <= stop:
-            return a.real.diagonal().copy(), v
-        for p_arr, q_arr in rounds:
-            apq = a[p_arr, q_arr]
+        m = a[off]
+        if np.vdot(m, m).real <= stop:
+            return np.ldexp(a.real.diagonal(), exp), v
+        for p, q in rounds:
+            apq = a[p, q]
             r = np.abs(apq)
-            active = r > skip
-            if not active.any():
+            act = r > skip
+            if not act.any():
                 continue
-            safe_r = np.where(active, r, 1.0)
-            phase = np.where(active, apq / safe_r, 1.0)
-            tau = (a[q_arr, q_arr].real - a[p_arr, p_arr].real) / (2.0 * safe_r)
-            tau = np.clip(tau, -1e15, 1e15)
-            sgn = np.where(tau >= 0.0, 1.0, -1.0)
-            t = np.where(active, sgn / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
+            p, q, apq, r = p[act], q[act], apq[act], r[act]
+            d = a.real.diagonal()
+            delta, r2 = d[q] - d[p], 2.0 * r
+            t = np.copysign(r2, delta) / (np.abs(delta) + np.hypot(delta, r2))
+            c = 1.0 / np.hypot(1.0, t)
             s = t * c
-            u = np.eye(n, dtype=np.complex128)
-            u[p_arr, p_arr] = c * phase
-            u[p_arr, q_arr] = s * phase
-            u[q_arr, p_arr] = -s
-            u[q_arr, q_arr] = c
+            phase = apq / r
+            u = ident.copy()
+            u[p, p] = c * phase
+            u[p, q] = s * phase
+            u[q, p] = -s
+            u[q, q] = c
             a = adj(u) @ a @ u
-            sel_p, sel_q = p_arr[active], q_arr[active]
-            a[sel_p, sel_q] = 0.0
-            a[sel_q, sel_p] = 0.0
-            np.fill_diagonal(a, np.diagonal(a).real)
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+            a.imag[diag, diag] = 0.0
             if v is not None:
                 v = v @ u
     raise NoConvergence(f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps")
@@ -184,7 +195,7 @@ def herm_eig(p) -> HermSpectrum:
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"eigendecomposition needs a square matrix, got {m.shape}")
     asym = fro_norm(m - adj(m))
-    if asym > DEFAULT.herm_asym * max(1.0, fro_norm(m)):
+    if asym > DEFAULT.herm_asym and asym > DEFAULT.herm_asym * fro_norm(m):
         raise NotHermitian(
             f"asymmetry {asym:.3e} exceeds {DEFAULT.herm_asym:.1e} * max(1, ||P||)"
         )
@@ -227,12 +238,9 @@ def herm_inv_sqrt(p, floor: float) -> np.ndarray:
 
 
 def _scaled_gram(m: np.ndarray) -> tuple[np.ndarray, int, str]:
-    """The smaller Gram matrix of M scaled by 4^-e, where 2^e is the power of
-    two that brings max|M| into [1/2, 1), so it neither underflows nor
-    overflows; in the normal range the scaling is exact.  Returns
-    (Gram matrix, e, side), with side "left" for MM* and "right" for M*M."""
-    _, exp = math.frexp(float(np.abs(m).max()))
-    m = np.ldexp(m.real, -exp) + 1j * np.ldexp(m.imag, -exp)
+    """(G 4^-e, e, side): G the smaller Gram matrix of M, MM* for side "left"
+    and M*M for "right", formed from M at the scale of :func:`_pow2_scaled`."""
+    m, exp = _pow2_scaled(m)
     if m.shape[0] <= m.shape[1]:
         return m @ adj(m), exp, "left"
     return adj(m) @ m, exp, "right"

@@ -6,6 +6,7 @@ never calls it.
 
 import ast
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,86 @@ def test_herm_eig_random_invariants():
         assert fro_norm(unit) <= 1e-10 * n
         # independent oracle
         assert np.abs(spectrum.eigenvalues - np.linalg.eigvalsh(h)).max() <= 1e-11 * scale
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def structured_gram(rng, n, kind):
+    """Hermitian inputs on which a Jacobi round is only partly active, or
+    not at all, or starts from equal diagonal entries."""
+    if kind == "block_diagonal":
+        # a point and its conjugate flip, as in the doubled approximant:
+        # pairs across the blocks are inactive, and every eigenvalue repeats
+        k = (n + 1) // 2
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        block = g @ g.conj().T
+        h = np.zeros((2 * k, 2 * k), dtype=complex)
+        h[:k, :k], h[k:, k:] = block, block.conj()
+        return h[:n, :n]
+    if kind == "diagonal":
+        # no pair is ever active; values repeat and include zeros
+        return np.diag(rng.integers(-2, 3, n).astype(float))
+    if kind == "zero_diagonal":
+        # rank-deficient PSD Gram of unit rows and zero rows, with dyadic
+        # entries: the diagonal is exactly 1 or 0, so rotations see
+        # d_q - d_p = 0
+        m = 0.5 * rng.choice([1.0, -1.0, 1j, -1j], (n, 4))
+        m[::3] = 0.0
+        return m @ m.conj().T
+    # repeated eigenvalues in a random basis
+    u = random_unitary(rng, n)
+    return (u * np.repeat([-1.0, 0.5, 2.0], n)[:n]) @ u.conj().T
+
+
+KERNEL_SIZES = [*range(2, 33), 64]
+
+
+@pytest.mark.parametrize("kind", ["block_diagonal", "diagonal", "zero_diagonal", "repeated"])
+def test_herm_eig_and_op_norm_on_structured_inputs(kind):
+    rng = np.random.default_rng(102)
+    eps = float(np.finfo(float).eps)
+    for n in KERNEL_SIZES:
+        h = structured_gram(rng, n, kind)
+        h = 0.5 * (h + h.conj().T)
+        scale = 1.0 + fro_norm(h)
+        ref = np.linalg.eigvalsh(h)
+        spectrum = herm_eig(h)
+        recon = spectrum.basis @ np.diag(spectrum.eigenvalues) @ spectrum.basis.conj().T - h
+        assert fro_norm(recon) <= 1e-9 * scale
+        unit = spectrum.basis.conj().T @ spectrum.basis - np.eye(n)
+        assert fro_norm(unit) <= 1e-10 * n
+        assert np.abs(spectrum.eigenvalues - ref).max() <= 1e2 * eps * scale, (kind, n)
+        # op_norm solves the Gram matrix h h*, of the same structure, without vectors
+        top = np.abs(ref).max()
+        assert abs(op_norm(h) - top) <= 1e2 * eps * top, (kind, n)
+        if kind == "diagonal":
+            assert np.array_equal(spectrum.eigenvalues, np.sort(np.diagonal(h).real))
+
+
+@pytest.mark.parametrize("corner", [0.0, -0.0])
+def test_herm_eig_signed_zero_diagonal(corner):
+    # d_q - d_p is +0 or -0: either way the rotation is by a quarter turn
+    spectrum = herm_eig(np.array([[-corner, 1.0], [1.0, corner]]))
+    assert np.abs(spectrum.eigenvalues - [-1.0, 1.0]).max() <= 1e-15
+    assert fro_norm(spectrum.basis.conj().T @ spectrum.basis - np.eye(2)) <= 1e-15
+
+
+def test_herm_eig_extreme_range():
+    # the iteration runs at the power-of-two scale of max|h|: no square
+    # overflows to inf or underflows to 0, and no warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for size in (1e200, 1e-300):
+            vals = herm_eig(np.array([[0.0, size], [size, 0.0]])).eigenvalues
+            assert np.abs(vals - [-size, size]).max() <= 1e-14 * size
+        p = np.array([[4.0, 0.1 + 0.1j], [0.1 - 0.1j, 3.0]])
+        vals, vecs = np.linalg.eigh(p)
+        ref = (vecs * np.sqrt(vals)) @ vecs.conj().T * 1e100
+        root = herm_sqrt(p * 1e200)
+        assert fro_norm(root - ref) <= 1e-14 * fro_norm(ref)
 
 
 def test_herm_eig_rejects_asymmetric():

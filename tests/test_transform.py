@@ -97,9 +97,11 @@ def test_round_trips_both_directions():
     ids=["mobius", "mobius_inv", "inverse_bounded_transform", "ball_dist"],
 )
 def test_near_boundary_warning(call):
-    # every inverse defect warns from BallPoint.defect, below 1e-8 only
-    with pytest.warns(NearBoundaryWarning):
+    # every inverse defect warns from BallPoint.defect, below 1e-8 only, and
+    # names the caller's line
+    with pytest.warns(NearBoundaryWarning) as record:
         call(BallPoint(np.array([[1.0 - 1e-9]])))
+    assert [w.filename for w in record] == [__file__] * len(record)
     with warnings.catch_warnings():
         warnings.simplefilter("error", NearBoundaryWarning)
         call(BallPoint(np.array([[1.0 - 1e-7]])))
