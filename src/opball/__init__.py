@@ -67,7 +67,7 @@ from .symmetry import (
     identity_pair,
     induced_operator,
     induced_pair,
-    pair_residuals,
+    pair_residual,
     random_pair,
     swap_roles,
     symmetric_extension,

@@ -6,8 +6,8 @@ diffability; values are serialized with Python's shortest round-trip float
 representation, so write-then-read reproduces every entry bit for bit.
 
 A conjugation pair file is {"side": "bwd_fwd" | "fwd_bwd", "j_fwd": <matrix
-object>}; the backward part is the transpose of the forward part by the
-pairing invariant and is not stored.
+object>}, the pair's one free matrix: the backward part is its transpose by
+the pairing axiom.
 """
 
 from __future__ import annotations
@@ -88,6 +88,6 @@ def read_pair(path) -> ConjugationPair:
         raise MatrixFileError(f"unknown side {obj['side']!r}") from exc
     fwd = obj_to_matrix(obj["j_fwd"])
     try:
-        return ConjugationPair(fwd, fwd.T.copy(), side)
+        return ConjugationPair(fwd, side)
     except OpballError as exc:
         raise MatrixFileError(f"pair invariants fail: {exc}") from exc

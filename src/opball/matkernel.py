@@ -129,10 +129,18 @@ def _pow2_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(m.view(np.float64), -exp).view(np.complex128), exp
 
 
+def _unscaled(x, exp: int):
+    """x 2^exp, raising :class:`ShapeMismatch` where it leaves the float range."""
+    if exp > 0 and math.frexp(float(np.abs(x).max()))[1] + exp > 1024:
+        raise ShapeMismatch(f"result exceeds the float range (max {np.finfo(float).max:.3e})")
+    return np.ldexp(x, exp)
+
+
 def _jacobi(h: np.ndarray, want_vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Cyclic complex Jacobi iteration on a Hermitian matrix.
 
-    It runs on H at the power-of-two scale of :func:`_pow2_scaled`.  In each
+    H comes at the power-of-two scale of :func:`_pow2_scaled` (or is a Gram
+    matrix formed there), so no square overflows or underflows.  In each
     round-robin round the active pairs (|a_pq| > ``skip``) rotate together as
     one unitary by the overflow-free angle tan = sign(d) 2|a_pq| / (|d| +
     hypot(d, 2|a_pq|)), d = a_qq - a_pp (Golub & Van Loan, *Matrix
@@ -144,7 +152,7 @@ def _jacobi(h: np.ndarray, want_vectors: bool = True) -> tuple[np.ndarray, np.nd
     v = ident.copy() if want_vectors else None
     if n == 1:
         return h.real.diagonal().copy(), v
-    a, exp = _pow2_scaled(h)
+    a = h
     scale = math.sqrt(np.vdot(a, a).real)
     if scale == 0.0:
         return np.zeros(n), v
@@ -156,7 +164,7 @@ def _jacobi(h: np.ndarray, want_vectors: bool = True) -> tuple[np.ndarray, np.nd
     for _ in range(_MAX_SWEEPS):
         m = a[off]
         if np.vdot(m, m).real <= stop:
-            return np.ldexp(a.real.diagonal(), exp), v
+            return a.real.diagonal().copy(), v
         for p, q in rounds:
             apq = a[p, q]
             r = np.abs(apq)
@@ -189,20 +197,22 @@ def herm_eig(p) -> HermSpectrum:
 
     The input is symmetrized to (P + P*)/2 before decomposition; asymmetry
     beyond ``DEFAULT.herm_asym`` relative to max(1, ||P||) raises
-    :class:`NotHermitian` instead of being repaired silently.
+    :class:`NotHermitian` instead of being repaired silently.  Both run at
+    :func:`_pow2_scaled`'s scale; eigenvalues past the float range raise.
     """
     m = as_cmat(p)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"eigendecomposition needs a square matrix, got {m.shape}")
-    asym = fro_norm(m - adj(m))
-    if asym > DEFAULT.herm_asym and asym > DEFAULT.herm_asym * fro_norm(m):
-        raise NotHermitian(
-            f"asymmetry {asym:.3e} exceeds {DEFAULT.herm_asym:.1e} * max(1, ||P||)"
-        )
-    h = 0.5 * (m + adj(m))
-    vals, basis = _jacobi(h)
+    a, exp = _pow2_scaled(m)
+    # 1 at this scale; capped where 2^-exp overflows, far above any asymmetry
+    unit = math.ldexp(1.0, min(-exp, 1023))
+    asym = fro_norm(a - adj(a))
+    if asym > DEFAULT.herm_asym * unit and asym > DEFAULT.herm_asym * fro_norm(a):
+        relative = asym / max(unit, fro_norm(a))
+        raise NotHermitian(f"relative asymmetry {relative:.3e} above {DEFAULT.herm_asym:.1e}")
+    vals, basis = _jacobi(0.5 * (a + adj(a)))
     order = np.argsort(vals, kind="stable")
-    return HermSpectrum(_freeze(vals[order]), _freeze(basis[:, order].copy()))
+    return HermSpectrum(_freeze(_unscaled(vals[order], exp)), _freeze(basis[:, order].copy()))
 
 
 def herm_fun(
@@ -232,9 +242,9 @@ def herm_sqrt(p) -> np.ndarray:
     return herm_fun(p, lambda x: math.sqrt(x) if x > 0.0 else 0.0)
 
 
-def herm_inv_sqrt(p, floor: float) -> np.ndarray:
-    """Spectral inverse square root with a mandatory eigenvalue floor."""
-    return herm_fun(p, lambda x: 1.0 / math.sqrt(x), floor=floor)
+def herm_inv_sqrt(p) -> np.ndarray:
+    """Spectral inverse square root, floored at ``DEFAULT.defect_floor``."""
+    return herm_fun(p, lambda x: 1.0 / math.sqrt(x), floor=DEFAULT.defect_floor)
 
 
 def _scaled_gram(m: np.ndarray) -> tuple[np.ndarray, int, str]:
@@ -318,8 +328,8 @@ def gram_factor(m) -> GramFactor:
     gram, exp, side = _scaled_gram(m)
     spectrum = herm_eig(gram)
     top = float(spectrum.eigenvalues[-1])
-    norm = math.ldexp(math.sqrt(top), exp) if top > 0.0 else 0.0
-    vals = _freeze(np.ldexp(spectrum.eigenvalues, 2 * exp))
+    norm = float(_unscaled(math.sqrt(top), exp)) if top > 0.0 else 0.0
+    vals = _freeze(_unscaled(spectrum.eigenvalues, 2 * exp))
     return GramFactor(m, side, vals, spectrum.basis, norm)
 
 
@@ -332,7 +342,7 @@ def op_norm(a) -> float:
     gram, exp, _ = _scaled_gram(m)
     vals, _ = _jacobi(0.5 * (gram + adj(gram)), want_vectors=False)
     top = float(vals.max())
-    return math.ldexp(math.sqrt(top), exp) if top > 0.0 else 0.0
+    return float(_unscaled(math.sqrt(top), exp)) if top > 0.0 else 0.0
 
 
 def inverse(a) -> np.ndarray:

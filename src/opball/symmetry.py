@@ -1,47 +1,39 @@
 """Conjugation pairs and complex symmetric operators between two spaces.
 
 A conjugate-linear map C is represented by its linear part J through the
-action x -> J conj(x).  Compositions of two conjugate-linear maps then become
-ordinary matrix products with one conjugation, e.g. the linear map C1 C2 has
-matrix J1 conj(J2).  The translation table used throughout:
+action x -> J conj(x), so C1 C2 has matrix J1 conj(J2).  The pairing axiom
+<C1 x, y> = <C2 y, x> (inner products linear in the first argument) of a
+pair (C1: src -> dst, C2: dst -> src) says j_bwd = transpose(j_fwd) in this
+model, so a pair stores one matrix, ``j_fwd``, and a side:
 
-    C1: src -> dst      x -> j_fwd conj(x)
-    C2: dst -> src      y -> j_bwd conj(y)
-    C2 C1 = id_src  <=>  j_bwd conj(j_fwd) = I        (side BWD_FWD)
-    C1 C2 = id_dst  <=>  j_fwd conj(j_bwd) = I        (side FWD_BWD)
+    C1: x -> j_fwd conj(x)          C2: y -> transpose(j_fwd) conj(y)
+    BWD_FWD: C2 C1 = id_src,        first = j_fwd
+    FWD_BWD: C1 C2 = id_dst,        first = transpose(j_fwd)
 
-The pairing axiom <C1 x, y> = <C2 y, x> (inner products linear in the first
-argument, conjugate-linear in the second) is equivalent to
-j_fwd = transpose(j_bwd); that equivalence is the basis of the pair
-invariant.  The convention has to be fixed for the matrix model to be
-testable at all, and this is the one used everywhere in this package.
+``first``, the linear part of the map applied first in the identity
+composition, is the pair's one frame.  That composition, transpose(first)
+conj(first) = I, is the conjugate of first* first = I, so the one invariant
+is that ``first`` has orthonormal columns.
 
-Each side-dependent formula is written once, in two roles: ``first`` is the
-linear part of the map applied first in the identity composition (the
-isometry) and ``second`` its partner, (j_fwd, j_bwd) for BWD_FWD and
-(j_bwd, j_fwd) for FWD_BWD, so second conj(first) = I on either side.  A
-FWD_BWD pair is a BWD_FWD pair between the exchanged spaces, and T is
-(C1, C2)-symmetric exactly when T* is (C2, C1)-symmetric, so the formulas
-act on the oriented matrix N: M for BWD_FWD, M* for FWD_BWD.  An operator T
-(matrix M of shape dst x src) is (C1, C2)-symmetric when
-
-    second conj(N) = N* first     (BWD_FWD: C2 T = T* C1; FWD_BWD: T C2 = C1 T*)
-
-and ``symmetry_residual`` returns the spectral norm of the mismatch.  With
-the canonical pair this is exactly ||B - transpose(B)|| for the leading
-square block B, which is the classical "contains a symmetric block" test.
+A FWD_BWD pair is a BWD_FWD pair between the exchanged spaces, and T is
+(C1, C2)-symmetric exactly when T* is (C2, C1)-symmetric, so each formula
+reads the oriented matrix N (M for BWD_FWD, M* for FWD_BWD; M is dst x src)
+through its coordinates B = first* N in the frame.  T is symmetric exactly
+when B = transpose(B), its matrix in the conjugation's frame being symmetric
+(Garcia & Putinar, Trans. AMS 358, 2006); ``symmetry_residual`` returns
+||B - transpose(B)||.  For the canonical pair B is the leading square block.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from enum import Enum
 
 import numpy as np
 
 from .ball import BallPoint
-from .errors import BadDims, NotSymmetric, ShapeMismatch
-from .matkernel import adj, as_cmat, fro_norm, herm_inv_sqrt, op_norm
+from .errors import BadDims, NotSymmetric, OutOfBall, ShapeMismatch, Singular
+from .matkernel import adj, as_cmat, fro_norm, op_norm
 from .tolerances import DEFAULT
 from .transform import OperatorHK, inverse_bounded_transform
 
@@ -61,32 +53,31 @@ def _other_side(side: Side) -> Side:
 class ConjugationPair:
     """A conjugate-linear pair (C1: src -> dst, C2: dst -> src).
 
-    Invariants checked at construction: j_fwd = transpose(j_bwd), the
-    composition recorded in ``side`` is the identity, and the map applied
-    first in that composition is an isometry (its linear part has
-    orthonormal columns); the partner is then automatically contractive.
+    Only ``j_fwd`` is stored; ``j_bwd`` is its transpose, so the pairing
+    axiom holds by construction.  Construction checks the one invariant,
+    first* first = I, against ``check_tol`` (keyword only; default
+    ``DEFAULT.pair_residual``); the partner is then contractive.
     """
 
     j_fwd: np.ndarray
-    j_bwd: np.ndarray
     side: Side
+    _: KW_ONLY
     check_tol: InitVar[float | None] = None
 
     def __post_init__(self, check_tol):
-        fwd = as_cmat(self.j_fwd)
-        bwd = as_cmat(self.j_bwd)
-        object.__setattr__(self, "j_fwd", fwd)
-        object.__setattr__(self, "j_bwd", bwd)
-        if fwd.shape != bwd.T.shape:
-            raise ShapeMismatch(
-                f"j_fwd {fwd.shape} and j_bwd {bwd.shape} are not transposes in shape"
-            )
+        if not isinstance(self.side, Side):
+            raise ShapeMismatch(f"side must be a Side, got {type(self.side).__name__}")
+        object.__setattr__(self, "j_fwd", as_cmat(self.j_fwd))
         tol = DEFAULT.pair_residual if check_tol is None else check_tol
-        if not all(_norm_within(gap, tol) for gap in _pair_gaps(self).values()):
+        gap = _isometry_gap(self)
+        if not _norm_within(gap, tol):
             raise ShapeMismatch(
-                f"conjugation pair invariants violated: {pair_residuals(self)} "
-                f"exceed {tol:.1e}"
+                f"conjugation pair isometry gap {op_norm(gap):.3e} exceeds {tol:.1e}"
             )
+
+    @property
+    def j_bwd(self) -> np.ndarray:
+        return self.j_fwd.T
 
     @property
     def dim_src(self) -> int:
@@ -103,28 +94,21 @@ def _norm_within(gap: np.ndarray, tol: float) -> bool:
     return fro_norm(gap) <= tol or op_norm(gap) <= tol
 
 
-def _roles(pair: ConjugationPair) -> tuple[np.ndarray, np.ndarray]:
-    """(first, second): the linear parts of the map applied first in the
-    identity composition (the isometry) and of its partner."""
-    if pair.side is Side.BWD_FWD:
-        return pair.j_fwd, pair.j_bwd
-    return pair.j_bwd, pair.j_fwd
+def _first(pair: ConjugationPair) -> np.ndarray:
+    """The linear part of the map applied first in the identity composition
+    (the isometry): j_fwd for ``BWD_FWD``, transpose(j_fwd) for ``FWD_BWD``."""
+    return pair.j_fwd if pair.side is Side.BWD_FWD else pair.j_fwd.T
 
 
-def _pair_gaps(pair: ConjugationPair) -> dict[str, np.ndarray]:
-    """The matrices whose norms are the three pair invariants, by name."""
-    first, second = _roles(pair)
-    eye = np.eye(first.shape[1])
-    return {
-        "pairing": pair.j_fwd - pair.j_bwd.T,
-        "composition": second @ np.conj(first) - eye,
-        "isometry": adj(first) @ first - eye,
-    }
+def _isometry_gap(pair: ConjugationPair) -> np.ndarray:
+    first = _first(pair)
+    return adj(first) @ first - np.eye(first.shape[1])
 
 
-def pair_residuals(pair: ConjugationPair) -> dict[str, float]:
-    """Numeric residuals (spectral norms) of the three pair invariants, by name."""
-    return {name: op_norm(gap) for name, gap in _pair_gaps(pair).items()}
+def pair_residual(pair: ConjugationPair) -> float:
+    """Spectral norm of the pair's one invariant gap, first* first - I (the
+    identity composition's gap is its conjugate)."""
+    return op_norm(_isometry_gap(pair))
 
 
 def canonical_pair(m: int, n: int) -> ConjugationPair:
@@ -138,7 +122,7 @@ def canonical_pair(m: int, n: int) -> ConjugationPair:
         raise BadDims(f"need n >= m >= 1, got (m={m}, n={n})")
     fwd = np.zeros((n, m), dtype=np.complex128)
     fwd[:m, :m] = np.eye(m)
-    return ConjugationPair(fwd, fwd.T.copy(), Side.BWD_FWD)
+    return ConjugationPair(fwd, Side.BWD_FWD)
 
 
 def identity_pair(n: int) -> ConjugationPair:
@@ -164,8 +148,8 @@ def _orthonormal_columns(g: np.ndarray) -> np.ndarray:
 def random_pair(dim_src: int, dim_dst: int, seed) -> ConjugationPair:
     """A seeded random conjugation pair between C^dim_src and C^dim_dst.
 
-    A complex Gaussian frame is orthonormalized and its transpose becomes the
-    partner; the identity composition is placed on the smaller space.
+    A complex Gaussian frame is orthonormalized and becomes the isometry
+    ``first``; the identity composition is placed on the smaller space.
     Deterministic for a fixed seed (any ``numpy.random.default_rng`` seed).
     """
     if min(dim_src, dim_dst) < 1:
@@ -175,21 +159,18 @@ def random_pair(dim_src: int, dim_dst: int, seed) -> ConjugationPair:
     g = rng.standard_normal((big, small)) + 1j * rng.standard_normal((big, small))
     q = _orthonormal_columns(g)
     if dim_src <= dim_dst:
-        return ConjugationPair(q, q.T.copy(), Side.BWD_FWD)
-    return ConjugationPair(q.T.copy(), q, Side.FWD_BWD)
+        return ConjugationPair(q, Side.BWD_FWD)
+    return ConjugationPair(q.T, Side.FWD_BWD)
 
 
 def conj_apply(pair: ConjugationPair, direction: str, x) -> np.ndarray:
     """Apply C1 (``direction='fwd'``) or C2 (``'bwd'``) to a vector."""
     vec = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if direction == "fwd":
-        j, need = pair.j_fwd, pair.dim_src
-    elif direction == "bwd":
-        j, need = pair.j_bwd, pair.dim_dst
-    else:
+    if direction not in ("fwd", "bwd"):
         raise ShapeMismatch(f"direction must be 'fwd' or 'bwd', got {direction!r}")
-    if vec.shape[0] != need:
-        raise ShapeMismatch(f"vector length {vec.shape[0]}, expected {need}")
+    j = pair.j_fwd if direction == "fwd" else pair.j_bwd
+    if vec.shape[0] != j.shape[1]:
+        raise ShapeMismatch(f"vector length {vec.shape[0]}, expected {j.shape[1]}")
     return j @ np.conj(vec)
 
 
@@ -206,32 +187,26 @@ def _flipped(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
     return pair.j_fwd @ mat.T @ np.conj(pair.j_fwd)
 
 
-def _oriented(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
-    """M as seen from the primary orientation: M itself for ``BWD_FWD``,
-    M* for ``FWD_BWD``, whose roles run between the exchanged spaces."""
-    return mat if pair.side is Side.BWD_FWD else adj(mat)
-
-
-def _symmetry_gap(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
-    """Symmetry mismatch of a dst x src matrix against a src -> dst pair:
-    second conj(N) - N* first, with N the oriented matrix."""
+def _coordinates(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
+    """B = first* N, the oriented matrix (N = M for ``BWD_FWD``, M* for
+    ``FWD_BWD``) of a dst x src matrix M in the pair's frame: square on the
+    identity-composition side, and symmetric iff M is pair-symmetric."""
     _require_pair_shape(mat, pair)
-    first, second = _roles(pair)
-    n = _oriented(mat, pair)
-    return second @ np.conj(n) - adj(n) @ first
+    return adj(_first(pair)) @ (mat if pair.side is Side.BWD_FWD else adj(mat))
 
 
 def symmetry_residual(t: OperatorHK, pair: ConjugationPair) -> float:
-    """How far T is from being (C1, C2)-symmetric; zero iff symmetric."""
-    return op_norm(_symmetry_gap(t.mat, pair))
+    """How far T is from being (C1, C2)-symmetric, ||B - transpose(B)||;
+    zero iff symmetric."""
+    b = _coordinates(t.mat, pair)
+    return op_norm(b - b.T)
 
 
 def symmetric_part(mat, pair: ConjugationPair) -> np.ndarray:
     """Project a dst x src matrix onto the pair-symmetric operators.
 
     Averages X with C1 X* C1 (as linear matrices); the result has symmetry
-    residual zero up to roundoff, which makes it the standard way to
-    manufacture admissible inputs for the induced-pair construction.
+    residual zero up to roundoff, an admissible input of ``induced_pair``.
     """
     m = as_cmat(mat)
     _require_pair_shape(m, pair)
@@ -242,7 +217,7 @@ def swap_roles(pair: ConjugationPair) -> ConjugationPair:
     """The same two conjugate-linear maps viewed as a pair in the opposite
     direction; the identity composition stays on the same space, so the side
     flag flips."""
-    return ConjugationPair(pair.j_bwd, pair.j_fwd, _other_side(pair.side))
+    return ConjugationPair(pair.j_bwd, _other_side(pair.side))
 
 
 def double_pair(pair: ConjugationPair) -> ConjugationPair:
@@ -255,10 +230,7 @@ def double_pair(pair: ConjugationPair) -> ConjugationPair:
     fwd = np.zeros((2 * d, 2 * s), dtype=np.complex128)
     fwd[:d, s:] = pair.j_fwd
     fwd[d:, :s] = pair.j_fwd
-    bwd = np.zeros((2 * s, 2 * d), dtype=np.complex128)
-    bwd[:s, d:] = pair.j_bwd
-    bwd[s:, :d] = pair.j_bwd
-    return ConjugationPair(fwd, bwd, pair.side)
+    return ConjugationPair(fwd, pair.side)
 
 
 def extension_blocks(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
@@ -294,32 +266,30 @@ def induced_pair(a: BallPoint, pair: ConjugationPair) -> ConjugationPair:
     space as the input's.  Non-symmetric inputs are refused with
     :class:`NotSymmetric` because the construction presumes symmetry.
 
-    With (first, second) the roles of the pair and N the oriented
-    contraction, G = I - N* (first conj(second)) N and D = (I - N N*)^(1/2),
-    the result has the parts X = G^(-1/2) second conj(D) and
-    Y = D first conj(G^(-1/2)).  For ``BWD_FWD`` these are (fwd, bwd); for
-    ``FWD_BWD``, whose roles and N are those of the exchanged spaces, the
-    same construction yields (bwd, fwd).
+    With B = first* N the coordinates of the oriented contraction and
+    D = (I - N N*)^(1/2), the Gram matrix I - N* first first* N of the
+    construction is I - B* B, the left defect of the ball point B*.  The
+    result's one free part is X = (I - B* B)^(-1/2) transpose(first) conj(D):
+    j_fwd = X for ``BWD_FWD``, and transpose(X) for ``FWD_BWD``, whose first
+    map and N are those of the exchanged spaces.  A margin collapsed below
+    the defect floor raises :class:`Singular`, as every inverse defect does.
     """
-    m = a.mat
-    gap = _symmetry_gap(m, pair)
+    b = _coordinates(a.mat, pair)
+    gap = b - b.T
     if not _norm_within(gap, DEFAULT.symmetry_pre):
         raise NotSymmetric(
             f"contraction has symmetry residual {op_norm(gap):.3e} for the given pair"
         )
     primary = pair.side is Side.BWD_FWD
-    first, second = _roles(pair)
-    n = _oriented(m, pair)
-    link = first @ np.conj(second)
-    gram = np.eye(n.shape[1]) - adj(n) @ link @ n
-    gram_inv_sqrt = herm_inv_sqrt(gram, DEFAULT.psd_floor)
+    try:
+        coords = BallPoint(adj(b))
+    except OutOfBall as exc:
+        raise Singular(f"pair coordinates of the contraction left the ball: {exc}") from exc
     # (I - N N*)^(1/2): the left defect of M for BWD_FWD, the right for FWD_BWD
     defect_sqrt = a.defect(0.5, "left" if primary else "right")
-    x = gram_inv_sqrt @ second @ np.conj(defect_sqrt)
-    y = defect_sqrt @ first @ np.conj(gram_inv_sqrt)
-    fwd, bwd = (x, y) if primary else (y, x)
+    x = coords.defect(-0.5, "left") @ _first(pair).T @ np.conj(defect_sqrt)
     return ConjugationPair(
-        fwd, bwd, _other_side(pair.side), check_tol=DEFAULT.induced_pair_residual
+        x if primary else x.T, _other_side(pair.side), check_tol=DEFAULT.induced_pair_residual
     )
 
 

@@ -18,9 +18,7 @@ class Tolerances:
     pivot_floor: float = 1e-13
     # smallest defect eigenvalue tolerated by ball operations
     defect_floor: float = 1e-13
-    # eigenvalue floor for the Gram factor of the induced-pair construction
-    psd_floor: float = 1e-12
-    # conjugation-pair invariant tolerance at construction
+    # bound on the conjugation-pair isometry gap at construction
     pair_residual: float = 1e-10
     # looser validation tolerance for pairs produced by the induced-pair map
     induced_pair_residual: float = 1e-8

@@ -228,7 +228,7 @@ def test_c09_graph_identity():
         p, q = random_dims(rng, 8, 4)
         a = random_ball_point(rng, p, q, margin_min=0.05)
         t = inverse_bounded_transform(a)
-        lift = herm_inv_sqrt(np.eye(p) - a.mat @ adj(a.mat), floor=1e-13)
+        lift = herm_inv_sqrt(np.eye(p) - a.mat @ adj(a.mat))
         for _ in range(20):
             x = rng.standard_normal(p) + 1j * rng.standard_normal(p)
             rhs = float(np.linalg.norm(lift @ x) ** 2)

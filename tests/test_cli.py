@@ -41,6 +41,7 @@ def test_pair_file_round_trip(tmp_path):
     write_pair(path, pair)
     again = read_pair(path)
     assert np.array_equal(again.j_fwd, pair.j_fwd)
+    assert np.array_equal(again.j_bwd, again.j_fwd.T)
     assert again.side is pair.side
 
 
@@ -132,6 +133,15 @@ def test_metric_far_apart_scalars(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "38.2276558490\n"
     assert captured.err == ""
+
+
+def test_metric_beyond_the_float_range_exits_two(tmp_path, capsys):
+    big = save(tmp_path, "big.json", np.full((2, 2), 1e308))
+    assert main(["metric", big, big]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("metric: result exceeds the float range")
+    assert captured.err.count("\n") == 1
 
 
 def test_metric_unreadable_file(tmp_path, capsys):

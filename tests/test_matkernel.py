@@ -164,6 +164,32 @@ def test_herm_eig_extreme_range():
         assert fro_norm(root - ref) <= 1e-14 * fro_norm(ref)
 
 
+def test_herm_eig_in_range_up_to_the_float_maximum():
+    # the asymmetry test and the average (P + P*)/2 run at the power-of-two
+    # scale of max|P|, so neither sum overflows on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = herm_eig(np.diag([1e308, 1e308])).eigenvalues
+        assert np.array_equal(vals, [1e308, 1e308])
+        with pytest.raises(NotHermitian):
+            herm_eig(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+
+def test_norm_beyond_the_float_range_raises_typed_error():
+    from opball import OperatorHK, operator_dist
+
+    big = np.full((2, 2), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: op_norm(big), lambda: gram_factor(big)):
+            with pytest.raises(ShapeMismatch, match="float range"):
+                call()
+        # the norms fit, the Gram eigenvalues 1e320 and 4e320 do not
+        t, s = OperatorHK(1e160 * np.eye(2)), OperatorHK(2e160 * np.eye(2))
+        with pytest.raises(ShapeMismatch, match="float range"):
+            operator_dist(t, s)
+
+
 def test_herm_eig_rejects_asymmetric():
     with pytest.raises(NotHermitian):
         herm_eig(np.array([[1.0, 2.0], [0.5, 1.0]]))
@@ -176,7 +202,7 @@ def test_herm_eig_shape_guard():
 
 def test_herm_fun_sqrt_examples():
     assert np.allclose(herm_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-    assert np.allclose(herm_inv_sqrt(np.eye(3), floor=0.5), np.eye(3))
+    assert np.allclose(herm_inv_sqrt(np.eye(3)), np.eye(3))
     p = np.array([[2.0, 1.0], [1.0, 2.0]])
     root = herm_sqrt(p)
     assert fro_norm(root @ root - p) <= 1e-10
@@ -190,7 +216,7 @@ def test_herm_fun_random_roundtrips():
         p = h @ h.conj().T + 0.1 * np.eye(n)  # positive definite
         root = herm_sqrt(p)
         assert fro_norm(root @ root - p) <= 1e-9 * (1 + fro_norm(p))
-        inv_root = herm_inv_sqrt(p, floor=1e-13)
+        inv_root = herm_inv_sqrt(p)
         assert fro_norm(inv_root @ root - np.eye(n)) <= 1e-9
 
 
@@ -316,7 +342,7 @@ def test_mobius_singular_exactly_where_the_explicit_defect_is(shape):
     for margin in (1e-10, 1e-15):
         a = BallPoint(gram_operand(rng, shape, 1.0 - margin))
         big = np.eye(shape[0]) - a.mat @ a.mat.conj().T
-        explicit = floor_outcome(lambda: herm_inv_sqrt(big, floor=1e-13))
+        explicit = floor_outcome(lambda: herm_inv_sqrt(big))
         for move in (mobius, mobius_inv):
             with pytest.warns(NearBoundaryWarning):
                 if explicit is None:

@@ -19,6 +19,7 @@ from opball import (
     OperatorHK,
     ShapeMismatch,
     Side,
+    adj,
     ball_dist,
     ensemble_experiment,
     gram_factor,
@@ -27,7 +28,7 @@ from opball import (
     mobius,
     op_norm,
     operator_dist,
-    pair_residuals,
+    pair_residual,
     random_pair,
     symmetry_residual,
 )
@@ -108,26 +109,26 @@ def test_approx_trial_solve_budget(solves):
 def test_identities_trial_solve_budget(solves):
     # norms the operands already hold are read, not solved again
     run_identities(0, 1, 8, 3, 1e-8)
-    assert solves() <= 84
+    assert solves() <= 81
 
 
 def _near_identity_pair(delta, tol):
     f = (1.0 + delta) * np.eye(16)
-    return lambda: ConjugationPair(f, f.T.copy(), Side.BWD_FWD, check_tol=tol)
+    return lambda: ConjugationPair(f, Side.BWD_FWD, check_tol=tol)
 
 
 def test_pair_gate_accepts_spectral_residual_below_tolerance():
-    # composition gap 2 delta I: spectral norm 6e-11, Frobenius norm 2.4e-10
+    # isometry gap 2 delta I: spectral norm 6e-11, Frobenius norm 2.4e-10
     pair = _near_identity_pair(0.3e-10, 1.0)()
-    gap = pair.j_bwd @ np.conj(pair.j_fwd) - np.eye(16)
-    assert pair_residuals(pair)["composition"] < 1e-10 < fro_norm(gap)
+    gap = adj(pair.j_fwd) @ pair.j_fwd - np.eye(16)
+    assert pair_residual(pair) < 1e-10 < fro_norm(gap)
     _near_identity_pair(0.3e-10, 1e-10)()
 
 
 def test_pair_gate_rejects_spectral_residual_above_tolerance():
-    res = pair_residuals(_near_identity_pair(0.75e-10, 1.0)())
-    assert res["composition"] > 1e-10
-    expected = f"conjugation pair invariants violated: {res} exceed 1.0e-10"
+    res = pair_residual(_near_identity_pair(0.75e-10, 1.0)())
+    assert res > 1e-10
+    expected = f"conjugation pair isometry gap {res:.3e} exceeds 1.0e-10"
     with pytest.raises(ShapeMismatch) as info:
         _near_identity_pair(0.75e-10, 1e-10)()
     assert str(info.value) == expected

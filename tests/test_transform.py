@@ -15,6 +15,8 @@ from opball import (
     adj,
     ball_dist,
     bounded_transform,
+    canonical_pair,
+    induced_pair,
     inverse,
     inverse_bounded_transform,
     left_defect,
@@ -24,6 +26,7 @@ from opball import (
     operator_dist,
     right_defect,
     right_defect_inv,
+    swap_roles,
     zero_operator,
 )
 from opball.sampling import complex_gaussian, random_ball_point, random_operator
@@ -114,7 +117,19 @@ def test_collapsed_margin_raises_singular(shape):
     a = BallPoint(g * ((1.0 - 1e-15) / op_norm(g)))
     assert a.margin < 1e-13
     z = BallPoint(np.zeros(shape))
-    moves = (lambda: mobius(a, z), lambda: mobius_inv(a, z), lambda: inverse_bounded_transform(a))
+    # a symmetric point whose leading square block carries the norm, for the
+    # coordinate pair of either orientation: its Gram matrix I - B*B collapses
+    k = min(shape)
+    block = complex_gaussian(np.random.default_rng(32), k, k)
+    block = (block + block.T) * ((1.0 - 1e-15) / op_norm(block + block.T))
+    sym = np.zeros(shape, dtype=complex)
+    sym[:k, :k] = block
+    pair = canonical_pair(k, max(shape))
+    pair = pair if shape[0] >= shape[1] else swap_roles(pair)
+    s = BallPoint(sym)
+    assert s.margin < 1e-13
+    moves = (lambda: mobius(a, z), lambda: mobius_inv(a, z), lambda: inverse_bounded_transform(a),
+             lambda: induced_pair(s, pair))
     for move in moves:
         with pytest.warns(NearBoundaryWarning), pytest.raises(Singular):
             move()
@@ -146,7 +161,7 @@ def test_right_defect_inv_examples():
     s = random_operator(rng, 4, 2, 2.0)
     from opball import herm_inv_sqrt
 
-    expected = herm_inv_sqrt(np.eye(2) + s.mat @ adj(s.mat), floor=0.5)
+    expected = herm_inv_sqrt(np.eye(2) + s.mat @ adj(s.mat))
     assert np.allclose(right_defect_inv(s, zero_operator(4, 2)), expected, atol=1e-10)
     assert right_defect_inv(scalar_op(1.0), scalar_op(1.0))[0, 0] == pytest.approx(
         1.0, abs=1e-12
