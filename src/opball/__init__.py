@@ -20,8 +20,6 @@ from .density import (
     ApproxProfile,
     EnsembleReport,
     ProfileRow,
-    StepInfo,
-    TrialResult,
     approximation_profile,
     ensemble_experiment,
     profile_csv,

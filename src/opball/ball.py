@@ -34,14 +34,13 @@ from .errors import (
     NearBoundaryWarning,
     OutOfBall,
     OutOfDisc,
-    ShapeMismatch,
     Singular,
 )
-from .matkernel import GramFactor, adj, gram_factor, inverse, op_norm
+from .matkernel import GramFactor, adj, gram_factor, inverse, op_norm, require_shape
 from .tolerances import DEFAULT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BallPoint:
     """A strict contraction from K to H, stored as a dimH x dimK matrix.
 
@@ -51,7 +50,7 @@ class BallPoint:
 
     mat: np.ndarray
     margin: float = field(init=False)
-    factor: GramFactor = field(init=False, repr=False, compare=False)
+    factor: GramFactor = field(init=False, repr=False)
 
     def __post_init__(self):
         factor = gram_factor(self.mat)
@@ -101,11 +100,6 @@ def zero_point(dim_h: int, dim_k: int) -> BallPoint:
     return BallPoint(np.zeros((dim_h, dim_k), dtype=np.complex128))
 
 
-def _require_same_shape(a: BallPoint, z: BallPoint) -> None:
-    if a.shape != z.shape:
-        raise ShapeMismatch(f"ball points have shapes {a.shape} and {z.shape}")
-
-
 def _mobius_mat(a: BallPoint, z: np.ndarray, sign: float) -> np.ndarray:
     """Shared core of the Moebius map (sign=+1) and its inverse (sign=-1)."""
     m = a.mat
@@ -125,13 +119,13 @@ def mobius(a: BallPoint, z: BallPoint) -> BallPoint:
     The operator analogue of the disc automorphism w -> (w + a)/(1 + conj(a) w);
     it maps the ball bi-holomorphically onto itself and sends 0 to ``a``.
     """
-    _require_same_shape(a, z)
+    require_shape(z.mat, a.shape, "ball point")
     return BallPoint(_mobius_mat(a, z.mat, +1.0))
 
 
 def mobius_inv(a: BallPoint, z: BallPoint) -> BallPoint:
     """Inverse of :func:`mobius` with the same center: sends ``a`` to 0."""
-    _require_same_shape(a, z)
+    require_shape(z.mat, a.shape, "ball point")
     return BallPoint(_mobius_mat(a, z.mat, -1.0))
 
 
@@ -162,6 +156,6 @@ def ball_dist(x: BallPoint, y: BallPoint) -> float:
     atanh || mobius_to_origin(x, y) ||; reduces to :func:`poincare_dist` for
     1 x 1 points and to atanh ||y|| at the origin.
     """
-    _require_same_shape(x, y)
+    require_shape(y.mat, x.shape, "ball point")
     lift = x.defect(-0.5, "left") @ (y.mat - x.mat) @ y.defect(-0.5, "right")
     return math.asinh(op_norm(lift))

@@ -141,7 +141,7 @@ def _cmd_approx(args) -> int:
     if prefix.parent != Path(""):
         prefix.parent.mkdir(parents=True, exist_ok=True)
     for i, result in enumerate(report.results):
-        Path(f"{prefix}_trial{i:03d}.csv").write_text(profile_csv(result.profile))
+        Path(f"{prefix}_trial{i:03d}.csv").write_text(profile_csv(result))
     Path(f"{prefix}_ensemble.json").write_text(report_json(report))
     return 0 if report.all_valid() else 1
 

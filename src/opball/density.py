@@ -10,11 +10,8 @@ The pipeline behind each approximant of depth n:
 
 At full depth the leading block of the approximant recovers the original
 operator, and distances are measured against that full-depth iterate, which
-lives on the doubled spaces like every other iterate.  (Comparing against
-the undoubled original would mix dimensions; comparing against the
-symmetric extension of the original is available as an alternative
-reference, but the two references differ in general because the bounded
-transform does not commute with the extension.)
+lives on the doubled spaces like every other iterate (comparing against the
+undoubled original would mix dimensions).
 
 Trials of the ensemble experiment are independent; per-trial seeds are
 spawned from the master seed with ``numpy.random.SeedSequence.spawn``, so
@@ -34,14 +31,13 @@ import numpy as np
 from .ball import BallPoint
 from .errors import BadDepth, BadDims
 from .matkernel import op_norm
-from .sampling import complex_gaussian
+from .sampling import random_operator
 from .symmetry import (
     ConjugationPair,
     double_pair,
     extension_blocks,
     induced_pair,
     random_pair,
-    swap_roles,
     symmetry_residual,
 )
 from .tolerances import DEFAULT
@@ -66,15 +62,6 @@ def truncate(point: BallPoint, depth: int) -> BallPoint:
     return BallPoint(_cut(point, depth))
 
 
-@dataclass(frozen=True)
-class StepInfo:
-    """Diagnostics of one approximation step."""
-
-    depth: int
-    margin: float
-    ball_norm: float
-
-
 def _require_pair_dims(t: OperatorHK, pair: ConjugationPair) -> None:
     if (pair.dim_src, pair.dim_dst) != (t.dim_k, t.dim_h):
         raise BadDims(
@@ -85,24 +72,23 @@ def _require_pair_dims(t: OperatorHK, pair: ConjugationPair) -> None:
 
 def _approximant_step(
     that: BallPoint, pair: ConjugationPair, big_pair: ConjugationPair, depth: int
-) -> tuple[OperatorHK, ConjugationPair, StepInfo]:
+) -> tuple[OperatorHK, ConjugationPair, BallPoint]:
     """Steps 1-3 of the pipeline for the ball point ``that`` of an operator,
     with ``big_pair`` the doubled ``pair``.  The cut is not factored on its
     own: the doubled point's factor checks the norm of both blocks."""
     doubled = BallPoint(extension_blocks(_cut(that, depth), pair))
-    out_pair = induced_pair(doubled, big_pair)
-    approx = inverse_bounded_transform(doubled)
-    info = StepInfo(depth=depth, margin=doubled.margin, ball_norm=1.0 - doubled.margin)
-    return approx, out_pair, info
+    return inverse_bounded_transform(doubled), induced_pair(doubled, big_pair), doubled
 
 
 def symmetric_approximant(
     t: OperatorHK, pair: ConjugationPair, depth: int
-) -> tuple[OperatorHK, ConjugationPair, StepInfo]:
+) -> tuple[OperatorHK, ConjugationPair, BallPoint]:
     """Depth-n complex symmetric approximant of ``t`` on the doubled spaces.
 
     ``pair`` runs from K to H (the contraction side).  Returns the doubled
-    operator, the conjugation pair certifying its symmetry, and diagnostics.
+    operator, the conjugation pair certifying its symmetry, and the doubled
+    ball point it is the inverse transform of, whose ``margin`` and
+    ``factor.norm`` are those of the depth-n truncation.
     """
     _require_pair_dims(t, pair)
     return _approximant_step(bounded_transform(t), pair, double_pair(pair), depth)
@@ -118,9 +104,11 @@ class ProfileRow:
 
 @dataclass(frozen=True)
 class ApproxProfile:
-    """Per-depth record of an approximation run (depth 1 .. dimH)."""
+    """Per-depth record of an approximation run (depth 1 .. dimH), with the
+    norm of the full-depth leading block minus the operator."""
 
     rows: tuple[ProfileRow, ...]
+    recovery_residual: float
 
     def violations(self) -> list[str]:
         """Invariant violations, empty when the profile is healthy."""
@@ -131,6 +119,8 @@ class ApproxProfile:
             out.append(f"depths not 1..p: {depths}")
         if self.rows and abs(self.rows[-1].dist) > tol:
             out.append(f"final distance {self.rows[-1].dist:.3e} above {tol:.0e}")
+        if self.recovery_residual > tol:
+            out.append(f"recovery residual {self.recovery_residual:.3e} above {tol:.0e}")
         for row in self.rows:
             if row.sym_residual > tol:
                 out.append(
@@ -143,24 +133,13 @@ class ApproxProfile:
         return min(self.rows, key=lambda r: r.dist).depth
 
 
-def approximation_profile(
-    t: OperatorHK, pair: ConjugationPair, reference: str = "full_depth"
-) -> ApproxProfile:
+def approximation_profile(t: OperatorHK, pair: ConjugationPair) -> ApproxProfile:
     """Distances and symmetry residuals of every approximant of ``t``.
 
-    ``reference`` selects the comparison operator: ``"full_depth"`` (default)
-    compares against the depth-dimH approximant, whose leading block equals
-    ``t``; ``"extension"`` compares against the symmetric extension of ``t``.
+    Each depth is compared against the depth-dimH approximant, whose leading
+    block recovers ``t``; ``recovery_residual`` is the norm of that block
+    minus ``t``.
     """
-    return _profile(t, pair, reference)[0]
-
-
-def _profile(
-    t: OperatorHK, pair: ConjugationPair, reference: str
-) -> tuple[ApproxProfile, OperatorHK]:
-    """:func:`approximation_profile` together with its depth-dimH approximant."""
-    if reference not in ("full_depth", "extension"):
-        raise BadDims(f"unknown reference {reference!r}")
     _require_pair_dims(t, pair)
     that = bounded_transform(t)
     big_pair = double_pair(pair)
@@ -168,27 +147,16 @@ def _profile(
         _approximant_step(that, pair, big_pair, depth) for depth in range(1, t.dim_h + 1)
     ]
     full = steps[-1][0]
-    if reference == "full_depth":
-        t_ref = full
-    else:
-        # the extension of t runs H -> K, so the pair acts with roles swapped
-        t_ref = OperatorHK(extension_blocks(t.mat, swap_roles(pair)))
-    rows = [
+    rows = tuple(
         ProfileRow(
-            depth=info.depth,
-            dist=operator_dist(approx, t_ref),
+            depth=depth,
+            dist=operator_dist(approx, full),
             sym_residual=symmetry_residual(approx, out_pair),
-            margin=info.margin,
+            margin=doubled.margin,
         )
-        for approx, out_pair, info in steps
-    ]
-    return ApproxProfile(tuple(rows)), full
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    profile: ApproxProfile
-    recovery_residual: float
+        for depth, (approx, out_pair, doubled) in enumerate(steps, start=1)
+    )
+    return ApproxProfile(rows, op_norm(full.mat[: t.dim_k, : t.dim_h] - t.mat))
 
 
 @dataclass(frozen=True)
@@ -197,35 +165,29 @@ class EnsembleReport:
     dim_k: int
     trials: int
     seed: int
-    results: tuple[TrialResult, ...]
+    results: tuple[ApproxProfile, ...]
 
     def max_sym_residual(self) -> float:
         return max(
-            (row.sym_residual for r in self.results for row in r.profile.rows),
-            default=0.0,
+            (row.sym_residual for r in self.results for row in r.rows), default=0.0
         )
 
     def median_dist(self) -> list[float]:
         """Median distance across trials at each depth."""
         if not self.results:
             return []
-        per_depth = zip(*[[row.dist for row in r.profile.rows] for r in self.results])
+        per_depth = zip(*[[row.dist for row in r.rows] for r in self.results])
         return [float(np.median(list(col))) for col in per_depth]
 
     def all_valid(self) -> bool:
-        return all(not r.profile.violations() for r in self.results) and all(
-            r.recovery_residual <= DEFAULT.profile for r in self.results
-        )
+        return all(not r.violations() for r in self.results)
 
 
-def _run_trial(dim_h: int, dim_k: int, child: np.random.SeedSequence) -> TrialResult:
+def _run_trial(dim_h: int, dim_k: int, child: np.random.SeedSequence) -> ApproxProfile:
     rng = np.random.default_rng(child)
     scale = rng.uniform(0.5, 10.0)
-    t = OperatorHK(complex_gaussian(rng, dim_k, dim_h, scale))
-    pair = random_pair(dim_k, dim_h, rng)
-    profile, full = _profile(t, pair, "full_depth")
-    recovery = op_norm(full.mat[:dim_k, :dim_h] - t.mat)
-    return TrialResult(profile=profile, recovery_residual=recovery)
+    t = random_operator(rng, dim_h, dim_k, scale)
+    return approximation_profile(t, random_pair(dim_k, dim_h, rng))
 
 
 def ensemble_experiment(
@@ -286,7 +248,7 @@ def report_json(report: EnsembleReport) -> str:
                         "sym_residual": row.sym_residual,
                         "margin": row.margin,
                     }
-                    for row in r.profile.rows
+                    for row in r.rows
                 ],
             }
             for r in report.results

@@ -273,21 +273,8 @@ CHECKS: dict[str, Callable] = {
 @dataclass(frozen=True)
 class IdentityReport:
     name: str
-    trials: int
     max_residual: float
-    tol: float
     passed: bool
-
-
-def run_identity(
-    name: str, trials: int, seed, dim_h: int, dim_k: int, tol: float
-) -> IdentityReport:
-    check = CHECKS[name]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        worst = max(worst, check(rng, dim_h, dim_k))
-    return IdentityReport(name, trials, worst, tol, worst <= tol)
 
 
 def run_identities(
@@ -300,8 +287,12 @@ def run_identities(
     """Run the identity table; each check gets its own spawned seed stream."""
     if trials == 0:
         return []
+    reports = []
     children = np.random.SeedSequence(seed).spawn(len(CHECKS))
-    return [
-        run_identity(name, trials, child, dim_h, dim_k, tol)
-        for name, child in zip(CHECKS, children)
-    ]
+    for (name, check), child in zip(CHECKS.items(), children):
+        rng = np.random.default_rng(child)
+        worst = 0.0
+        for _ in range(trials):
+            worst = max(worst, check(rng, dim_h, dim_k))
+        reports.append(IdentityReport(name, worst, worst <= tol))
+    return reports

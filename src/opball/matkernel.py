@@ -71,6 +71,12 @@ def as_cmat(a) -> np.ndarray:
     return _freeze(m)
 
 
+def require_shape(m: np.ndarray, shape: tuple[int, int], what: str) -> None:
+    """Raise :class:`ShapeMismatch` unless ``m`` has the expected ``shape``."""
+    if m.shape != shape:
+        raise ShapeMismatch(f"{what} has shape {m.shape}, expected {shape}")
+
+
 def adj(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose.  Adjoints are always computed, never stored."""
     return a.conj().T
@@ -84,7 +90,7 @@ def fro_norm(a: np.ndarray) -> float:
     return float(np.ldexp(np.sqrt((np.ldexp(s, -exp) ** 2).sum()), exp))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermSpectrum:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -256,7 +262,7 @@ def _scaled_gram(m: np.ndarray) -> tuple[np.ndarray, int, str]:
     return adj(m) @ m, exp, "right"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramFactor:
     """One eigen-solve of the smaller Gram matrix of M, serving every power.
 

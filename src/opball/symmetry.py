@@ -33,7 +33,7 @@ import numpy as np
 
 from .ball import BallPoint
 from .errors import BadDims, NotSymmetric, OutOfBall, ShapeMismatch, Singular
-from .matkernel import adj, as_cmat, fro_norm, op_norm
+from .matkernel import adj, as_cmat, fro_norm, op_norm, require_shape
 from .tolerances import DEFAULT
 from .transform import OperatorHK, inverse_bounded_transform
 
@@ -49,7 +49,7 @@ def _other_side(side: Side) -> Side:
     return Side.FWD_BWD if side is Side.BWD_FWD else Side.BWD_FWD
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugationPair:
     """A conjugate-linear pair (C1: src -> dst, C2: dst -> src).
 
@@ -174,16 +174,10 @@ def conj_apply(pair: ConjugationPair, direction: str, x) -> np.ndarray:
     return j @ np.conj(vec)
 
 
-def _require_pair_shape(mat: np.ndarray, pair: ConjugationPair) -> None:
-    """A src -> dst pair acts on dst x src matrices."""
-    if mat.shape != (pair.dim_dst, pair.dim_src):
-        raise ShapeMismatch(
-            f"matrix shape {mat.shape} does not match pair ({pair.dim_dst}, {pair.dim_src})"
-        )
-
-
 def _flipped(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
-    """C1 M* C1 as a linear matrix: j_fwd transpose(M) conj(j_fwd)."""
+    """C1 M* C1 as a linear matrix, for a dst x src matrix M:
+    j_fwd transpose(M) conj(j_fwd)."""
+    require_shape(mat, (pair.dim_dst, pair.dim_src), "matrix for the pair")
     return pair.j_fwd @ mat.T @ np.conj(pair.j_fwd)
 
 
@@ -191,7 +185,7 @@ def _coordinates(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
     """B = first* N, the oriented matrix (N = M for ``BWD_FWD``, M* for
     ``FWD_BWD``) of a dst x src matrix M in the pair's frame: square on the
     identity-composition side, and symmetric iff M is pair-symmetric."""
-    _require_pair_shape(mat, pair)
+    require_shape(mat, (pair.dim_dst, pair.dim_src), "matrix for the pair")
     return adj(_first(pair)) @ (mat if pair.side is Side.BWD_FWD else adj(mat))
 
 
@@ -209,7 +203,6 @@ def symmetric_part(mat, pair: ConjugationPair) -> np.ndarray:
     residual zero up to roundoff, an admissible input of ``induced_pair``.
     """
     m = as_cmat(mat)
-    _require_pair_shape(m, pair)
     return 0.5 * (m + _flipped(m, pair))
 
 
@@ -237,11 +230,11 @@ def extension_blocks(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
     """diag(M, C1 M* C1) as one doubled matrix; the linear matrix of the
     conjugated adjoint block is j_fwd transpose(M) conj(j_fwd)."""
     m = as_cmat(mat)
-    _require_pair_shape(m, pair)
+    flipped = _flipped(m, pair)
     s, d = pair.dim_src, pair.dim_dst
     out = np.zeros((2 * d, 2 * s), dtype=np.complex128)
     out[:d, :s] = m
-    out[d:, s:] = _flipped(m, pair)
+    out[d:, s:] = flipped
     return out
 
 

@@ -31,11 +31,10 @@ from functools import cached_property
 import numpy as np
 
 from .ball import BallPoint
-from .errors import ShapeMismatch
-from .matkernel import GramFactor, adj, as_cmat, gram_factor, inverse, op_norm
+from .matkernel import GramFactor, adj, as_cmat, gram_factor, inverse, op_norm, require_shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorHK:
     """An operator from H to K, stored as its dimK x dimH matrix."""
 
@@ -59,11 +58,6 @@ def zero_operator(dim_h: int, dim_k: int) -> OperatorHK:
     return OperatorHK(np.zeros((dim_k, dim_h), dtype=np.complex128))
 
 
-def _require_same_spaces(t: OperatorHK, s: OperatorHK) -> None:
-    if t.mat.shape != s.mat.shape:
-        raise ShapeMismatch(f"operators have shapes {t.mat.shape} and {s.mat.shape}")
-
-
 def bounded_transform(t: OperatorHK) -> BallPoint:
     """(I + T*T)^(-1/2) T*, a strict contraction of shape dimH x dimK.
 
@@ -83,7 +77,7 @@ def inverse_bounded_transform(a: BallPoint) -> OperatorHK:
 
 def left_defect(t: OperatorHK, x: OperatorHK) -> np.ndarray:
     """(I + T*T)^(1/2) X* - T* (I + X X*)^(1/2), of shape dimH x dimK."""
-    _require_same_spaces(t, x)
+    require_shape(x.mat, t.mat.shape, "operator")
     left = t.factor.power(1.0, 0.5, "right")
     right = x.factor.power(1.0, 0.5, "left")
     return left @ adj(x.mat) - adj(t.mat) @ right
@@ -91,7 +85,7 @@ def left_defect(t: OperatorHK, x: OperatorHK) -> np.ndarray:
 
 def right_defect(t: OperatorHK, x: OperatorHK) -> np.ndarray:
     """(I + X X*)^(1/2) (I + T T*)^(1/2) - X T*, of shape dimK x dimK."""
-    _require_same_spaces(t, x)
+    require_shape(x.mat, t.mat.shape, "operator")
     left = x.factor.power(1.0, 0.5, "left")
     right = t.factor.power(1.0, 0.5, "left")
     return left @ right - x.mat @ adj(t.mat)
@@ -107,7 +101,7 @@ def right_defect_inv(s: OperatorHK, t: OperatorHK) -> np.ndarray:
     I - (I+TT*)^(-1/2) T S* (I+SS*)^(-1/2), so the two outer factors are all
     that is solved.
     """
-    _require_same_spaces(s, t)
+    require_shape(t.mat, s.mat.shape, "operator")
     outer_left = s.factor.power(1.0, -0.5, "left")
     outer_right = t.factor.power(1.0, -0.5, "left")
     bracket = np.eye(t.dim_k) - outer_right @ t.mat @ adj(s.mat) @ outer_left

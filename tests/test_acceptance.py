@@ -283,8 +283,8 @@ def test_c13_density_pipeline():
     rep = ensemble_experiment(8, 2, 50, seed=113)
     worst_sym = rep.max_sym_residual()
     worst_rec = max(r.recovery_residual for r in rep.results)
-    worst_final = max(abs(r.profile.rows[-1].dist) for r in rep.results)
-    min_at_full = sum(1 for r in rep.results if r.profile.min_depth() == 8)
+    worst_final = max(abs(r.rows[-1].dist) for r in rep.results)
+    min_at_full = sum(1 for r in rep.results if r.min_depth() == 8)
     report(13, "density pipeline symmetry residuals", worst_sym, 1e-8)
     report(13, "density pipeline full-depth block recovery", worst_rec, 1e-8)
     report(13, "density pipeline final distance", worst_final, 1e-8)
