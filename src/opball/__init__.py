@@ -49,7 +49,6 @@ from .matkernel import (
     fro_norm,
     gram_factor,
     herm_eig,
-    herm_fun,
     herm_inv_sqrt,
     herm_sqrt,
     inverse,

@@ -84,14 +84,7 @@ def _cmd_identities(args) -> int:
         "dim_h": args.dim_h,
         "dim_k": args.dim_k,
         "tol": args.tol,
-        "identities": [
-            {
-                "name": r.name,
-                "max_residual": r.max_residual,
-                "passed": r.passed,
-            }
-            for r in reports
-        ],
+        "identities": [vars(r) for r in reports],
     }
     print(json.dumps(payload, sort_keys=True, indent=2))
     return 0 if all(r.passed for r in reports) else 1

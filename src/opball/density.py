@@ -23,7 +23,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -36,12 +36,12 @@ from .symmetry import (
     ConjugationPair,
     double_pair,
     extension_blocks,
-    induced_pair,
+    induced_operator,
     random_pair,
     symmetry_residual,
 )
 from .tolerances import DEFAULT
-from .transform import OperatorHK, bounded_transform, inverse_bounded_transform, operator_dist
+from .transform import OperatorHK, bounded_transform, operator_dist
 
 
 def _cut(point: BallPoint, depth: int) -> np.ndarray:
@@ -77,7 +77,7 @@ def _approximant_step(
     with ``big_pair`` the doubled ``pair``.  The cut is not factored on its
     own: the doubled point's factor checks the norm of both blocks."""
     doubled = BallPoint(extension_blocks(_cut(that, depth), pair))
-    return inverse_bounded_transform(doubled), induced_pair(doubled, big_pair), doubled
+    return (*induced_operator(doubled, big_pair), doubled)
 
 
 def symmetric_approximant(
@@ -96,7 +96,9 @@ def symmetric_approximant(
 
 @dataclass(frozen=True)
 class ProfileRow:
-    depth: int
+    """One depth of a profile; the fields, in order, are the output columns."""
+
+    n: int
     dist: float
     sym_residual: float
     margin: float
@@ -114,7 +116,7 @@ class ApproxProfile:
         """Invariant violations, empty when the profile is healthy."""
         tol = DEFAULT.profile
         out: list[str] = []
-        depths = [r.depth for r in self.rows]
+        depths = [r.n for r in self.rows]
         if depths != list(range(1, len(self.rows) + 1)):
             out.append(f"depths not 1..p: {depths}")
         if self.rows and abs(self.rows[-1].dist) > tol:
@@ -124,13 +126,13 @@ class ApproxProfile:
         for row in self.rows:
             if row.sym_residual > tol:
                 out.append(
-                    f"symmetry residual {row.sym_residual:.3e} at depth {row.depth}"
+                    f"symmetry residual {row.sym_residual:.3e} at depth {row.n}"
                 )
         return out
 
     def min_depth(self) -> int:
         """Depth at which the distance is smallest."""
-        return min(self.rows, key=lambda r: r.dist).depth
+        return min(self.rows, key=lambda r: r.dist).n
 
 
 def approximation_profile(t: OperatorHK, pair: ConjugationPair) -> ApproxProfile:
@@ -149,7 +151,7 @@ def approximation_profile(t: OperatorHK, pair: ConjugationPair) -> ApproxProfile
     full = steps[-1][0]
     rows = tuple(
         ProfileRow(
-            depth=depth,
+            n=depth,
             dist=operator_dist(approx, full),
             sym_residual=symmetry_residual(approx, out_pair),
             margin=doubled.margin,
@@ -220,11 +222,12 @@ def ensemble_experiment(
 
 
 def profile_csv(profile: ApproxProfile) -> str:
-    """CSV serialization; column order (n, dist, sym_residual, margin) is a
-    stability contract relied on by downstream tooling."""
-    lines = ["n,dist,sym_residual,margin"]
-    for row in profile.rows:
-        lines.append(f"{row.depth},{row.dist!r},{row.sym_residual!r},{row.margin!r}")
+    """CSV serialization.  The columns are the fields of :class:`ProfileRow`
+    in field order (n, dist, sym_residual, margin), as the JSON keys of
+    :func:`report_json` are the fields of the records; both are stability
+    contracts relied on by downstream tooling and pinned by the CLI tests."""
+    lines = [",".join(f.name for f in fields(ProfileRow))]
+    lines += [",".join(map(repr, astuple(row))) for row in profile.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -239,19 +242,7 @@ def report_json(report: EnsembleReport) -> str:
         "median_dist": report.median_dist(),
         "all_valid": report.all_valid(),
         "profiles": [
-            {
-                "recovery_residual": r.recovery_residual,
-                "rows": [
-                    {
-                        "n": row.depth,
-                        "dist": row.dist,
-                        "sym_residual": row.sym_residual,
-                        "margin": row.margin,
-                    }
-                    for row in r.rows
-                ],
-            }
-            for r in report.results
+            {**vars(p), "rows": [vars(r) for r in p.rows]} for p in report.results
         ],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

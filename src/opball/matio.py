@@ -40,7 +40,7 @@ def obj_to_matrix(obj) -> np.ndarray:
         raise MatrixFileError("matrix object must be a JSON object")
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MatrixFileError(f"matrix object missing/invalid fields: {exc}") from exc
     if rows < 1 or cols < 1:
         raise MatrixFileError(f"dimensions must be positive, got {rows}x{cols}")
@@ -50,7 +50,7 @@ def obj_to_matrix(obj) -> np.ndarray:
         )
     try:
         flat = [complex(float(re), float(im)) for re, im in data]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MatrixFileError(f"entries must be [re, im] pairs: {exc}") from exc
     try:
         return as_cmat(np.array(flat, dtype=np.complex128).reshape(rows, cols))

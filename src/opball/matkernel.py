@@ -1,9 +1,9 @@
 """Dense complex linear-algebra substrate.
 
 Everything else in the library reduces to the primitives implemented here:
-Hermitian eigendecomposition, Hermitian functional calculus (square roots and
-inverse square roots in particular), the defect powers (I +- G)^(+-1/2) of a
-Gram matrix G, the spectral norm, and general inversion.
+Hermitian eigendecomposition, Hermitian square roots and inverse square
+roots, the defect powers (I +- G)^(+-1/2) of a Gram matrix G, the spectral
+norm, and general inversion.
 
 Each operand is factored once: :func:`gram_factor` eigen-solves the smaller
 of its two Gram matrices M*M and MM* (MM* when M is square), and the
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -66,7 +65,7 @@ def as_cmat(a) -> np.ndarray:
         raise ShapeMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeMismatch(f"matrix dimensions must be positive, got {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ShapeMismatch("matrix entries must be finite")
     return _freeze(m)
 
@@ -221,36 +220,26 @@ def herm_eig(p) -> HermSpectrum:
     return HermSpectrum(_freeze(_unscaled(vals[order], exp)), _freeze(basis[:, order].copy()))
 
 
-def herm_fun(
-    p,
-    f: Callable[[float], float],
-    floor: float | None = None,
-) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix spectrally.
-
-    ``floor`` guards functions that are singular at or below it (inverse
-    square roots, logs, ...): any eigenvalue under the floor raises
-    :class:`EigenvalueBelowFloor` carrying the offender.  The result is
-    re-symmetrized so it is Hermitian to roundoff.
-    """
-    spectrum = herm_eig(p)
-    if floor is not None:
-        lo = float(spectrum.eigenvalues[0])
-        if lo < floor:
-            raise EigenvalueBelowFloor(lo, floor)
-    vals = np.array([float(f(x)) for x in spectrum.eigenvalues])
-    out = (spectrum.basis * vals) @ adj(spectrum.basis)
+def _spectral(basis: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """basis diag(vals) basis*, re-symmetrized so it is Hermitian to roundoff."""
+    out = (basis * vals) @ adj(basis)
     return _freeze(0.5 * (out + adj(out)))
 
 
 def herm_sqrt(p) -> np.ndarray:
     """Spectral square root; tiny negative eigenvalues are clipped to zero."""
-    return herm_fun(p, lambda x: math.sqrt(x) if x > 0.0 else 0.0)
+    spectrum = herm_eig(p)
+    return _spectral(spectrum.basis, np.sqrt(np.maximum(spectrum.eigenvalues, 0.0)))
 
 
 def herm_inv_sqrt(p) -> np.ndarray:
-    """Spectral inverse square root, floored at ``DEFAULT.defect_floor``."""
-    return herm_fun(p, lambda x: 1.0 / math.sqrt(x), floor=DEFAULT.defect_floor)
+    """Spectral inverse square root; an eigenvalue below
+    ``DEFAULT.defect_floor`` raises :class:`EigenvalueBelowFloor`."""
+    spectrum = herm_eig(p)
+    lo = float(spectrum.eigenvalues[0])
+    if lo < DEFAULT.defect_floor:
+        raise EigenvalueBelowFloor(lo, DEFAULT.defect_floor)
+    return _spectral(spectrum.basis, 1.0 / np.sqrt(spectrum.eigenvalues))
 
 
 def _scaled_gram(m: np.ndarray) -> tuple[np.ndarray, int, str]:
@@ -315,16 +304,14 @@ class GramFactor:
         r = np.sqrt(np.maximum(d, 0.0))
         basis = self.basis
         if not push:
-            vals = r if power > 0 else 1.0 / r
-            out = (basis * vals) @ adj(basis)
+            return _spectral(basis, r if power > 0 else 1.0 / r)
+        if power > 0:
+            # where 1 + sign x was clipped, g = 0 and h = -1 / x with x >= 1
+            h = np.where(d > 0.0, sign / (1.0 + r), -1.0 / np.maximum(x, 1.0))
         else:
-            if power > 0:
-                # where 1 + sign x was clipped, g = 0 and h = -1 / x with x >= 1
-                h = np.where(d > 0.0, sign / (1.0 + r), -1.0 / np.maximum(x, 1.0))
-            else:
-                h = -sign / (r * (1.0 + r))
-            n = self.mat if side == "right" else adj(self.mat)
-            out = np.eye(n.shape[1]) + adj(n) @ (basis * h) @ adj(basis) @ n
+            h = -sign / (r * (1.0 + r))
+        n = self.mat if side == "right" else adj(self.mat)
+        out = np.eye(n.shape[1]) + adj(n) @ (basis * h) @ adj(basis) @ n
         return _freeze(0.5 * (out + adj(out)))
 
 

@@ -149,6 +149,39 @@ def test_metric_unreadable_file(tmp_path, capsys):
     assert main(["metric", a, str(tmp_path / "missing.json")]) == 2
 
 
+HUGE = "1" + "0" * 400  # a JSON integer past the float range
+HUGE_ENTRY = f'{{"rows": 1, "cols": 1, "data": [[{HUGE}, 0]]}}'
+INF_ROWS = '{"rows": 1e400, "cols": 1, "data": [[0, 0]]}'
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("metric", HUGE_ENTRY),
+        ("metric", INF_ROWS),
+        ("symcheck", HUGE_ENTRY),
+        ("symcheck", INF_ROWS),
+        ("symcheck --pair", f'{{"side": "bwd_fwd", "j_fwd": {HUGE_ENTRY}}}'),
+    ],
+    ids=["metric-huge-entry", "metric-inf-rows", "symcheck-huge-entry",
+         "symcheck-inf-rows", "symcheck-pair-huge-entry"],
+)
+def test_overflowing_file_is_an_input_error(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    good = save(tmp_path, "good.json", [[1.0]])
+    args = {
+        "metric": ["metric", str(bad), good],
+        "symcheck": ["symcheck", str(bad)],
+        "symcheck --pair": ["symcheck", good, "--pair", str(bad)],
+    }[command]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"{args[0]}: ")
+
+
 def test_symcheck_symmetric_identity_pair(tmp_path, capsys):
     path = save(tmp_path, "sym.json", [[1.0, 2.0j], [2.0j, 3.0]])
     assert main(["symcheck", path, "--pair", "identity"]) == 0
@@ -197,6 +230,32 @@ def test_approx_small_run(tmp_path, capsys):
     report = json.loads((tmp_path / "run_ensemble.json").read_text())
     assert report["all_valid"] is True
     assert report["trials"] == 1
+
+
+def test_output_keys_are_the_record_fields(tmp_path, capsys):
+    # the CSV columns and JSON keys are written from the record fields, so a
+    # renamed field or an added cached attribute would change a file format
+    assert main([
+        "approx", "--dim-h", "3", "--dim-k", "2", "--trials", "1",
+        "--out", str(tmp_path / "run"),
+    ]) == 0
+    header = (tmp_path / "run_trial000.csv").read_text().split("\n")[0]
+    assert header == "n,dist,sym_residual,margin"
+    report = json.loads((tmp_path / "run_ensemble.json").read_text())
+    assert set(report) == {
+        "all_valid", "dim_h", "dim_k", "max_sym_residual", "median_dist",
+        "profiles", "seed", "trials",
+    }
+    (profile,) = report["profiles"]
+    assert set(profile) == {"recovery_residual", "rows"}
+    assert all(set(row) == {"n", "dist", "sym_residual", "margin"} for row in profile["rows"])
+
+    assert main(["identities", "--trials", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"dim_h", "dim_k", "identities", "seed", "tol", "trials"}
+    assert report["identities"]
+    for entry in report["identities"]:
+        assert set(entry) == {"name", "max_residual", "passed"}
 
 
 def test_approx_deterministic_across_runs_and_jobs(tmp_path):

@@ -110,7 +110,7 @@ def test_profile_invariants_random():
     pair = random_pair(2, 8, rng)
     prof = approximation_profile(t, pair)
     assert prof.violations() == []
-    assert [r.depth for r in prof.rows] == list(range(1, 9))
+    assert [r.n for r in prof.rows] == list(range(1, 9))
     assert prof.rows[-1].dist <= 1e-8
     assert all(r.sym_residual <= 1e-8 for r in prof.rows)
     assert prof.min_depth() == 8

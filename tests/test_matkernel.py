@@ -23,7 +23,6 @@ from opball import (
     fro_norm,
     gram_factor,
     herm_eig,
-    herm_fun,
     herm_inv_sqrt,
     herm_sqrt,
     inverse,
@@ -222,7 +221,7 @@ def test_herm_fun_random_roundtrips():
 
 def test_herm_fun_floor_reports_offender():
     with pytest.raises(EigenvalueBelowFloor) as info:
-        herm_fun(np.diag([1.0, 1e-14]), lambda x: 1.0 / np.sqrt(x), floor=1e-13)
+        herm_inv_sqrt(np.diag([1.0, 1e-14]))
     assert info.value.eigenvalue == pytest.approx(1e-14)
     assert info.value.floor == 1e-13
 
@@ -271,13 +270,12 @@ def gram_operand(rng, shape, norm):
     return m * (norm / op_norm(m))
 
 
-def gram_reference(m, sign, power, side, floor):
-    """The same power through herm_fun on the explicitly formed I + sign G."""
+def gram_reference(m, sign, power, side):
+    """The same power through herm_sqrt or herm_inv_sqrt on the explicitly
+    formed I + sign G; herm_inv_sqrt checks the 1e-13 defect floor."""
     g = m @ m.conj().T if side == "left" else m.conj().T @ m
     big = np.eye(g.shape[0]) + sign * g
-    if power > 0:
-        return herm_fun(big, lambda x: np.sqrt(max(x, 0.0)), floor=floor)
-    return herm_fun(big, lambda x: 1.0 / np.sqrt(x), floor=floor)
+    return herm_sqrt(big) if power > 0 else herm_inv_sqrt(big)
 
 
 @pytest.mark.parametrize("shape", GRAM_SHAPES)
@@ -294,8 +292,7 @@ def test_gram_power_matches_explicit_route(shape, side, sign, power):
         norms += [1.5]  # no floor: 1 - x < 0 is clipped to 0
     for norm in norms:
         m = gram_operand(rng, shape, norm)
-        floor = 1e-13 if power < 0 else None
-        ref = gram_reference(m, sign, power, side, floor)
+        ref = gram_reference(m, sign, power, side)
         got = gram_factor(m).power(sign, power, side)
         assert got.shape == ref.shape
         # forward error of the spectral function: roundoff in an eigenvalue
@@ -320,7 +317,7 @@ def test_gram_power_floor_matches_explicit_route(shape, side):
     rng = np.random.default_rng(58)
     for norm in (1.0 - 1e-10, 1.0 - 1e-15, 1.0, 1.5):
         m = gram_operand(rng, shape, norm)
-        ref = floor_outcome(lambda: gram_reference(m, -1.0, -0.5, side, 1e-13))
+        ref = floor_outcome(lambda: gram_reference(m, -1.0, -0.5, side))
         got = floor_outcome(lambda: gram_factor(m).power(-1.0, -0.5, side))
         assert (got is None) == (ref is None) == (norm == 1.0 - 1e-10)
         if ref is not None:
