@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
@@ -45,15 +45,19 @@ class BallPoint:
     """A strict contraction from K to H, stored as a dimH x dimK matrix.
 
     ``factor`` is the point's one Gram factorization; its norm gives the
-    margin and :meth:`defect` gives every defect of the point.
+    margin and :meth:`defect` gives every defect of the point.  It is solved
+    on construction, or handed in as ``held``, a factor whose ``mat`` is
+    ``mat`` itself (as :meth:`GramFactor.transport` builds one).
     """
 
     mat: np.ndarray
     margin: float = field(init=False)
     factor: GramFactor = field(init=False, repr=False)
+    _: KW_ONLY
+    held: InitVar[GramFactor | None] = None
 
-    def __post_init__(self):
-        factor = gram_factor(self.mat)
+    def __post_init__(self, held):
+        factor = gram_factor(self.mat) if held is None else _held_factor(held, self.mat)
         if factor.norm >= 1.0:
             raise OutOfBall(f"operator norm {factor.norm:.12f} is not strictly below 1")
         object.__setattr__(self, "mat", factor.mat)
@@ -93,6 +97,13 @@ class BallPoint:
             return self.factor.power(-1.0, power, side)
         except EigenvalueBelowFloor as exc:
             raise Singular(f"defect eigenvalue {exc.eigenvalue:.3e}: margin too small") from exc
+
+
+def _held_factor(held: GramFactor, mat) -> GramFactor:
+    """``held``, after checking that it factors ``mat`` (the very array)."""
+    if held.mat is not mat:
+        raise ValueError("a held factor must be of the matrix it is handed with")
+    return held
 
 
 def zero_point(dim_h: int, dim_k: int) -> BallPoint:

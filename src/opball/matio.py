@@ -13,6 +13,7 @@ the pairing axiom.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,24 +37,34 @@ def matrix_to_obj(mat: np.ndarray) -> dict:
 
 
 def obj_to_matrix(obj) -> np.ndarray:
+    """The matrix of a parsed matrix object.  ``rows`` and ``cols`` must be
+    JSON integers and each entry a [re, im] list of two JSON numbers;
+    anything else (strings, bools, 2.7 rows) is a :class:`MatrixFileError`."""
     if not isinstance(obj, dict):
         raise MatrixFileError("matrix object must be a JSON object")
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MatrixFileError(f"matrix object missing/invalid fields: {exc}") from exc
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except KeyError as exc:
+        raise MatrixFileError(f"matrix object missing field {exc}") from exc
+    # json parses a number to exactly an int or a float, and a bool is neither
+    if type(rows) is not int or type(cols) is not int:
+        raise MatrixFileError(f"rows and cols must be JSON integers, got {rows!r} and {cols!r}")
     if rows < 1 or cols < 1:
         raise MatrixFileError(f"dimensions must be positive, got {rows}x{cols}")
     if not isinstance(data, list) or len(data) != rows * cols:
-        raise MatrixFileError(
-            f"data length {len(data) if isinstance(data, list) else '?'} != rows*cols = {rows * cols}"
-        )
+        # no product in the text: it may pass the int-to-str digit limit
+        length = len(data) if isinstance(data, list) else "?"
+        raise MatrixFileError(f"data length {length} does not match {rows}x{cols}")
+    pairs = set(map(type, data)) == {list} and set(map(len, data)) == {2}
+    parts = list(chain.from_iterable(data)) if pairs else []
+    if not pairs or not set(map(type, parts)) <= {int, float}:
+        raise MatrixFileError("entries must be [re, im] pairs of JSON numbers")
     try:
-        flat = [complex(float(re), float(im)) for re, im in data]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MatrixFileError(f"entries must be [re, im] pairs: {exc}") from exc
+        parts = np.array(parts, dtype=np.float64)
+    except OverflowError as exc:
+        raise MatrixFileError(f"entry beyond the float range: {exc}") from exc
     try:
-        return as_cmat(np.array(flat, dtype=np.complex128).reshape(rows, cols))
+        return as_cmat(parts.view(np.complex128).reshape(rows, cols))
     except ShapeMismatch as exc:
         raise MatrixFileError(str(exc)) from exc
 
@@ -65,7 +76,7 @@ def write_matrix(path, mat: np.ndarray) -> None:
 def read_matrix(path) -> np.ndarray:
     try:
         obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, or an integer past the digit limit
         raise MatrixFileError(f"cannot read matrix file {path}: {exc}") from exc
     return obj_to_matrix(obj)
 
@@ -78,7 +89,7 @@ def write_pair(path, pair: ConjugationPair) -> None:
 def read_pair(path) -> ConjugationPair:
     try:
         obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, or an integer past the digit limit
         raise MatrixFileError(f"cannot read pair file {path}: {exc}") from exc
     if not isinstance(obj, dict) or "side" not in obj or "j_fwd" not in obj:
         raise MatrixFileError("pair file needs 'side' and 'j_fwd' fields")

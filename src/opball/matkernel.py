@@ -150,7 +150,9 @@ def _jacobi(h: np.ndarray, want_vectors: bool = True) -> tuple[np.ndarray, np.nd
     one unitary by the overflow-free angle tan = sign(d) 2|a_pq| / (|d| +
     hypot(d, 2|a_pq|)), d = a_qq - a_pp (Golub & Van Loan, *Matrix
     Computations*, 4th ed., sec. 8.5).  Returns (eigenvalues, accumulated
-    unitary or None); the caller sorts.
+    unitary or None); the caller sorts.  After ``_MAX_SWEEPS`` sweeps it
+    raises :class:`NoConvergence`, naming the sweeps and the off-diagonal
+    Frobenius mass left, relative to that of the whole matrix.
     """
     n = h.shape[0]
     rounds, off, ident, diag = _plan(n)
@@ -166,10 +168,18 @@ def _jacobi(h: np.ndarray, want_vectors: bool = True) -> tuple[np.ndarray, np.nd
     # entries this small cannot lift the off-diagonal mass above `stop`
     skip = eps * scale / (4.0 * n)
 
-    for _ in range(_MAX_SWEEPS):
+    sweeps = 0
+    while True:
         m = a[off]
-        if np.vdot(m, m).real <= stop:
+        mass = np.vdot(m, m).real
+        if mass <= stop:
             return a.real.diagonal().copy(), v
+        if sweeps == _MAX_SWEEPS:
+            raise NoConvergence(
+                f"Jacobi iteration did not converge in {sweeps} sweeps: off-diagonal "
+                f"mass {math.sqrt(mass) / scale:.3e} of the matrix norm remains"
+            )
+        sweeps += 1
         for p, q in rounds:
             apq = a[p, q]
             r = np.abs(apq)
@@ -194,7 +204,6 @@ def _jacobi(h: np.ndarray, want_vectors: bool = True) -> tuple[np.ndarray, np.nd
             a.imag[diag, diag] = 0.0
             if v is not None:
                 v = v @ u
-    raise NoConvergence(f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps")
 
 
 def herm_eig(p) -> HermSpectrum:
@@ -255,10 +264,12 @@ def _scaled_gram(m: np.ndarray) -> tuple[np.ndarray, int, str]:
 class GramFactor:
     """One eigen-solve of the smaller Gram matrix of M, serving every power.
 
-    ``side`` names the Gram matrix held, "left" for MM* (also when M is
-    square) and "right" for M*M; ``eigenvalues`` (ascending) and ``basis``
-    are its spectrum.  ``norm`` is the spectral norm of M, equal to
-    :func:`op_norm` bit for bit.
+    ``side`` names the Gram matrix held, "left" for MM* and "right" for M*M;
+    ``eigenvalues`` (ascending) and ``basis`` are its spectrum.  A solved
+    factor (:func:`gram_factor`) holds the smaller Gram matrix, MM* when M is
+    square, and its ``norm``, the spectral norm of M, equals :func:`op_norm`
+    bit for bit.  A factor built by :meth:`transport` may hold "right" for a
+    square M, and its ``norm`` agrees with :func:`op_norm` to roundoff only.
     """
 
     mat: np.ndarray
@@ -313,6 +324,26 @@ class GramFactor:
         n = self.mat if side == "right" else adj(self.mat)
         out = np.eye(n.shape[1]) + adj(n) @ (basis * h) @ adj(basis) @ n
         return _freeze(0.5 * (out + adj(out)))
+
+    def transport(self, mat, eigen_map, flip: bool) -> GramFactor:
+        """The factor of ``mat``, a matrix whose Gram matrix on the held side
+        (swapped when ``flip``) is eigen_map(G) for this factor's G: the same
+        basis and the mapped eigenvalues, with no solve.
+
+        ``eigen_map`` is monotone increasing on the spectrum.  Singular-value
+        functions of M are of this kind: the bounded transform and its
+        inverse (x / (1 + x), x / (1 - x)) exchange the Gram sides, and a
+        scalar multiple c M (c^2 x) keeps them.  Rounding in the map may
+        reorder equal neighbours, so the mapped spectrum is re-sorted.
+        """
+        m = as_cmat(mat)
+        side = {"left": "right", "right": "left"}[self.side] if flip else self.side
+        require_shape(self.basis, (m.shape[0 if side == "left" else 1],) * 2, "held basis")
+        vals = np.asarray(eigen_map(self.eigenvalues), dtype=np.float64)
+        order = np.argsort(vals, kind="stable")
+        top = float(vals[order[-1]])
+        norm = math.sqrt(top) if top > 0.0 else 0.0
+        return GramFactor(m, side, _freeze(vals[order]), _freeze(self.basis[:, order]), norm)
 
 
 def gram_factor(m) -> GramFactor:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ball import BallPoint
-from .matkernel import op_norm
+from .matkernel import gram_factor
 from .symmetry import ConjugationPair, symmetric_part
 from .transform import OperatorHK
 
@@ -24,12 +24,13 @@ def _at_random_margin(
     rng: np.random.Generator, g: np.ndarray, margin_min: float, margin_max: float
 ) -> BallPoint:
     """``g`` rescaled to a margin drawn uniformly from [margin_min, margin_max]
-    (left as is when it is zero)."""
-    norm = op_norm(g)
-    if norm == 0.0:
-        return BallPoint(g)
-    target = 1.0 - rng.uniform(margin_min, margin_max)
-    return BallPoint(g * (target / norm))
+    (left as is when it is zero).  ``g`` is solved once; the rescaled
+    point's factor is its factor transported by c^2 x."""
+    f = gram_factor(g)
+    if f.norm != 0.0:
+        c = (1.0 - rng.uniform(margin_min, margin_max)) / f.norm
+        f = f.transport(f.mat * c, lambda x: c * c * x, flip=False)
+    return BallPoint(f.mat, held=f)
 
 
 def random_ball_point(

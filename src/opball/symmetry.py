@@ -191,7 +191,14 @@ def _coordinates(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
 
 def symmetry_residual(t: OperatorHK, pair: ConjugationPair) -> float:
     """How far T is from being (C1, C2)-symmetric, ||B - transpose(B)||;
-    zero iff symmetric."""
+    zero iff symmetric.
+
+    Half of it is the spectral distance from T to the pair-symmetric
+    operators, and it is attained: the operator with coordinates
+    (B + transpose(B))/2 and T's part orthogonal to the frame is symmetric
+    and lies at distance ||B - transpose(B)||/2 from T.  No symmetric S is
+    closer, since transposition preserves the norm and B_S is symmetric:
+    ||B - B^T|| <= ||B - B_S|| + ||B_S^T - B^T|| <= 2 ||T - S||."""
     b = _coordinates(t.mat, pair)
     return op_norm(b - b.T)
 

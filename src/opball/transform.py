@@ -25,25 +25,37 @@ a hidden assumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .ball import BallPoint
+from .ball import BallPoint, _held_factor
 from .matkernel import GramFactor, adj, as_cmat, gram_factor, inverse, op_norm, require_shape
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorHK:
-    """An operator from H to K, stored as its dimK x dimH matrix."""
+    """An operator from H to K, stored as its dimK x dimH matrix.
+
+    ``held`` hands in the operator's factor, as for
+    :class:`~opball.ball.BallPoint`; without it, ``factor`` is solved on
+    first use.
+    """
 
     mat: np.ndarray
     dim_h: int = field(init=False)
     dim_k: int = field(init=False)
+    _: KW_ONLY
+    held: InitVar[GramFactor | None] = None
 
-    def __post_init__(self):
-        m = as_cmat(self.mat)
+    def __post_init__(self, held):
+        if held is None:
+            m = as_cmat(self.mat)
+        else:
+            m = _held_factor(held, self.mat).mat
+            # the instance entry is where cached_property keeps its value
+            self.__dict__["factor"] = held
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "dim_k", m.shape[0])
         object.__setattr__(self, "dim_h", m.shape[1])
@@ -61,18 +73,29 @@ def zero_operator(dim_h: int, dim_k: int) -> OperatorHK:
 def bounded_transform(t: OperatorHK) -> BallPoint:
     """(I + T*T)^(-1/2) T*, a strict contraction of shape dimH x dimK.
 
-    Evaluated as T* (I + T T*)^(-1/2), with the function on the K side.
+    The function is taken on the Gram side ``t``'s factor holds, as
+    T* (I + T T*)^(-1/2) or (I + T*T)^(-1/2) T*, since its pushed form
+    cancels where it is small.  The Gram matrices of the result are those of
+    T under x / (1 + x), sides exchanged, so its factor is transported from
+    ``t``'s.
     """
-    return BallPoint(adj(t.mat) @ t.factor.power(1.0, -0.5, "left"))
+    f = t.factor
+    g = f.power(1.0, -0.5, f.side)
+    mat = adj(t.mat) @ g if f.side == "left" else g @ adj(t.mat)
+    f = f.transport(mat, lambda x: x / (1.0 + x), flip=True)
+    return BallPoint(f.mat, held=f)
 
 
 def inverse_bounded_transform(a: BallPoint) -> OperatorHK:
     """Closed-form inverse of :func:`bounded_transform`: (I - A*A)^(-1/2) A*.
 
     Near the sphere it warns, and at a collapsed margin raises
-    :class:`Singular`, through :meth:`~opball.ball.BallPoint.defect`.
+    :class:`Singular`, through :meth:`~opball.ball.BallPoint.defect`.  The
+    result's factor is ``a``'s transported by x / (1 - x), sides exchanged.
     """
-    return OperatorHK(a.defect(-0.5, "right") @ adj(a.mat))
+    mat = a.defect(-0.5, "right") @ adj(a.mat)
+    f = a.factor.transport(mat, lambda x: x / (1.0 - x), flip=True)
+    return OperatorHK(f.mat, held=f)
 
 
 def left_defect(t: OperatorHK, x: OperatorHK) -> np.ndarray:

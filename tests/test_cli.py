@@ -182,6 +182,31 @@ def test_overflowing_file_is_an_input_error(tmp_path, capsys, command, text):
     assert captured.err.startswith(f"{args[0]}: ")
 
 
+MALFORMED = {
+    "string-entry": '{"rows": 1, "cols": 1, "data": ["12"]}',
+    "string-parts": '{"rows": 1, "cols": 1, "data": [["1e5", "2"]]}',
+    "string-rows": '{"rows": "2", "cols": 1, "data": [[0, 0], [0, 0]]}',
+    "fractional-rows": '{"rows": 2.7, "cols": 1, "data": [[0, 0], [0, 0]]}',
+    "bool-part": '{"rows": 1, "cols": 1, "data": [[true, 0]]}',
+    "integer-past-digit-limit": f'{{"rows": 1, "cols": 1, "data": [[1{"0" * 5000}, 0]]}}',
+    "dimensions-past-digit-limit": f'{{"rows": 1{"0" * 4000}, "cols": 1{"0" * 4000}, "data": []}}',
+}
+
+
+@pytest.mark.parametrize("command", ["metric", "symcheck"])
+@pytest.mark.parametrize("text", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_file_is_an_input_error(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    good = save(tmp_path, "good.json", [[0.0]])
+    args = [command, str(bad), good] if command == "metric" else [command, str(bad)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"{command}: ")
+
+
 def test_symcheck_symmetric_identity_pair(tmp_path, capsys):
     path = save(tmp_path, "sym.json", [[1.0, 2.0j], [2.0j, 3.0]])
     assert main(["symcheck", path, "--pair", "identity"]) == 0

@@ -1,4 +1,4 @@
-"""Distances against a 60-digit oracle on the exact float inputs.
+"""Distances and the bounded transform against a 60-digit oracle on the exact float inputs.
 
 The oracle evaluates the diagonal block of the U(p, q) lift, whose largest
 singular value is cosh d, so it shares no formula with the library's asinh
@@ -14,13 +14,23 @@ Bounds, fixed before the first run:
 - ball pairs at margins 1e-2 .. 1e-13: relative error at most
   10 eps / margin, the conditioning of the inverse defects;
 - 1x1 points +-(1 - 1e-6) and +-(1 - 1e-9): 14.5086572385 and
-  21.4164130453 within 1e-10 relative, from ball_dist and poincare_dist.
+  21.4164130453 within 1e-10 relative, from ball_dist and poincare_dist;
+- bounded_transform entries of 5x3, 6x1 and 3x5 operators at entry scales
+  30 .. 100: within 16 eps of the largest entry.
 """
 
 import numpy as np
 import pytest
 
-from opball import BallPoint, OperatorHK, ball_dist, op_norm, operator_dist, poincare_dist
+from opball import (
+    BallPoint,
+    OperatorHK,
+    ball_dist,
+    bounded_transform,
+    op_norm,
+    operator_dist,
+    poincare_dist,
+)
 
 mp = pytest.importorskip("mpmath").mp
 mp.dps = 60
@@ -106,3 +116,15 @@ def test_antipodal_scalars(radius, expected):
     x, y = BallPoint(np.array([[radius]])), BallPoint(np.array([[-radius]]))
     assert _rel(ball_dist(x, y), want) <= 1e-10
     assert _rel(poincare_dist(radius, -radius), want) <= 1e-10
+
+
+@pytest.mark.parametrize("shape, scale", [((5, 3), 30.0), ((6, 1), 100.0), ((3, 5), 30.0)])
+def test_bounded_transform_entries(shape, scale):
+    # the function is taken on the Gram side T's factor holds, so no
+    # pushed form cancels: within 16 eps of the largest entry either way
+    rng = np.random.default_rng(shape[0] + int(scale))
+    t = scale * _draw(rng, shape)
+    want = _herm_power(mp.eye(shape[1]) + _mp(t).transpose_conj() * _mp(t), -0.5)
+    want = np.array((want * _mp(t).transpose_conj()).tolist(), dtype=complex)
+    got = bounded_transform(OperatorHK(t)).mat
+    assert np.abs(got - want).max() <= 16 * EPS * np.abs(want).max()

@@ -6,6 +6,7 @@ never calls it.
 
 import ast
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from opball import (
     BallPoint,
     EigenvalueBelowFloor,
     NearBoundaryWarning,
+    NoConvergence,
     NotHermitian,
     ShapeMismatch,
     Singular,
@@ -187,6 +189,18 @@ def test_norm_beyond_the_float_range_raises_typed_error():
         t, s = OperatorHK(1e160 * np.eye(2)), OperatorHK(2e160 * np.eye(2))
         with pytest.raises(ShapeMismatch, match="float range"):
             operator_dist(t, s)
+
+
+def test_no_convergence_names_sweeps_and_remaining_mass(monkeypatch):
+    monkeypatch.setattr(opball.matkernel, "_MAX_SWEEPS", 1)
+    h = rand_herm(np.random.default_rng(31), 6)
+    with pytest.raises(NoConvergence) as info:
+        herm_eig(h)
+    match = re.fullmatch(
+        r"Jacobi iteration did not converge in 1 sweeps: off-diagonal mass "
+        r"(\S+) of the matrix norm remains", str(info.value))
+    assert match is not None
+    assert 0.0 < float(match.group(1)) < 1.0
 
 
 def test_herm_eig_rejects_asymmetric():
