@@ -70,6 +70,7 @@ from .symmetry import (
     symmetric_extension,
     symmetric_part,
     symmetry_residual,
+    symmetry_residuals,
 )
 from .tolerances import DEFAULT, Tolerances
 from .transform import (
@@ -78,6 +79,7 @@ from .transform import (
     inverse_bounded_transform,
     left_defect,
     operator_dist,
+    operator_dists,
     right_defect,
     right_defect_inv,
     zero_operator,

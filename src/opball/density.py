@@ -30,18 +30,24 @@ import numpy as np
 
 from .ball import BallPoint
 from .errors import BadDepth, BadDims
-from .matkernel import op_norm
+from .matkernel import gram_factor, op_norm
 from .sampling import random_operator
 from .symmetry import (
     ConjugationPair,
+    _induced_from,
+    _pair_coordinates,
     double_pair,
     extension_blocks,
-    induced_operator,
     random_pair,
-    symmetry_residual,
+    symmetry_residuals,
 )
 from .tolerances import DEFAULT
-from .transform import OperatorHK, bounded_transform, operator_dist
+from .transform import (
+    OperatorHK,
+    bounded_transform,
+    inverse_bounded_transform,
+    operator_dists,
+)
 
 
 def _cut(point: BallPoint, depth: int) -> np.ndarray:
@@ -70,14 +76,23 @@ def _require_pair_dims(t: OperatorHK, pair: ConjugationPair) -> None:
         )
 
 
-def _approximant_step(
-    that: BallPoint, pair: ConjugationPair, big_pair: ConjugationPair, depth: int
-) -> tuple[OperatorHK, ConjugationPair, BallPoint]:
-    """Steps 1-3 of the pipeline for the ball point ``that`` of an operator,
-    with ``big_pair`` the doubled ``pair``.  The cut is not factored on its
+def _approximants(
+    that: BallPoint, pair: ConjugationPair, depths
+) -> list[tuple[OperatorHK, ConjugationPair, BallPoint]]:
+    """Steps 1-3 of the pipeline at each of ``depths``, for the ball point
+    ``that`` of an operator.  Every formula runs per depth, and each step's
+    solves run as one stack: first the doubled points' factors, then those
+    of their induced pairs' coordinates.  The cut is not factored on its
     own: the doubled point's factor checks the norm of both blocks."""
-    doubled = BallPoint(extension_blocks(_cut(that, depth), pair))
-    return (*induced_operator(doubled, big_pair), doubled)
+    big_pair = double_pair(pair)
+    blocks = [extension_blocks(_cut(that, depth), pair) for depth in depths]
+    doubled = [BallPoint(f.mat, held=f) for f in gram_factor(blocks)]
+    coords = gram_factor([_pair_coordinates(point, big_pair) for point in doubled])
+    steps = []
+    for point, held in zip(doubled, coords):
+        out_pair = _induced_from(point, big_pair, held)
+        steps.append((inverse_bounded_transform(point), out_pair, point))
+    return steps
 
 
 def symmetric_approximant(
@@ -91,7 +106,7 @@ def symmetric_approximant(
     ``factor.norm`` are those of the depth-n truncation.
     """
     _require_pair_dims(t, pair)
-    return _approximant_step(bounded_transform(t), pair, double_pair(pair), depth)
+    return _approximants(bounded_transform(t), pair, [depth])[0]
 
 
 @dataclass(frozen=True)
@@ -143,20 +158,17 @@ def approximation_profile(t: OperatorHK, pair: ConjugationPair) -> ApproxProfile
     minus ``t``.
     """
     _require_pair_dims(t, pair)
-    that = bounded_transform(t)
-    big_pair = double_pair(pair)
-    steps = [
-        _approximant_step(that, pair, big_pair, depth) for depth in range(1, t.dim_h + 1)
-    ]
-    full = steps[-1][0]
+    depths = range(1, t.dim_h + 1)
+    approxes, out_pairs, doubled = zip(*_approximants(bounded_transform(t), pair, depths))
+    full = approxes[-1]
     rows = tuple(
-        ProfileRow(
-            n=depth,
-            dist=operator_dist(approx, full),
-            sym_residual=symmetry_residual(approx, out_pair),
-            margin=doubled.margin,
+        ProfileRow(n=depth, dist=dist, sym_residual=residual, margin=point.margin)
+        for depth, dist, residual, point in zip(
+            depths,
+            operator_dists(approxes, full),
+            symmetry_residuals(approxes, out_pairs),
+            doubled,
         )
-        for depth, (approx, out_pair, doubled) in enumerate(steps, start=1)
     )
     return ApproxProfile(rows, op_norm(full.mat[: t.dim_k, : t.dim_h] - t.mat))
 

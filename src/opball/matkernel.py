@@ -17,23 +17,30 @@ is not a parameter: only the inverse square root of a defect, (I - G)^(-1/2),
 is checked against ``DEFAULT.defect_floor``, and ``BallPoint.defect`` is the
 one place that asks for defect powers.
 
-The eigensolver is a cyclic two-sided complex Jacobi iteration, run on the
-input scaled by a power of two (exact, and no square overflows or
-underflows).  Each round rotates its active pairs at once by the
-overflow-free hypot angle, from one cached plan per size.  At desk sizes
-(side <= 64) it converges in a handful of sweeps and keeps the eigenbasis
-unitary and the reconstruction residual at roundoff level.  Inversion is
-Gaussian elimination with partial pivoting and an explicit pivot floor, so
-near-singular systems fail loudly instead of returning garbage.
+The eigensolver is a cyclic two-sided complex Jacobi iteration over a stack
+of matrices of one size, run on the input scaled by a power of two per
+member (exact, and no square overflows or underflows).  A single matrix is a
+stack of one: :func:`herm_eig`, :func:`gram_factor` and :func:`op_norm`
+take a matrix or a stack, and a stack costs one iteration, each member
+giving the bytes it gives on its own.  Each round rotates the active pairs
+of every member at once by the overflow-free hypot angle, from one cached
+plan per stack length and size; a member that has converged stops rotating.
+At desk sizes (side <= 64) it converges in a handful of sweeps and keeps the
+eigenbasis unitary and the reconstruction residual at roundoff level.
+Solves are counted in matrices, the stack length, not in calls.  Inversion
+is Gaussian elimination with partial pivoting and an explicit pivot floor,
+so near-singular systems fail loudly instead of returning garbage.
 
 All functions are pure: inputs are never mutated and returned arrays are
-read-only, so values are freely shareable across threads.
+read-only, so values are freely shareable across threads.  A factor's
+powers are memoized in the factor; two threads that ask for the same power
+at once both compute it, and either result is the same bytes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +54,8 @@ from .errors import (
 from .tolerances import DEFAULT
 
 _MAX_SWEEPS = 42
+_EPS = float(np.finfo(float).eps)
+_OUT_OF_RANGE = f"result exceeds the float range (max {np.finfo(float).max:.3e})"
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -60,10 +69,26 @@ def as_cmat(a) -> np.ndarray:
     Accepts anything ``np.asarray`` does, requires a 2-D shape with positive
     dimensions and finite entries, and returns a read-only complex128 copy.
     """
+    return _checked(np.array(a, dtype=np.complex128, order="C"), 2)
+
+
+def _as_stack(a) -> tuple[np.ndarray, bool]:
+    """(S, single): a matrix, or a stack (sequence or 3-D array) of matrices
+    of one shape, as a read-only complex128 stack S of shape (b, rows, cols),
+    checked as :func:`as_cmat` checks a matrix.  ``single`` when ``a`` is
+    one matrix, which is a stack of one."""
     m = np.array(a, dtype=np.complex128, order="C")
-    if m.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
+    single = m.ndim == 2
+    return _checked(m[None] if single else m, 3), single
+
+
+def _checked(m: np.ndarray, ndim: int) -> np.ndarray:
+    """``m``, read-only, after the checks of :func:`as_cmat` for ``ndim``
+    dimensions."""
+    if m.ndim != ndim:
+        what = "a 2-D matrix" if ndim == 2 else "a matrix or a stack of matrices"
+        raise ShapeMismatch(f"expected {what}, got ndim={m.ndim}")
+    if 0 in m.shape:
         raise ShapeMismatch(f"matrix dimensions must be positive, got {m.shape}")
     if not np.isfinite(m).all():
         raise ShapeMismatch("matrix entries must be finite")
@@ -77,16 +102,19 @@ def require_shape(m: np.ndarray, shape: tuple[int, int], what: str) -> None:
 
 
 def adj(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose.  Adjoints are always computed, never stored."""
-    return a.conj().T
+    """Conjugate transpose (of each member of a stack).  Adjoints are always
+    computed, never stored."""
+    return a.conj().mT
 
 
-def fro_norm(a: np.ndarray) -> float:
+def fro_norm(a: np.ndarray):
     """Frobenius norm (cheap upper bound for the spectral norm), summed at the
-    power-of-two scale of max|a| so that no square overflows or underflows."""
+    power-of-two scale of max|a| so that no square overflows or underflows.
+    A float for a matrix; for a stack, the array of its members' norms."""
     s = np.abs(a)
-    _, exp = math.frexp(float(s.max(initial=0.0)))
-    return float(np.ldexp(np.sqrt((np.ldexp(s, -exp) ** 2).sum()), exp))
+    _, exp = np.frexp(s.max(axis=(-2, -1), initial=0.0))
+    out = np.ldexp(np.sqrt((np.ldexp(s, -exp[..., None, None]) ** 2).sum(axis=(-2, -1))), exp)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,18 +129,22 @@ class HermSpectrum:
     basis: np.ndarray
 
 
-_PLANS: dict[int, tuple] = {}
+_PLANS: dict[tuple[int, int], tuple] = {}
 
 
-def _plan(n: int) -> tuple:
-    """Per-size Jacobi constants: the tournament schedule (each sweep visits
-    every index pair once, in rounds of mutually disjoint pairs), the
-    off-diagonal mask, the identity and the diagonal index."""
-    cached = _PLANS.get(n)
+def _plan(b: int, n: int) -> tuple:
+    """Jacobi constants for a stack of ``b`` matrices of side ``n``, as flat
+    indices into the stack: per round of the tournament schedule (each sweep
+    visits every index pair once, in rounds of mutually disjoint pairs) the
+    entries (p, q), (q, p), (p, p) and (q, q) of each of its pairs in every
+    member; the identity stack; the diagonal entries; the off-diagonal entries
+    per member; and the offsets that sort each member's eigenpairs."""
+    cached = _PLANS.get((b, n))
     if cached is not None:
         return cached
     players = list(range(n)) + ([-1] if n % 2 else [])
     m = len(players)
+    start = np.arange(b)[:, None] * (n * n)
     rounds = []
     for _ in range(m - 1):
         ps, qs = [], []
@@ -121,112 +153,184 @@ def _plan(n: int) -> tuple:
             if x >= 0 and y >= 0:
                 ps.append(min(x, y))
                 qs.append(max(x, y))
-        rounds.append((np.array(ps), np.array(qs)))
+        p, q = np.array(ps), np.array(qs)
+        rounds.append(tuple(
+            (start + entry).ravel() for entry in (p * n + q, q * n + p, p * (n + 1), q * (n + 1))
+        ))
         players = [players[0], players[-1], *players[1:-1]]
-    plan = rounds, ~np.eye(n, dtype=bool), np.eye(n, dtype=np.complex128), np.arange(n)
-    _PLANS[n] = plan
+    diag = (start + np.arange(n) * (n + 1)).ravel()
+    ident = np.zeros((b, n, n), dtype=np.complex128)
+    ident.reshape(-1)[diag] = 1.0
+    off = start + np.flatnonzero(~np.eye(n, dtype=bool))
+    sort = (start[:, :, None] + np.arange(n)[:, None] * n, np.arange(b)[:, None] * n)
+    plan = rounds, _freeze(ident), diag, off, sort
+    _PLANS[(b, n)] = plan
     return plan
 
 
-def _pow2_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """(M 2^-e, e) with 2^-e max|M| in [1/2, 1): exact in the normal range."""
-    _, exp = math.frexp(float(np.abs(m).max()))
-    return np.ldexp(m.view(np.float64), -exp).view(np.complex128), exp
+def _pow2_scaled(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M 2^-e, e) for each member M of a stack, with 2^-e max|M| in
+    [1/2, 1): exact in the normal range."""
+    _, exp = np.frexp(np.abs(m).max(axis=(1, 2)))
+    return np.ldexp(m.view(np.float64), -exp[:, None, None]).view(np.complex128), exp
 
 
-def _unscaled(x, exp: int):
-    """x 2^exp, raising :class:`ShapeMismatch` where it leaves the float range."""
-    if exp > 0 and math.frexp(float(np.abs(x).max()))[1] + exp > 1024:
-        raise ShapeMismatch(f"result exceeds the float range (max {np.finfo(float).max:.3e})")
-    return np.ldexp(x, exp)
+def _unscaled(x: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """x 2^exp for each member's entries in a stack of arrays, raising
+    :class:`ShapeMismatch` where one leaves the float range."""
+    shift = exp.reshape((-1,) + (1,) * (x.ndim - 1))
+    if max(exp.tolist()) > 0 and (np.frexp(x)[1] + shift).max() > 1024:
+        raise ShapeMismatch(_OUT_OF_RANGE)
+    return np.ldexp(x, shift)
+
+
+def _norms(top: np.ndarray, exp: np.ndarray) -> list[float]:
+    """sqrt(top) 2^exp for each member of a stack: its spectral norm from the
+    top eigenvalue of its Gram matrix formed at 4^-exp (as floats, raising
+    :class:`ShapeMismatch` where one leaves the float range)."""
+    norms = []
+    for x, e in zip(top.tolist(), exp.tolist()):
+        norm = math.sqrt(x) if x > 0.0 else 0.0
+        if e > 0 and math.frexp(norm)[1] + e > 1024:
+            raise ShapeMismatch(_OUT_OF_RANGE)
+        norms.append(math.ldexp(norm, e))
+    return norms
+
+
+def _member(i: int, b: int) -> str:
+    """Where in a stack of ``b`` a message is about: nothing for a stack of one."""
+    return f" (stack member {i} of {b})" if b > 1 else ""
 
 
 def _jacobi(h: np.ndarray, want_vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Cyclic complex Jacobi iteration on a Hermitian matrix.
+    """Cyclic complex Jacobi iteration on a stack of Hermitian matrices.
 
-    H comes at the power-of-two scale of :func:`_pow2_scaled` (or is a Gram
-    matrix formed there), so no square overflows or underflows.  In each
-    round-robin round the active pairs (|a_pq| > ``skip``) rotate together as
-    one unitary by the overflow-free angle tan = sign(d) 2|a_pq| / (|d| +
-    hypot(d, 2|a_pq|)), d = a_qq - a_pp (Golub & Van Loan, *Matrix
-    Computations*, 4th ed., sec. 8.5).  Returns (eigenvalues, accumulated
-    unitary or None); the caller sorts.  After ``_MAX_SWEEPS`` sweeps it
-    raises :class:`NoConvergence`, naming the sweeps and the off-diagonal
-    Frobenius mass left, relative to that of the whole matrix.
+    ``h`` has shape (b, n, n), each member at the power-of-two scale of
+    :func:`_pow2_scaled` (or a Gram matrix formed there), so no square
+    overflows or underflows.  In each round-robin round the active pairs
+    (|a_pq| > ``skip`` of their member) of all members rotate together as
+    one unitary per member by the overflow-free angle tan = sign(d) 2|a_pq|
+    / (|d| + hypot(d, 2|a_pq|)), d = a_qq - a_pp (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., sec. 8.5); a round with no active pair is
+    skipped.  A member whose off-diagonal mass has fallen below its ``stop``
+    keeps its result and takes no further rotation, so each member gives
+    the bytes it gives as a stack of one.  Returns (eigenvalues (b, n),
+    accumulated unitaries (b, n, n) or None); the caller sorts.  After
+    ``_MAX_SWEEPS`` sweeps it raises :class:`NoConvergence`, naming the
+    first member left, the sweeps and the off-diagonal Frobenius mass left,
+    relative to that of the whole member.
     """
-    n = h.shape[0]
-    rounds, off, ident, diag = _plan(n)
-    v = ident.copy() if want_vectors else None
+    b, n, _ = h.shape
+    rounds, ident, diag, off, _ = _plan(b, n)
     if n == 1:
-        return h.real.diagonal().copy(), v
-    a = h
-    scale = math.sqrt(np.vdot(a, a).real)
-    if scale == 0.0:
-        return np.zeros(n), v
-    eps = float(np.finfo(float).eps)
-    stop = 0.5 * n * (n - 1) * (eps * scale) ** 2
+        return h.real.reshape(b, 1), ident if want_vectors else None
+    a = h.reshape(-1)
+    flat = a.reshape(b, -1)
+    scale = np.sqrt(np.vecdot(flat, flat).real)
+    v = ident.copy() if want_vectors else None
+    if not np.count_nonzero(scale):
+        return np.zeros((b, n)), v
+    tiny = _EPS * scale
+    stop = 0.5 * n * (n - 1) * tiny**2
     # entries this small cannot lift the off-diagonal mass above `stop`
-    skip = eps * scale / (4.0 * n)
+    skip = tiny / (4.0 * n)
+    pairs = len(rounds[0][0]) // b
+    skip_at = np.repeat(skip, pairs)
+    # members converged while others still rotate; a zero member from the start
+    held = scale == 0.0
+    settled = np.count_nonzero(held)
+    vals, vecs = np.zeros((b, n)), v
 
     sweeps = 0
     while True:
         m = a[off]
-        mass = np.vdot(m, m).real
-        if mass <= stop:
-            return a.real.diagonal().copy(), v
+        mass = np.vecdot(m, m).real
+        done = mass <= stop
+        count = np.count_nonzero(done)
+        if count == b:
+            out = a.real[diag].reshape(b, n)
+            if settled:
+                out[held] = vals[held]
+                if v is not None:
+                    v[held] = vecs[held]
+            return out, v
+        if count > settled:
+            fresh = done & ~held
+            vals[fresh] = a.real[diag].reshape(b, n)[fresh]
+            if v is not None:
+                vecs[fresh] = v[fresh]  # vecs is the first v, never rebound
+            held |= fresh
+            settled = count
+            skip_at = np.repeat(np.where(held, np.inf, skip), pairs)
         if sweeps == _MAX_SWEEPS:
+            i = int(np.flatnonzero(~done)[0])
             raise NoConvergence(
                 f"Jacobi iteration did not converge in {sweeps} sweeps: off-diagonal "
-                f"mass {math.sqrt(mass) / scale:.3e} of the matrix norm remains"
+                f"mass {math.sqrt(mass[i]) / scale[i]:.3e} of the matrix norm remains"
+                + _member(i, b)
             )
         sweeps += 1
-        for p, q in rounds:
-            apq = a[p, q]
+        for pq, qp, pp, qq in rounds:
+            apq = a[pq]
             r = np.abs(apq)
-            act = r > skip
-            if not act.any():
+            act = r > skip_at
+            count = np.count_nonzero(act)
+            if not count:
                 continue
-            p, q, apq, r = p[act], q[act], apq[act], r[act]
-            d = a.real.diagonal()
-            delta, r2 = d[q] - d[p], 2.0 * r
+            if count < act.size:
+                pq, qp, pp, qq, apq, r = pq[act], qp[act], pp[act], qq[act], apq[act], r[act]
+            d = a.real
+            delta, r2 = d[qq] - d[pp], 2.0 * r
             t = np.copysign(r2, delta) / (np.abs(delta) + np.hypot(delta, r2))
             c = 1.0 / np.hypot(1.0, t)
             s = t * c
             phase = apq / r
             u = ident.copy()
-            u[p, p] = c * phase
-            u[p, q] = s * phase
-            u[q, p] = -s
-            u[q, q] = c
-            a = adj(u) @ a @ u
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            a.imag[diag, diag] = 0.0
+            flat_u = u.reshape(-1)
+            flat_u[pp] = c * phase
+            flat_u[pq] = s * phase
+            flat_u[qp] = -s
+            flat_u[qq] = c
+            a = (adj(u) @ a.reshape(b, n, n) @ u).reshape(-1)
+            a[pq] = 0.0
+            a[qp] = 0.0
+            a.imag[diag] = 0.0
             if v is not None:
                 v = v @ u
 
 
 def herm_eig(p) -> HermSpectrum:
-    """Eigendecomposition of a (near-)Hermitian matrix.
+    """Eigendecomposition of a (near-)Hermitian matrix, or of each member of
+    a stack of them in one iteration.
 
     The input is symmetrized to (P + P*)/2 before decomposition; asymmetry
     beyond ``DEFAULT.herm_asym`` relative to max(1, ||P||) raises
     :class:`NotHermitian` instead of being repaired silently.  Both run at
     :func:`_pow2_scaled`'s scale; eigenvalues past the float range raise.
+    For a stack, the spectrum's arrays have the stack axis first.
     """
-    m = as_cmat(p)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"eigendecomposition needs a square matrix, got {m.shape}")
+    m, single = _as_stack(p)
+    b, rows, cols = m.shape
+    if rows != cols:
+        shape = m.shape[1:] if single else m.shape
+        raise ShapeMismatch(f"eigendecomposition needs a square matrix, got {shape}")
     a, exp = _pow2_scaled(m)
-    # 1 at this scale; capped where 2^-exp overflows, far above any asymmetry
-    unit = math.ldexp(1.0, min(-exp, 1023))
-    asym = fro_norm(a - adj(a))
-    if asym > DEFAULT.herm_asym * unit and asym > DEFAULT.herm_asym * fro_norm(a):
-        relative = asym / max(unit, fro_norm(a))
-        raise NotHermitian(f"relative asymmetry {relative:.3e} above {DEFAULT.herm_asym:.1e}")
+    for i, (asym, e) in enumerate(zip(fro_norm(a - adj(a)).tolist(), exp.tolist())):
+        # 1 at this scale; capped where 2^-e overflows, far above any asymmetry
+        unit = math.ldexp(1.0, min(-e, 1023))
+        if asym > DEFAULT.herm_asym * unit and asym > DEFAULT.herm_asym * fro_norm(a[i]):
+            relative = asym / max(unit, fro_norm(a[i]))
+            raise NotHermitian(
+                f"relative asymmetry {relative:.3e} above {DEFAULT.herm_asym:.1e}" + _member(i, b)
+            )
     vals, basis = _jacobi(0.5 * (a + adj(a)))
-    order = np.argsort(vals, kind="stable")
-    return HermSpectrum(_freeze(_unscaled(vals[order], exp)), _freeze(basis[:, order].copy()))
+    order = np.argsort(vals, axis=1, kind="stable")
+    cols_at, vals_at = _plan(b, rows)[4]
+    vals = _unscaled(vals.reshape(-1)[order + vals_at], exp)
+    basis = basis.reshape(-1)[order[:, None, :] + cols_at]
+    if single:
+        vals, basis = vals[0], basis[0]
+    return HermSpectrum(_freeze(vals), _freeze(basis))
 
 
 def _spectral(basis: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -251,11 +355,12 @@ def herm_inv_sqrt(p) -> np.ndarray:
     return _spectral(spectrum.basis, 1.0 / np.sqrt(spectrum.eigenvalues))
 
 
-def _scaled_gram(m: np.ndarray) -> tuple[np.ndarray, int, str]:
-    """(G 4^-e, e, side): G the smaller Gram matrix of M, MM* for side "left"
-    and M*M for "right", formed from M at the scale of :func:`_pow2_scaled`."""
+def _scaled_gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
+    """(G 4^-e, e, side) for each member M of a stack: G the smaller Gram
+    matrix of M, MM* for side "left" and M*M for "right", formed from M at
+    the scale of :func:`_pow2_scaled`."""
     m, exp = _pow2_scaled(m)
-    if m.shape[0] <= m.shape[1]:
+    if m.shape[1] <= m.shape[2]:
         return m @ adj(m), exp, "left"
     return adj(m) @ m, exp, "right"
 
@@ -277,9 +382,11 @@ class GramFactor:
     eigenvalues: np.ndarray
     basis: np.ndarray
     norm: float
+    _powers: dict = field(default_factory=dict, init=False, repr=False)
 
     def power(self, sign: float, power: float, side: str) -> np.ndarray:
-        """(I + sign G)^power for G = M*M (``side="right"``) or MM* (``"left"``).
+        """(I + sign G)^power for G = M*M (``side="right"``) or MM* (``"left"``),
+        computed once per (sign, power, side) and kept in the factor.
 
         ``sign`` is +1 or -1 and ``power`` is +1/2 or -1/2.  When ``side``
         names the Gram matrix not held, the push-through identity gives
@@ -302,7 +409,15 @@ class GramFactor:
         In the pushed form, an entry of size one cancels where g is small,
         leaving an absolute error of order eps there.  A product g(M*M) M*
         is therefore best written M* g(MM*) when MM* is the held matrix.
+        A power that raises is not kept, so it raises on every call.
         """
+        key = (sign, power, side)
+        out = self._powers.get(key)
+        if out is None:
+            out = self._powers[key] = self._power(sign, power, side)
+        return out
+
+    def _power(self, sign: float, power: float, side: str) -> np.ndarray:
         if side not in ("left", "right") or sign not in (1, -1) or power not in (0.5, -0.5):
             raise ValueError(f"unsupported Gram power sign={sign}, power={power}, side={side!r}")
         push = side != self.side
@@ -346,27 +461,34 @@ class GramFactor:
         return GramFactor(m, side, _freeze(vals[order]), _freeze(self.basis[:, order]), norm)
 
 
-def gram_factor(m) -> GramFactor:
-    """Factor M once: one :func:`herm_eig` of its smaller Gram matrix."""
-    m = as_cmat(m)
-    gram, exp, side = _scaled_gram(m)
+def gram_factor(m):
+    """Factor M once: one :func:`herm_eig` of its smaller Gram matrix.  A
+    stack of matrices gives the tuple of their factors from one stacked
+    :func:`herm_eig`, each factor's ``mat`` a read-only view into the stack."""
+    stack, single = _as_stack(m)
+    gram, exp, side = _scaled_gram(stack)
     spectrum = herm_eig(gram)
-    top = float(spectrum.eigenvalues[-1])
-    norm = float(_unscaled(math.sqrt(top), exp)) if top > 0.0 else 0.0
+    norms = _norms(spectrum.eigenvalues[:, -1], exp)
     vals = _freeze(_unscaled(spectrum.eigenvalues, 2 * exp))
-    return GramFactor(m, side, vals, spectrum.basis, norm)
+    factors = tuple(
+        GramFactor(stack[i], side, vals[i], spectrum.basis[i], norms[i]) for i in range(len(stack))
+    )
+    return factors[0] if single else factors
 
 
-def op_norm(a) -> float:
+def op_norm(a):
     """Spectral norm: largest singular value, via the smaller Gram matrix
-    scaled as in :func:`gram_factor` (whose ``norm`` it equals)."""
-    m = as_cmat(a)
-    if not m.any():
-        return 0.0
-    gram, exp, _ = _scaled_gram(m)
-    vals, _ = _jacobi(0.5 * (gram + adj(gram)), want_vectors=False)
-    top = float(vals.max())
-    return float(_unscaled(math.sqrt(top), exp)) if top > 0.0 else 0.0
+    scaled as in :func:`gram_factor` (whose ``norm`` it equals).  A float for
+    a matrix; for a stack, the read-only array of its members' norms from
+    one stacked iteration.  An all-zero input takes no iteration."""
+    stack, single = _as_stack(a)
+    if not np.count_nonzero(stack):
+        norms = [0.0] * len(stack)
+    else:
+        gram, exp, _ = _scaled_gram(stack)
+        vals, _ = _jacobi(0.5 * (gram + adj(gram)), want_vectors=False)
+        norms = _norms(vals.max(axis=1), exp)
+    return norms[0] if single else _freeze(np.array(norms))
 
 
 def inverse(a) -> np.ndarray:

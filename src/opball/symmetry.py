@@ -33,7 +33,7 @@ import numpy as np
 
 from .ball import BallPoint
 from .errors import BadDims, NotSymmetric, OutOfBall, ShapeMismatch, Singular
-from .matkernel import adj, as_cmat, fro_norm, op_norm, require_shape
+from .matkernel import GramFactor, adj, as_cmat, fro_norm, gram_factor, op_norm, require_shape
 from .tolerances import DEFAULT
 from .transform import OperatorHK, inverse_bounded_transform
 
@@ -181,12 +181,14 @@ def _flipped(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
     return pair.j_fwd @ mat.T @ np.conj(pair.j_fwd)
 
 
-def _coordinates(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
-    """B = first* N, the oriented matrix (N = M for ``BWD_FWD``, M* for
-    ``FWD_BWD``) of a dst x src matrix M in the pair's frame: square on the
-    identity-composition side, and symmetric iff M is pair-symmetric."""
+def _coordinates(mat: np.ndarray, pair: ConjugationPair) -> tuple[np.ndarray, np.ndarray]:
+    """(B, B - transpose(B)) for B = first* N, the oriented matrix (N = M for
+    ``BWD_FWD``, M* for ``FWD_BWD``) of a dst x src matrix M in the pair's
+    frame: square on the identity-composition side, and symmetric iff M is
+    pair-symmetric."""
     require_shape(mat, (pair.dim_dst, pair.dim_src), "matrix for the pair")
-    return adj(_first(pair)) @ (mat if pair.side is Side.BWD_FWD else adj(mat))
+    b = adj(_first(pair)) @ (mat if pair.side is Side.BWD_FWD else adj(mat))
+    return b, b - b.T
 
 
 def symmetry_residual(t: OperatorHK, pair: ConjugationPair) -> float:
@@ -199,8 +201,14 @@ def symmetry_residual(t: OperatorHK, pair: ConjugationPair) -> float:
     and lies at distance ||B - transpose(B)||/2 from T.  No symmetric S is
     closer, since transposition preserves the norm and B_S is symmetric:
     ||B - B^T|| <= ||B - B_S|| + ||B_S^T - B^T|| <= 2 ||T - S||."""
-    b = _coordinates(t.mat, pair)
-    return op_norm(b - b.T)
+    return symmetry_residuals([t], [pair])[0]
+
+
+def symmetry_residuals(ts, pairs) -> list[float]:
+    """:func:`symmetry_residual` of each operator of ``ts`` for the pair at
+    the same place in ``pairs``, the norms solved as one stack (the
+    operators are of one shape)."""
+    return op_norm([_coordinates(t.mat, pair)[1] for t, pair in zip(ts, pairs)]).tolist()
 
 
 def symmetric_part(mat, pair: ConjugationPair) -> np.ndarray:
@@ -274,20 +282,32 @@ def induced_pair(a: BallPoint, pair: ConjugationPair) -> ConjugationPair:
     map and N are those of the exchanged spaces.  A margin collapsed below
     the defect floor raises :class:`Singular`, as every inverse defect does.
     """
-    b = _coordinates(a.mat, pair)
-    gap = b - b.T
+    return _induced_from(a, pair, gram_factor(_pair_coordinates(a, pair)))
+
+
+def _pair_coordinates(a: BallPoint, pair: ConjugationPair) -> np.ndarray:
+    """adj(B) for the coordinates B of the contraction ``a``: the matrix of
+    the ball point B* that :func:`induced_pair` factors.  A contraction that
+    is not symmetric for ``pair`` raises :class:`NotSymmetric`."""
+    b, gap = _coordinates(a.mat, pair)
     if not _norm_within(gap, DEFAULT.symmetry_pre):
         raise NotSymmetric(
             f"contraction has symmetry residual {op_norm(gap):.3e} for the given pair"
         )
-    primary = pair.side is Side.BWD_FWD
+    return adj(b)
+
+
+def _induced_from(a: BallPoint, pair: ConjugationPair, coords: GramFactor) -> ConjugationPair:
+    """:func:`induced_pair` of ``a``, given ``coords``, the factor of its
+    :func:`_pair_coordinates` (solved alone or in a stack)."""
     try:
-        coords = BallPoint(adj(b))
+        point = BallPoint(coords.mat, held=coords)
     except OutOfBall as exc:
         raise Singular(f"pair coordinates of the contraction left the ball: {exc}") from exc
+    primary = pair.side is Side.BWD_FWD
     # (I - N N*)^(1/2): the left defect of M for BWD_FWD, the right for FWD_BWD
     defect_sqrt = a.defect(0.5, "left" if primary else "right")
-    x = coords.defect(-0.5, "left") @ _first(pair).T @ np.conj(defect_sqrt)
+    x = point.defect(-0.5, "left") @ _first(pair).T @ np.conj(defect_sqrt)
     return ConjugationPair(
         x if primary else x.T, _other_side(pair.side), check_tol=DEFAULT.induced_pair_residual
     )

@@ -135,4 +135,10 @@ def operator_dist(t: OperatorHK, s: OperatorHK) -> float:
     """Metric on operators from H to K: asinh || left_defect(t, s) ||, which
     equals the invariant ball distance between the two bounded transforms.
     """
-    return math.asinh(op_norm(left_defect(t, s)))
+    return operator_dists([t], s)[0]
+
+
+def operator_dists(ts, s: OperatorHK) -> list[float]:
+    """:func:`operator_dist` from each operator of ``ts`` to ``s``, the norms
+    solved as one stack."""
+    return [math.asinh(d) for d in op_norm([left_defect(t, s) for t in ts]).tolist()]

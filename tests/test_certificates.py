@@ -10,6 +10,13 @@ without sharing a formula with it.
     symmetric for the pair: replacing B by (B + B^T)/2 and keeping the part
     orthogonal to the frame moves M by exactly ||B - B^T||/2, and no
     symmetric operator is closer.
+(c) The profile distance has a closed form on the undoubled space:
+    operator_dist(approx_n, approx_full) = ball_dist(truncate(T^, n), T^)
+    with T^ = bounded_transform(t).  The doubled points are block diagonal,
+    so the distance is the larger of the two block distances, and the
+    flipped block sees only a compression of the point, which does not
+    increase the distance.  The ball route shares no stacked solve, no
+    doubling and no induced pair with the profile.
 
 numpy.linalg.svd is the oracle here; the library never calls numpy.linalg.
 """
@@ -22,11 +29,16 @@ from opball import (
     OperatorHK,
     Side,
     adj,
+    approximation_profile,
+    ball_dist,
+    bounded_transform,
     op_norm,
     random_pair,
     symmetric_part,
     symmetry_residual,
+    truncate,
 )
+from opball.sampling import random_operator
 
 
 def complex_draw(rng, rows, cols, scale=1.0):
@@ -83,3 +95,21 @@ def test_half_the_residual_is_the_distance_to_the_symmetric_operators(seed):
         for _ in range(3):
             other = symmetric_part(complex_draw(rng, dst, src, scale), pair)
             assert op_norm(other - m) >= 0.5 * residual * (1.0 - 1e-12)
+
+
+def test_profile_distance_is_the_ball_distance_of_the_truncations():
+    worst = 0.0
+    for seed in range(40):
+        rng = np.random.default_rng([43, seed])
+        dim_h = int(rng.integers(1, 9))
+        dim_k = int(rng.integers(1, dim_h + 1))
+        t = random_operator(rng, dim_h, dim_k, rng.uniform(0.5, 10.0))
+        profile = approximation_profile(t, random_pair(dim_k, dim_h, rng))
+        that = bounded_transform(t)
+        for row in profile.rows[:-1]:
+            ref = ball_dist(truncate(that, row.n), that)
+            worst = max(worst, abs(row.dist - ref) / ref)
+        # at full depth both sides are the distance of a point to itself
+        assert ball_dist(that, that) == 0.0
+        assert abs(profile.rows[-1].dist) <= 1e-8
+    assert worst <= 1e-11

@@ -203,6 +203,115 @@ def test_no_convergence_names_sweeps_and_remaining_mass(monkeypatch):
     assert 0.0 < float(match.group(1)) < 1.0
 
 
+def same_bytes(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def one_pair_herm(rng, n):
+    """A Hermitian matrix whose only off-diagonal pair is (0, n - 1): one
+    rotation leaves it diagonal, so it converges in exactly one sweep."""
+    h = np.diag(rng.standard_normal(n)).astype(complex)
+    h[0, n - 1] = complex(rng.standard_normal(), rng.standard_normal())
+    h[n - 1, 0] = np.conj(h[0, n - 1])
+    return h
+
+
+def herm_members(rng, n):
+    """Stack members of side n: dense, zero (of either sign), diagonal
+    (converged at sweep 0), one active pair (converged after one sweep),
+    and dense at entry scales 1e-300 and 1e300."""
+    members = [rand_herm(rng, n), np.zeros((n, n)), np.full((n, n), -0.0)]
+    members.append(np.diag(rng.standard_normal(n)))
+    if n > 1:
+        members.append(one_pair_herm(rng, n))
+    members += [1e-300 * rand_herm(rng, n), 1e300 * rand_herm(rng, n)]
+    return [m.astype(complex) for m in members]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_stacked_jacobi_is_the_member_loop(n):
+    from opball.matkernel import _jacobi, _pow2_scaled
+
+    rng = np.random.default_rng(32)
+    scaled, _ = _pow2_scaled(np.stack(herm_members(rng, n)))
+    stack = 0.5 * (scaled + scaled.conj().swapaxes(1, 2))
+    for want_vectors in (True, False):
+        vals, vecs = _jacobi(stack, want_vectors)
+        for i in range(len(stack)):
+            alone_vals, alone_vecs = _jacobi(stack[i : i + 1], want_vectors)
+            assert same_bytes(vals[i], alone_vals[0]), (n, i)
+            if want_vectors:
+                assert same_bytes(vecs[i], alone_vecs[0]), (n, i)
+            else:
+                assert vecs is None and alone_vecs is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_stacked_herm_eig_is_the_member_loop(n):
+    rng = np.random.default_rng(33)
+    members = herm_members(rng, n)
+    spectrum = herm_eig(np.stack(members))
+    for i, member in enumerate(members):
+        alone = herm_eig(member)
+        assert same_bytes(spectrum.eigenvalues[i], alone.eigenvalues), (n, i)
+        assert same_bytes(spectrum.basis[i], alone.basis), (n, i)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (3, 5), (4, 4)])
+def test_stacked_gram_factor_and_op_norm_are_the_member_loop(shape):
+    rng = np.random.default_rng(34)
+    draw = lambda scale: scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    rank_one = np.outer(draw(1.0)[:, 0], draw(1.0)[0])
+    # gram eigenvalues of 1e300 entries leave the float range; norms do not
+    factored = [draw(1.0), np.zeros(shape), rank_one, draw(1e-300), draw(1e150)]
+    normed = factored + [draw(1e300)]
+    factors = gram_factor(np.stack(factored))
+    assert isinstance(factors, tuple) and len(factors) == len(factored)
+    for member, factor in zip(factored, factors):
+        alone = gram_factor(member)
+        assert not factor.mat.flags.writeable and same_bytes(factor.mat, alone.mat)
+        assert factor.side == alone.side
+        assert same_bytes(factor.eigenvalues, alone.eigenvalues)
+        assert same_bytes(factor.basis, alone.basis)
+        assert same_bytes(factor.norm, alone.norm)
+    norms = op_norm(normed)
+    assert not norms.flags.writeable
+    for member, norm in zip(normed, norms):
+        assert same_bytes(norm, op_norm(member))
+    # a list of one matrix is a stack of one
+    assert same_bytes(op_norm([normed[0]]), [op_norm(normed[0])])
+    assert same_bytes(op_norm(np.zeros((3,) + shape)), np.zeros(3))
+
+
+def test_no_convergence_names_the_member_left(monkeypatch):
+    monkeypatch.setattr(opball.matkernel, "_MAX_SWEEPS", 1)
+    rng = np.random.default_rng(35)
+    diagonal = np.diag([0.5, -0.25, 0.75, 0.125]).astype(complex)
+    one_pair = one_pair_herm(rng, 4)
+    dense = rand_herm(rng, 4)
+    herm_eig(np.stack([diagonal, one_pair]))  # converged in 0 and 1 sweeps
+    with pytest.raises(NoConvergence) as alone:
+        herm_eig(dense)
+    for members, where in (([diagonal, one_pair, dense], 2), ([dense, diagonal], 0)):
+        with pytest.raises(NoConvergence) as info:
+            herm_eig(np.stack(members))
+        member = f" (stack member {where} of {len(members)})"
+        assert str(info.value) == str(alone.value) + member
+    match = re.fullmatch(
+        r"Jacobi iteration did not converge in 1 sweeps: off-diagonal mass "
+        r"(\S+) of the matrix norm remains", str(alone.value))
+    assert match is not None and 0.0 < float(match.group(1)) < 1.0
+
+
+def test_gram_power_is_kept_but_a_floor_hit_raises_every_time():
+    factor = gram_factor(np.diag([1.0 - 1e-15, 0.5]))
+    assert factor.power(-1.0, 0.5, "left") is factor.power(-1.0, 0.5, "left")
+    for _ in range(2):
+        with pytest.raises(EigenvalueBelowFloor):
+            factor.power(-1.0, -0.5, "left")
+
+
 def test_herm_eig_rejects_asymmetric():
     with pytest.raises(NotHermitian):
         herm_eig(np.array([[1.0, 2.0], [0.5, 1.0]]))

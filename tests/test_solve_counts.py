@@ -1,12 +1,15 @@
 """Deterministic solve counts, and the Frobenius pre-screen of tolerance gates.
 
-A solve is one Jacobi eigen-iteration (``matkernel._jacobi``); every
-eigen-solve in the library goes through it, so wrapping it counts them all.
+A solve is one matrix of a Jacobi eigen-iteration (``matkernel._jacobi``):
+every eigen-solve in the library goes through it, one call per stack of
+matrices, so wrapping it counts them all, in matrices (the stack length).
 Each operand is factored once and the factor serves its norm and every
 defect, which is what the counts below pin down.  A factor transported to a
 singular-value function of its operand costs no solve; each transport site
 is compared with a fresh solve of the matrix it produced.
 """
+
+import collections
 
 import numpy as np
 import pytest
@@ -17,11 +20,13 @@ import opball.transform
 from opball import (
     BallPoint,
     ConjugationPair,
+    GramFactor,
     NotSymmetric,
     OperatorHK,
     ShapeMismatch,
     Side,
     adj,
+    approximation_profile,
     ball_dist,
     bounded_transform,
     ensemble_experiment,
@@ -42,17 +47,23 @@ from opball.sampling import _at_random_margin
 
 
 @pytest.fixture
-def solves(monkeypatch):
-    """A zero-argument callable returning the solves made so far."""
-    count = [0]
+def jacobi_stacks(monkeypatch):
+    """The stack length of every ``_jacobi`` call made so far."""
+    stacks = []
     jacobi = matkernel._jacobi
 
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return jacobi(*args, **kwargs)
+    def counted(h, *args, **kwargs):
+        stacks.append(len(h))
+        return jacobi(h, *args, **kwargs)
 
     monkeypatch.setattr(matkernel, "_jacobi", counted)
-    return lambda: count[0]
+    return stacks
+
+
+@pytest.fixture
+def solves(jacobi_stacks):
+    """A zero-argument callable returning the matrices solved so far."""
+    return lambda: sum(jacobi_stacks)
 
 
 def complex_draw(rng, rows, cols):
@@ -116,6 +127,37 @@ def test_identities_trial_solve_budget(solves):
     # random point costs one solve
     run_identities(0, 1, 8, 3, 1e-8)
     assert solves() <= 59
+
+
+def test_profile_kernel_calls(jacobi_stacks):
+    # the operand's factor, one stack per profile stage (doubled points, pair
+    # coordinates, distances, symmetry residuals) and the recovery residual
+    ensemble_experiment(8, 2, 1, seed=113)
+    assert len(jacobi_stacks) <= 6
+
+
+def test_each_gram_power_is_computed_once_per_profile(monkeypatch):
+    requested, computed = collections.Counter(), collections.Counter()
+    power, compute = GramFactor.power, GramFactor._power
+
+    def counted_power(self, *key):
+        requested[self, key] += 1
+        return power(self, *key)
+
+    def counted_compute(self, *key):
+        computed[self, key] += 1
+        return compute(self, *key)
+
+    monkeypatch.setattr(GramFactor, "power", counted_power)
+    monkeypatch.setattr(GramFactor, "_power", counted_compute)
+    rng = np.random.default_rng(113)
+    t = OperatorHK(complex_draw(rng, 2, 8))
+    profile = approximation_profile(t, random_pair(2, 8, rng))
+    assert not profile.violations()
+    # the full-depth approximant's (I + X X*)^(1/2) serves every depth's distance
+    assert max(requested.values()) == t.dim_h
+    assert set(computed) == set(requested)
+    assert max(computed.values()) == 1
 
 
 EPS = np.finfo(float).eps
