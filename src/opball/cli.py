@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_identities(args) -> int:
     if not (1 <= args.dim_k <= 8 and args.dim_k <= args.dim_h <= 32):
         raise BadDims("need 1 <= dim-k <= 8 and dim-k <= dim-h <= 32")
-    if args.trials < 0 or args.tol <= 0:
+    if args.trials < 0 or not 0 < args.tol < math.inf:
         raise BadDims("need trials >= 0 and tol > 0")
     reports = run_identities(args.seed, args.trials, args.dim_h, args.dim_k, args.tol)
     payload = {
@@ -103,6 +103,8 @@ def _cmd_metric(args) -> int:
 
 
 def _cmd_symcheck(args) -> int:
+    if not 0 < args.tol < math.inf:
+        raise BadDims("need tol > 0")
     mat = read_matrix(args.file_t)
     rows, cols = mat.shape
     if args.pair == "identity":
@@ -131,11 +133,14 @@ def _cmd_approx(args) -> int:
         args.dim_h, args.dim_k, args.trials, args.seed, jobs=args.jobs
     )
     prefix = Path(args.out)
-    if prefix.parent != Path(""):
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-    for i, result in enumerate(report.results):
-        Path(f"{prefix}_trial{i:03d}.csv").write_text(profile_csv(result))
-    Path(f"{prefix}_ensemble.json").write_text(report_json(report))
+    try:
+        if prefix.parent != Path(""):
+            prefix.parent.mkdir(parents=True, exist_ok=True)
+        for i, result in enumerate(report.results):
+            Path(f"{prefix}_trial{i:03d}.csv").write_text(profile_csv(result))
+        Path(f"{prefix}_ensemble.json").write_text(report_json(report))
+    except OSError as exc:
+        raise OpballError(f"cannot write {exc.filename}: {exc.strerror}") from exc
     return 0 if report.all_valid() else 1
 
 

@@ -19,10 +19,15 @@ one place that asks for defect powers.
 
 The eigensolver is a cyclic two-sided complex Jacobi iteration over a stack
 of matrices of one size, run on the input scaled by a power of two per
-member (exact, and no square overflows or underflows).  A single matrix is a
-stack of one: :func:`herm_eig`, :func:`gram_factor` and :func:`op_norm`
-take a matrix or a stack, and a stack costs one iteration, each member
-giving the bytes it gives on its own.  Each round rotates the active pairs
+member (exact, and no square overflows or underflows).  There is one route
+to the spectrum of a Gram matrix: :func:`gram_factor` and :func:`op_norm`
+both form the scaled, symmetrized Gram matrix (:func:`_scaled_gram`),
+iterate on it and take the norm from its top eigenvalue (:func:`_norms`),
+so a factor's norm is :func:`op_norm` by construction.  Those two take a
+matrix or a stack, a single matrix being a stack of one, and a stack costs
+one iteration, each member giving the bytes it gives on its own.
+:func:`herm_eig` takes one general Hermitian matrix and gates its
+asymmetry before the same iteration.  Each round rotates the active pairs
 of every member at once by the overflow-free hypot angle, from one cached
 plan per stack length and size; a member that has converged stops rotating.
 At desk sizes (side <= 64) it converges in a handful of sweeps and keeps the
@@ -107,14 +112,13 @@ def adj(a: np.ndarray) -> np.ndarray:
     return a.conj().mT
 
 
-def fro_norm(a: np.ndarray):
-    """Frobenius norm (cheap upper bound for the spectral norm), summed at the
-    power-of-two scale of max|a| so that no square overflows or underflows.
-    A float for a matrix; for a stack, the array of its members' norms."""
+def fro_norm(a: np.ndarray) -> float:
+    """Frobenius norm of a matrix (cheap upper bound for the spectral norm),
+    summed at the power-of-two scale of max|a| so that no square overflows
+    or underflows."""
     s = np.abs(a)
-    _, exp = np.frexp(s.max(axis=(-2, -1), initial=0.0))
-    out = np.ldexp(np.sqrt((np.ldexp(s, -exp[..., None, None]) ** 2).sum(axis=(-2, -1))), exp)
-    return float(out) if out.ndim == 0 else out
+    _, exp = np.frexp(s.max(initial=0.0))
+    return float(np.ldexp(np.sqrt((np.ldexp(s, -exp) ** 2).sum()), exp))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,22 +188,19 @@ def _unscaled(x: np.ndarray, exp: np.ndarray) -> np.ndarray:
     return np.ldexp(x, shift)
 
 
-def _norms(top: np.ndarray, exp: np.ndarray) -> list[float]:
-    """sqrt(top) 2^exp for each member of a stack: its spectral norm from the
-    top eigenvalue of its Gram matrix formed at 4^-exp (as floats, raising
-    :class:`ShapeMismatch` where one leaves the float range)."""
-    norms = []
-    for x, e in zip(top.tolist(), exp.tolist()):
-        norm = math.sqrt(x) if x > 0.0 else 0.0
-        if e > 0 and math.frexp(norm)[1] + e > 1024:
-            raise ShapeMismatch(_OUT_OF_RANGE)
-        norms.append(math.ldexp(norm, e))
-    return norms
+def _norms(vals: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """sqrt(max vals) 2^exp for each member of a stack: its spectral norm
+    from the eigenvalues (b, n) of its Gram matrix formed at 4^-exp."""
+    return _unscaled(np.sqrt(np.maximum(vals.max(axis=1), 0.0)), exp)
 
 
-def _member(i: int, b: int) -> str:
-    """Where in a stack of ``b`` a message is about: nothing for a stack of one."""
-    return f" (stack member {i} of {b})" if b > 1 else ""
+def _sorted_eig(vals: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_jacobi`'s stacked result with each member's eigenvalues
+    ascending and its basis columns (read-only) in the same order."""
+    order = np.argsort(vals, axis=1, kind="stable")
+    cols_at, vals_at = _plan(*vals.shape)[4]
+    basis = basis.reshape(-1)[order[:, None, :] + cols_at]
+    return vals.reshape(-1)[order + vals_at], _freeze(basis)
 
 
 def _jacobi(h: np.ndarray, want_vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
@@ -228,8 +229,6 @@ def _jacobi(h: np.ndarray, want_vectors: bool = True) -> tuple[np.ndarray, np.nd
     flat = a.reshape(b, -1)
     scale = np.sqrt(np.vecdot(flat, flat).real)
     v = ident.copy() if want_vectors else None
-    if not np.count_nonzero(scale):
-        return np.zeros((b, n)), v
     tiny = _EPS * scale
     stop = 0.5 * n * (n - 1) * tiny**2
     # entries this small cannot lift the off-diagonal mass above `stop`
@@ -267,7 +266,7 @@ def _jacobi(h: np.ndarray, want_vectors: bool = True) -> tuple[np.ndarray, np.nd
             raise NoConvergence(
                 f"Jacobi iteration did not converge in {sweeps} sweeps: off-diagonal "
                 f"mass {math.sqrt(mass[i]) / scale[i]:.3e} of the matrix norm remains"
-                + _member(i, b)
+                + (f" (stack member {i} of {b})" if b > 1 else "")
             )
         sweeps += 1
         for pq, qp, pp, qq in rounds:
@@ -300,37 +299,27 @@ def _jacobi(h: np.ndarray, want_vectors: bool = True) -> tuple[np.ndarray, np.nd
 
 
 def herm_eig(p) -> HermSpectrum:
-    """Eigendecomposition of a (near-)Hermitian matrix, or of each member of
-    a stack of them in one iteration.
+    """Eigendecomposition of a (near-)Hermitian matrix.
 
     The input is symmetrized to (P + P*)/2 before decomposition; asymmetry
     beyond ``DEFAULT.herm_asym`` relative to max(1, ||P||) raises
     :class:`NotHermitian` instead of being repaired silently.  Both run at
     :func:`_pow2_scaled`'s scale; eigenvalues past the float range raise.
-    For a stack, the spectrum's arrays have the stack axis first.
+    Gram matrices do not come here: :func:`gram_factor` and :func:`op_norm`
+    form them Hermitian and solve them directly.
     """
-    m, single = _as_stack(p)
-    b, rows, cols = m.shape
-    if rows != cols:
-        shape = m.shape[1:] if single else m.shape
-        raise ShapeMismatch(f"eigendecomposition needs a square matrix, got {shape}")
-    a, exp = _pow2_scaled(m)
-    for i, (asym, e) in enumerate(zip(fro_norm(a - adj(a)).tolist(), exp.tolist())):
-        # 1 at this scale; capped where 2^-e overflows, far above any asymmetry
-        unit = math.ldexp(1.0, min(-e, 1023))
-        if asym > DEFAULT.herm_asym * unit and asym > DEFAULT.herm_asym * fro_norm(a[i]):
-            relative = asym / max(unit, fro_norm(a[i]))
-            raise NotHermitian(
-                f"relative asymmetry {relative:.3e} above {DEFAULT.herm_asym:.1e}" + _member(i, b)
-            )
-    vals, basis = _jacobi(0.5 * (a + adj(a)))
-    order = np.argsort(vals, axis=1, kind="stable")
-    cols_at, vals_at = _plan(b, rows)[4]
-    vals = _unscaled(vals.reshape(-1)[order + vals_at], exp)
-    basis = basis.reshape(-1)[order[:, None, :] + cols_at]
-    if single:
-        vals, basis = vals[0], basis[0]
-    return HermSpectrum(_freeze(vals), _freeze(basis))
+    m = as_cmat(p)
+    if m.shape[0] != m.shape[1]:
+        raise ShapeMismatch(f"eigendecomposition needs a square matrix, got {m.shape}")
+    a, exp = _pow2_scaled(m[None])
+    asym = fro_norm(a[0] - adj(a[0]))
+    # 1 at this scale; capped where 2^-e overflows, far above any asymmetry
+    unit = math.ldexp(1.0, min(-int(exp[0]), 1023))
+    if asym > DEFAULT.herm_asym * unit and asym > DEFAULT.herm_asym * fro_norm(a[0]):
+        relative = asym / max(unit, fro_norm(a[0]))
+        raise NotHermitian(f"relative asymmetry {relative:.3e} above {DEFAULT.herm_asym:.1e}")
+    vals, basis = _sorted_eig(*_jacobi(0.5 * (a + adj(a))))
+    return HermSpectrum(_freeze(_unscaled(vals, exp)[0]), basis[0])
 
 
 def _spectral(basis: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -358,11 +347,11 @@ def herm_inv_sqrt(p) -> np.ndarray:
 def _scaled_gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
     """(G 4^-e, e, side) for each member M of a stack: G the smaller Gram
     matrix of M, MM* for side "left" and M*M for "right", formed from M at
-    the scale of :func:`_pow2_scaled`."""
+    the scale of :func:`_pow2_scaled` and symmetrized to (G + G*)/2."""
     m, exp = _pow2_scaled(m)
-    if m.shape[1] <= m.shape[2]:
-        return m @ adj(m), exp, "left"
-    return adj(m) @ m, exp, "right"
+    side = "left" if m.shape[1] <= m.shape[2] else "right"
+    gram = m @ adj(m) if side == "left" else adj(m) @ m
+    return 0.5 * (gram + adj(gram)), exp, side
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,9 +361,10 @@ class GramFactor:
     ``side`` names the Gram matrix held, "left" for MM* and "right" for M*M;
     ``eigenvalues`` (ascending) and ``basis`` are its spectrum.  A solved
     factor (:func:`gram_factor`) holds the smaller Gram matrix, MM* when M is
-    square, and its ``norm``, the spectral norm of M, equals :func:`op_norm`
-    bit for bit.  A factor built by :meth:`transport` may hold "right" for a
-    square M, and its ``norm`` agrees with :func:`op_norm` to roundoff only.
+    square, and its ``norm``, the spectral norm of M, is :func:`op_norm`'s by
+    construction: both take it from the same solve.  A factor built by
+    :meth:`transport` may hold "right" for a square M, and its ``norm``
+    agrees with :func:`op_norm` to roundoff only.
     """
 
     mat: np.ndarray
@@ -462,33 +452,35 @@ class GramFactor:
 
 
 def gram_factor(m):
-    """Factor M once: one :func:`herm_eig` of its smaller Gram matrix.  A
-    stack of matrices gives the tuple of their factors from one stacked
-    :func:`herm_eig`, each factor's ``mat`` a read-only view into the stack."""
+    """Factor M once: one Jacobi solve of its smaller Gram matrix, the steps
+    of :func:`op_norm` with the eigenvectors kept and sorted.  A stack of
+    matrices gives the tuple of their factors from one stacked solve, each
+    factor's ``mat`` a read-only view into the stack."""
     stack, single = _as_stack(m)
     gram, exp, side = _scaled_gram(stack)
-    spectrum = herm_eig(gram)
-    norms = _norms(spectrum.eigenvalues[:, -1], exp)
-    vals = _freeze(_unscaled(spectrum.eigenvalues, 2 * exp))
+    vals, basis = _jacobi(gram)
+    norms = _norms(vals, exp).tolist()
+    vals, basis = _sorted_eig(vals, basis)
+    vals = _freeze(_unscaled(vals, 2 * exp))
     factors = tuple(
-        GramFactor(stack[i], side, vals[i], spectrum.basis[i], norms[i]) for i in range(len(stack))
+        GramFactor(stack[i], side, vals[i], basis[i], norms[i]) for i in range(len(stack))
     )
     return factors[0] if single else factors
 
 
 def op_norm(a):
-    """Spectral norm: largest singular value, via the smaller Gram matrix
-    scaled as in :func:`gram_factor` (whose ``norm`` it equals).  A float for
-    a matrix; for a stack, the read-only array of its members' norms from
-    one stacked iteration.  An all-zero input takes no iteration."""
+    """Spectral norm: largest singular value, from the same solve of the
+    smaller Gram matrix as :func:`gram_factor` (whose ``norm`` it is), without
+    the eigenvectors.  A float for a matrix; for a stack, the read-only array
+    of its members' norms from one stacked iteration.  An all-zero input
+    takes no iteration."""
     stack, single = _as_stack(a)
     if not np.count_nonzero(stack):
-        norms = [0.0] * len(stack)
+        norms = np.zeros(len(stack))
     else:
         gram, exp, _ = _scaled_gram(stack)
-        vals, _ = _jacobi(0.5 * (gram + adj(gram)), want_vectors=False)
-        norms = _norms(vals.max(axis=1), exp)
-    return norms[0] if single else _freeze(np.array(norms))
+        norms = _norms(_jacobi(gram, want_vectors=False)[0], exp)
+    return float(norms[0]) if single else _freeze(norms)
 
 
 def inverse(a) -> np.ndarray:

@@ -75,6 +75,13 @@ def test_identities_flag_validation(capsys):
         (["approx", "--dim-h", "2", "--dim-k", "3"], "approx: need 1 <= dim-k <= dim-h <= 32"),
         (["approx", "--jobs", "0"], "approx: need trials >= 1 and jobs >= 1"),
         (["metric"], "metric: shape mismatch: {a} is 1x2, {b} is 2x1"),
+        (["identities", "--tol", "nan"], "identities: need trials >= 0 and tol > 0"),
+        (["identities", "--tol", "inf"], "identities: need trials >= 0 and tol > 0"),
+        (["identities", "--tol", "-1"], "identities: need trials >= 0 and tol > 0"),
+        (["symcheck", "--tol", "nan"], "symcheck: need tol > 0"),
+        (["symcheck", "--tol", "inf"], "symcheck: need tol > 0"),
+        (["symcheck", "--tol", "-1"], "symcheck: need tol > 0"),
+        (["symcheck", "--tol", "0"], "symcheck: need tol > 0"),
     ],
 )
 def test_rejected_input_prints_one_line(tmp_path, capsys, args, line):
@@ -82,6 +89,8 @@ def test_rejected_input_prints_one_line(tmp_path, capsys, args, line):
     b = save(tmp_path, "b.json", [[0.0], [1.0]])
     if args[0] == "metric":
         args = [*args, a, b]
+    elif args[0] == "symcheck":
+        args = [*args, b]  # a readable 2x1 operand, so only --tol is wrong
     elif args[0] == "approx":
         args = [*args, "--out", str(tmp_path / "x")]
     assert main(args) == 2
@@ -89,6 +98,16 @@ def test_rejected_input_prints_one_line(tmp_path, capsys, args, line):
     assert captured.out == ""
     assert captured.err == line.format(a=a, b=b) + "\n"
     assert not list(tmp_path.glob("x*"))
+
+
+def test_approx_unwritable_prefix_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["approx", "--trials", "1", "--out", str(blocker / "sub" / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"approx: cannot write {blocker / 'sub'}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_identities_failure_exit_code(capsys, monkeypatch):

@@ -247,24 +247,15 @@ def test_stacked_jacobi_is_the_member_loop(n):
                 assert vecs is None and alone_vecs is None
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 7])
-def test_stacked_herm_eig_is_the_member_loop(n):
-    rng = np.random.default_rng(33)
-    members = herm_members(rng, n)
-    spectrum = herm_eig(np.stack(members))
-    for i, member in enumerate(members):
-        alone = herm_eig(member)
-        assert same_bytes(spectrum.eigenvalues[i], alone.eigenvalues), (n, i)
-        assert same_bytes(spectrum.basis[i], alone.basis), (n, i)
-
-
 @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (3, 5), (4, 4)])
 def test_stacked_gram_factor_and_op_norm_are_the_member_loop(shape):
     rng = np.random.default_rng(34)
     draw = lambda scale: scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     rank_one = np.outer(draw(1.0)[:, 0], draw(1.0)[0])
     # gram eigenvalues of 1e300 entries leave the float range; norms do not
-    factored = [draw(1.0), np.zeros(shape), rank_one, draw(1e-300), draw(1e150)]
+    factored = [
+        draw(1.0), np.zeros(shape), np.full(shape, -0.0), rank_one, draw(1e-300), draw(1e150)
+    ]
     normed = factored + [draw(1e300)]
     factors = gram_factor(np.stack(factored))
     assert isinstance(factors, tuple) and len(factors) == len(factored)
@@ -275,6 +266,7 @@ def test_stacked_gram_factor_and_op_norm_are_the_member_loop(shape):
         assert same_bytes(factor.eigenvalues, alone.eigenvalues)
         assert same_bytes(factor.basis, alone.basis)
         assert same_bytes(factor.norm, alone.norm)
+        assert same_bytes(factor.norm, op_norm(member))
     norms = op_norm(normed)
     assert not norms.flags.writeable
     for member, norm in zip(normed, norms):
@@ -285,19 +277,25 @@ def test_stacked_gram_factor_and_op_norm_are_the_member_loop(shape):
 
 
 def test_no_convergence_names_the_member_left(monkeypatch):
+    # a Hermitian M has the Gram matrix M M* = M^2, of the same pattern:
+    # diagonal, one active pair, dense
     monkeypatch.setattr(opball.matkernel, "_MAX_SWEEPS", 1)
     rng = np.random.default_rng(35)
     diagonal = np.diag([0.5, -0.25, 0.75, 0.125]).astype(complex)
     one_pair = one_pair_herm(rng, 4)
     dense = rand_herm(rng, 4)
-    herm_eig(np.stack([diagonal, one_pair]))  # converged in 0 and 1 sweeps
-    with pytest.raises(NoConvergence) as alone:
-        herm_eig(dense)
-    for members, where in (([diagonal, one_pair, dense], 2), ([dense, diagonal], 0)):
-        with pytest.raises(NoConvergence) as info:
-            herm_eig(np.stack(members))
-        member = f" (stack member {where} of {len(members)})"
-        assert str(info.value) == str(alone.value) + member
+    messages = []
+    for solve in (gram_factor, op_norm):
+        solve(np.stack([diagonal, one_pair]))  # converged in 0 and 1 sweeps
+        with pytest.raises(NoConvergence) as alone:
+            solve(dense)
+        messages.append(str(alone.value))
+        for members, where in (([diagonal, one_pair, dense], 2), ([dense, diagonal], 0)):
+            with pytest.raises(NoConvergence) as info:
+                solve(np.stack(members))
+            member = f" (stack member {where} of {len(members)})"
+            assert str(info.value) == str(alone.value) + member
+    assert messages[0] == messages[1]  # one solve route, one message
     match = re.fullmatch(
         r"Jacobi iteration did not converge in 1 sweeps: off-diagonal mass "
         r"(\S+) of the matrix norm remains", str(alone.value))
@@ -320,6 +318,11 @@ def test_herm_eig_rejects_asymmetric():
 def test_herm_eig_shape_guard():
     with pytest.raises(ShapeMismatch):
         herm_eig(np.zeros((2, 3)))
+
+
+def test_herm_eig_takes_one_matrix():
+    with pytest.raises(ShapeMismatch, match="expected a 2-D matrix, got ndim=3"):
+        herm_eig(np.stack([np.eye(2), np.eye(2)]))
 
 
 def test_herm_fun_sqrt_examples():
