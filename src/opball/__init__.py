@@ -10,6 +10,7 @@ pipeline that approximates arbitrary operators by complex symmetric ones.
 from .ball import (
     BallPoint,
     ball_dist,
+    ball_dists,
     mobius,
     mobius_inv,
     mobius_to_origin,
@@ -80,6 +81,7 @@ from .transform import (
     left_defect,
     operator_dist,
     operator_dists,
+    operators,
     right_defect,
     right_defect_inv,
     zero_operator,

@@ -167,6 +167,14 @@ def ball_dist(x: BallPoint, y: BallPoint) -> float:
     atanh || mobius_to_origin(x, y) ||; reduces to :func:`poincare_dist` for
     1 x 1 points and to atanh ||y|| at the origin.
     """
-    require_shape(y.mat, x.shape, "ball point")
-    lift = x.defect(-0.5, "left") @ (y.mat - x.mat) @ y.defect(-0.5, "right")
-    return math.asinh(op_norm(lift))
+    return ball_dists([(x, y)])[0]
+
+
+def ball_dists(pairs) -> list[float]:
+    """:func:`ball_dist` of each (x, y) of ``pairs``, all of one shape, the
+    norms of the lifts solved as one stack."""
+    lifts = []
+    for x, y in pairs:
+        require_shape(y.mat, x.shape, "ball point")
+        lifts.append(x.defect(-0.5, "left") @ (y.mat - x.mat) @ y.defect(-0.5, "right"))
+    return [math.asinh(d) for d in op_norm(lifts).tolist()]

@@ -14,6 +14,8 @@ input errors; every :class:`OpballError` becomes one stderr line
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import sys
@@ -24,7 +26,7 @@ from .errors import BadDims, OpballError, ShapeMismatch
 from .identities import run_identities
 from .matio import read_matrix, read_pair
 from .symmetry import canonical_pair, identity_pair, symmetry_residual
-from .transform import OperatorHK, operator_dist
+from .transform import OperatorHK, operator_dist, operators
 
 
 def _fmt12(x: float) -> str:
@@ -35,7 +37,10 @@ def _fmt12(x: float) -> str:
     return f"{x:.{decimals}f}"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged, so every
+    :func:`main` call after the first reuses it."""
     parser = argparse.ArgumentParser(
         prog="opball",
         description="Operator-ball geometry and complex symmetric operators.",
@@ -98,7 +103,7 @@ def _cmd_metric(args) -> int:
             f"shape mismatch: {args.file_t} is {mat_t.shape[0]}x{mat_t.shape[1]}, "
             f"{args.file_s} is {mat_s.shape[0]}x{mat_s.shape[1]}"
         )
-    print(_fmt12(operator_dist(OperatorHK(mat_t), OperatorHK(mat_s))))
+    print(_fmt12(operator_dist(*operators([mat_t, mat_s]))))
     return 0
 
 
@@ -124,23 +129,32 @@ def _cmd_symcheck(args) -> int:
     return 0 if verdict == "SYMMETRIC" else 1
 
 
+@contextlib.contextmanager
+def _writing():
+    """Turn an :class:`OSError` of writing the outputs into an error line."""
+    try:
+        yield
+    except OSError as exc:
+        raise OpballError(f"cannot write {exc.filename}: {exc.strerror}") from exc
+
+
 def _cmd_approx(args) -> int:
     if not (1 <= args.dim_k <= args.dim_h <= 32):
         raise BadDims("need 1 <= dim-k <= dim-h <= 32")
     if args.trials < 1 or args.jobs < 1:
         raise BadDims("need trials >= 1 and jobs >= 1")
+    prefix = Path(args.out)
+    # an unwritable prefix fails before any trial runs
+    with _writing():
+        if prefix.parent != Path(""):
+            prefix.parent.mkdir(parents=True, exist_ok=True)
     report = ensemble_experiment(
         args.dim_h, args.dim_k, args.trials, args.seed, jobs=args.jobs
     )
-    prefix = Path(args.out)
-    try:
-        if prefix.parent != Path(""):
-            prefix.parent.mkdir(parents=True, exist_ok=True)
+    with _writing():
         for i, result in enumerate(report.results):
             Path(f"{prefix}_trial{i:03d}.csv").write_text(profile_csv(result))
         Path(f"{prefix}_ensemble.json").write_text(report_json(report))
-    except OSError as exc:
-        raise OpballError(f"cannot write {exc.filename}: {exc.strerror}") from exc
     return 0 if report.all_valid() else 1
 
 

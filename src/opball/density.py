@@ -165,7 +165,7 @@ def approximation_profile(t: OperatorHK, pair: ConjugationPair) -> ApproxProfile
         ProfileRow(n=depth, dist=dist, sym_residual=residual, margin=point.margin)
         for depth, dist, residual, point in zip(
             depths,
-            operator_dists(approxes, full),
+            operator_dists([(a, full) for a in approxes]),
             symmetry_residuals(approxes, out_pairs),
             doubled,
         )

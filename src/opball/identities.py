@@ -24,11 +24,12 @@ from typing import Callable
 
 import numpy as np
 
-from .ball import ball_dist, mobius, mobius_inv, poincare_dist, zero_point
+from .ball import ball_dist, ball_dists, mobius, mobius_inv, poincare_dist, zero_point
 from .matkernel import adj, fro_norm, herm_inv_sqrt, inverse, op_norm
 from .sampling import (
     complex_gaussian,
     random_ball_point,
+    random_ball_points,
     random_dims,
     random_operator,
     random_symmetric_ball_point,
@@ -46,23 +47,26 @@ from .transform import (
     bounded_transform,
     inverse_bounded_transform,
     operator_dist,
+    operator_dists,
+    operators,
     right_defect,
     right_defect_inv,
 )
 
 
-def _moderate_pair(rng, dim_h, dim_k):
+def _moderate_operators(rng, dim_h, dim_k, count):
+    """``count`` operators between random spaces, each of entry scale drawn
+    from 1e-2 .. 10^0.5 before its entries, solved as one stack."""
     p, q = random_dims(rng, dim_h, dim_k)
-    t = random_operator(rng, p, q, 10 ** rng.uniform(-2, 0.5))
-    s = random_operator(rng, p, q, 10 ** rng.uniform(-2, 0.5))
-    return t, s
+    return operators(
+        [complex_gaussian(rng, q, p, 10 ** rng.uniform(-2, 0.5)) for _ in range(count)]
+    )
 
 
 def mobius_round_trip(rng, dim_h, dim_k) -> float:
     """|| mobius_inv(A, mobius(A, Z)) - Z ||, margins at least 0.05."""
     p, q = random_dims(rng, dim_h, dim_k)
-    a = random_ball_point(rng, p, q, margin_min=0.05)
-    z = random_ball_point(rng, p, q, margin_min=0.05)
+    a, z = random_ball_points(rng, p, q, 2, margin_min=0.05)
     return op_norm(mobius_inv(a, mobius(a, z)).mat - z.mat)
 
 
@@ -70,8 +74,7 @@ def mobius_commutation(rng, dim_h, dim_k) -> float:
     """Factor-exchange identity behind the Moebius inverse, normalized by
     1 + ||A|| + ||Z||: (Z-A)(I-A*A)^(-1)(I-A*Z) = (I-ZA*)(I-AA*)^(-1)(Z-A)."""
     p, q = random_dims(rng, dim_h, dim_k)
-    a_pt = random_ball_point(rng, p, q, margin_min=0.05)
-    z_pt = random_ball_point(rng, p, q, margin_min=0.05)
+    a_pt, z_pt = random_ball_points(rng, p, q, 2, margin_min=0.05)
     a, z = a_pt.mat, z_pt.mat
     lhs = (z - a) @ inverse(np.eye(q) - adj(a) @ a) @ (np.eye(q) - adj(a) @ z)
     rhs = (np.eye(p) - z @ adj(a)) @ inverse(np.eye(p) - a @ adj(a)) @ (z - a)
@@ -81,18 +84,16 @@ def mobius_commutation(rng, dim_h, dim_k) -> float:
 def ball_membership(rng, dim_h, dim_k) -> float:
     """Excess of || mobius(A, Z) || over 1 (zero when the ball is preserved)."""
     p, q = random_dims(rng, dim_h, dim_k)
-    a = random_ball_point(rng, p, q, margin_min=0.05)
-    z = random_ball_point(rng, p, q, margin_min=0.05)
+    a, z = random_ball_points(rng, p, q, 2, margin_min=0.05)
     return max(0.0, mobius(a, z).factor.norm - 1.0)
 
 
 def mobius_invariance(rng, dim_h, dim_k) -> float:
     """| ball_dist(mobius(A,X), mobius(A,Y)) - ball_dist(X, Y) |."""
     p, q = random_dims(rng, dim_h, dim_k)
-    a = random_ball_point(rng, p, q, margin_min=0.05)
-    x = random_ball_point(rng, p, q, margin_min=0.05)
-    y = random_ball_point(rng, p, q, margin_min=0.05)
-    return abs(ball_dist(mobius(a, x), mobius(a, y)) - ball_dist(x, y))
+    a, x, y = random_ball_points(rng, p, q, 3, margin_min=0.05)
+    d_image, d = ball_dists([(mobius(a, x), mobius(a, y)), (x, y)])
+    return abs(d_image - d)
 
 
 def origin_distance(rng, dim_h, dim_k) -> float:
@@ -104,8 +105,7 @@ def origin_distance(rng, dim_h, dim_k) -> float:
 
 def scalar_reduction(rng, dim_h, dim_k) -> float:
     """1x1 ball distance against the scalar hyperbolic distance."""
-    x = random_ball_point(rng, 1, 1, margin_min=0.02)
-    y = random_ball_point(rng, 1, 1, margin_min=0.02)
+    x, y = random_ball_points(rng, 1, 1, 2, margin_min=0.02)
     return abs(ball_dist(x, y) - poincare_dist(complex(x.mat[0, 0]), complex(y.mat[0, 0])))
 
 
@@ -151,17 +151,18 @@ def metric_two_routes(rng, dim_h, dim_k) -> float:
     stratum = rng.uniform()
     if stratum < 0.6:
         p, q = random_dims(rng, dim_h, dim_k)
-        t = random_operator(rng, p, q, 10 ** rng.uniform(-2, math.log10(3.0)))
-        s = random_operator(rng, p, q, 10 ** rng.uniform(-2, math.log10(3.0)))
+        mats = [complex_gaussian(rng, q, p, 10 ** rng.uniform(-2, math.log10(3.0)))
+                for _ in range(2)]
     elif stratum < 0.85:
         p, q = random_dims(rng, dim_h, dim_k)
         base = 10 ** rng.uniform(math.log10(3.0), math.log10(30.0))
-        t = random_operator(rng, p, q, base)
-        s = OperatorHK(t.mat + complex_gaussian(rng, q, p, base * 10 ** rng.uniform(-4, -2)))
+        mat = complex_gaussian(rng, q, p, base)
+        mats = [mat, mat + complex_gaussian(rng, q, p, base * 10 ** rng.uniform(-4, -2))]
     else:
         p, q = random_dims(rng, min(4, dim_h), min(2, dim_k))
-        t = random_operator(rng, p, q, 10 ** rng.uniform(math.log10(30.0), math.log10(300.0)))
-        s = OperatorHK(t.mat.copy())
+        mat = complex_gaussian(rng, q, p, 10 ** rng.uniform(math.log10(30.0), math.log10(300.0)))
+        mats = [mat, mat]
+    t, s = operators(mats)
     d_direct = operator_dist(t, s)
     d_ball = ball_dist(bounded_transform(t), bounded_transform(s))
     return abs(d_direct - d_ball)
@@ -169,22 +170,24 @@ def metric_two_routes(rng, dim_h, dim_k) -> float:
 
 def metric_symmetry(rng, dim_h, dim_k) -> float:
     """| d(T, S) - d(S, T) | at moderate scales."""
-    t, s = _moderate_pair(rng, dim_h, dim_k)
-    return abs(operator_dist(t, s) - operator_dist(s, t))
+    t, s = _moderate_operators(rng, dim_h, dim_k, 2)
+    d_ts, d_st = operator_dists([(t, s), (s, t)])
+    return abs(d_ts - d_st)
 
 
 def metric_triangle(rng, dim_h, dim_k) -> float:
     """Positive part of d(T,S) - d(T,U) - d(U,S) at moderate scales."""
-    t, s = _moderate_pair(rng, dim_h, dim_k)
-    u = random_operator(rng, t.dim_h, t.dim_k, 10 ** rng.uniform(-2, 0.5))
-    return max(0.0, operator_dist(t, s) - operator_dist(t, u) - operator_dist(u, s))
+    t, s, u = _moderate_operators(rng, dim_h, dim_k, 3)
+    d_ts, d_tu, d_us = operator_dists([(t, s), (t, u), (u, s)])
+    return max(0.0, d_ts - d_tu - d_us)
 
 
 def closed_right_inverse(rng, dim_h, dim_k) -> float:
     """Closed-form right-defect inverse against direct elimination, relative."""
-    t, s = _moderate_pair(rng, dim_h, dim_k)
+    t, s = _moderate_operators(rng, dim_h, dim_k, 2)
     direct = inverse(right_defect(s, t))
-    return op_norm(right_defect_inv(s, t) - direct) / op_norm(direct)
+    gap, size = op_norm([right_defect_inv(s, t) - direct, direct]).tolist()
+    return gap / size
 
 
 def pair_invariants(rng, dim_h, dim_k) -> float:

@@ -131,14 +131,20 @@ def right_defect_inv(s: OperatorHK, t: OperatorHK) -> np.ndarray:
     return outer_left @ inverse(bracket) @ outer_right
 
 
+def operators(mats) -> list[OperatorHK]:
+    """Operators of the matrices ``mats``, all of one shape, each holding
+    its factor from one stacked solve."""
+    return [OperatorHK(f.mat, held=f) for f in gram_factor(mats)]
+
+
 def operator_dist(t: OperatorHK, s: OperatorHK) -> float:
     """Metric on operators from H to K: asinh || left_defect(t, s) ||, which
     equals the invariant ball distance between the two bounded transforms.
     """
-    return operator_dists([t], s)[0]
+    return operator_dists([(t, s)])[0]
 
 
-def operator_dists(ts, s: OperatorHK) -> list[float]:
-    """:func:`operator_dist` from each operator of ``ts`` to ``s``, the norms
-    solved as one stack."""
-    return [math.asinh(d) for d in op_norm([left_defect(t, s) for t in ts]).tolist()]
+def operator_dists(pairs) -> list[float]:
+    """:func:`operator_dist` of each (t, s) of ``pairs``, all of one shape,
+    the norms solved as one stack."""
+    return [math.asinh(d) for d in op_norm([left_defect(t, s) for t, s in pairs]).tolist()]

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from opball.cli import main
+from opball.cli import build_parser, main
 from opball.matio import MatrixFileError, read_matrix, read_pair, write_matrix, write_pair
 from opball.symmetry import canonical_pair
 
@@ -49,6 +49,15 @@ def test_identities_zero_trials(capsys):
     assert main(["identities", "--trials", "0"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["identities"] == []
+
+
+def test_parser_is_built_once_per_process(capsys):
+    assert build_parser() is build_parser()
+    outputs = []
+    for _ in range(2):
+        assert main(["identities", "--trials", "1", "--seed", "2"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_identities_deterministic(capsys):
@@ -100,7 +109,11 @@ def test_rejected_input_prints_one_line(tmp_path, capsys, args, line):
     assert not list(tmp_path.glob("x*"))
 
 
-def test_approx_unwritable_prefix_exits_two(tmp_path, capsys):
+def test_approx_unwritable_prefix_exits_two(tmp_path, capsys, monkeypatch):
+    def no_trials(*args, **kwargs):
+        pytest.fail("the experiment ran before the output directory was made")
+
+    monkeypatch.setattr("opball.cli.ensemble_experiment", no_trials)
     blocker = tmp_path / "file"
     blocker.write_text("")
     assert main(["approx", "--trials", "1", "--out", str(blocker / "sub" / "x")]) == 2

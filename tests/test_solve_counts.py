@@ -28,6 +28,7 @@ from opball import (
     adj,
     approximation_profile,
     ball_dist,
+    ball_dists,
     bounded_transform,
     ensemble_experiment,
     gram_factor,
@@ -37,13 +38,17 @@ from opball import (
     mobius,
     op_norm,
     operator_dist,
+    operator_dists,
+    operators,
     pair_residual,
     random_pair,
     symmetry_residual,
 )
+from opball.cli import main
 from opball.identities import run_identities
 from opball.matkernel import fro_norm
-from opball.sampling import _at_random_margin
+from opball.matio import write_matrix
+from opball.sampling import _at_random_margins, random_ball_point, random_ball_points
 
 
 @pytest.fixture
@@ -129,6 +134,24 @@ def test_identities_trial_solve_budget(solves):
     assert solves() <= 59
 
 
+def test_identities_trial_kernel_calls(jacobi_stacks):
+    # the operands a check draws together are one stack, and so are the
+    # distances or norms it takes of independent operands
+    run_identities(0, 1, 8, 3, 1e-8)
+    assert len(jacobi_stacks) == 43
+
+
+def test_metric_kernel_calls(jacobi_stacks, tmp_path, capsys):
+    # both operands in one stack, then the norm of the left defect
+    rng = np.random.default_rng(29)
+    paths = [tmp_path / "t.json", tmp_path / "s.json"]
+    for path in paths:
+        write_matrix(path, complex_draw(rng, 8, 32))
+    assert main(["metric", *map(str, paths)]) == 0
+    assert float(capsys.readouterr().out) > 0.0
+    assert jacobi_stacks == [2, 1]
+
+
 def test_profile_kernel_calls(jacobi_stacks):
     # the operand's factor, one stack per profile stage (doubled points, pair
     # coordinates, distances, symmetry residuals) and the recovery residual
@@ -172,7 +195,9 @@ TRANSPORTS = {
     "bounded_transform": (OperatorHK, bounded_transform, 0),
     "inverse_bounded_transform": (_ball_operand, inverse_bounded_transform, 0),
     "rescaled_point": (
-        np.asarray, lambda g: _at_random_margin(np.random.default_rng(27), g, 0.05, 0.95), 1
+        np.asarray,
+        lambda g: _at_random_margins(np.random.default_rng(27), lambda: g, 1, 0.05, 0.95)[0],
+        1,
     ),
 }
 
@@ -282,3 +307,57 @@ def test_ball_point_factor_is_gram_power(shape):
                 got = point.factor.power(sign, power, side)
                 ref = gram_factor(point.mat).power(sign, power, side)
                 assert np.array_equal(got, ref)
+
+
+def same_bytes(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def same_factor(f, g) -> bool:
+    return f.side == g.side and all(
+        same_bytes(getattr(f, name), getattr(g, name))
+        for name in ("mat", "eigenvalues", "basis", "norm")
+    )
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (3, 5), (1, 1)])
+@pytest.mark.parametrize("count", [1, 3])
+def test_stacked_ball_points_are_the_member_loop(shape, count):
+    stacked_rng, loop_rng = np.random.default_rng(41), np.random.default_rng(41)
+    stacked = random_ball_points(stacked_rng, *shape, count, margin_min=0.2)
+    loop = [random_ball_point(loop_rng, *shape, margin_min=0.2) for _ in range(count)]
+    assert len(stacked) == count
+    for x, y in zip(stacked, loop):
+        assert same_bytes(x.mat, y.mat) and same_bytes(x.margin, y.margin)
+        assert same_factor(x.factor, y.factor)
+    assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", [(8, 32), (5, 3), (4, 4), (1, 1)])
+def test_stacked_operators_are_the_member_loop(solves, shape):
+    rng = np.random.default_rng(42)
+    mats = [complex_draw(rng, *shape) for _ in range(3)] + [np.zeros(shape)]
+    ops = operators(mats)
+    assert solves() == len(mats)
+    for op, mat in zip(ops, mats):
+        assert op.factor.mat is op.mat
+        assert same_factor(op.factor, OperatorHK(mat).factor)
+
+
+def test_stacked_distances_are_the_member_loop(jacobi_stacks):
+    rng = np.random.default_rng(43)
+    t, s, u = operators([10.0 ** e * complex_draw(rng, 5, 3) for e in (-2, 0, 2)])
+    pairs = [(t, s), (s, t), (t, u), (u, s), (u, u)]
+    before = len(jacobi_stacks)
+    dists = operator_dists(pairs)
+    assert len(jacobi_stacks) - before == 1
+    for dist, pair in zip(dists, pairs):
+        assert same_bytes(dist, operator_dist(*pair))
+    x, y, z = random_ball_points(rng, 5, 3, 3)
+    pairs = [(x, y), (y, x), (x, z), (z, z)]
+    before = len(jacobi_stacks)
+    dists = ball_dists(pairs)
+    assert len(jacobi_stacks) - before == 1
+    for dist, pair in zip(dists, pairs):
+        assert same_bytes(dist, ball_dist(*pair))
