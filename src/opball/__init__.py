@@ -65,6 +65,7 @@ from .symmetry import (
     identity_pair,
     induced_operator,
     induced_pair,
+    induced_pairs,
     pair_residual,
     random_pair,
     swap_roles,

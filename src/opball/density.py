@@ -34,10 +34,9 @@ from .matkernel import gram_factor, op_norm
 from .sampling import random_operator
 from .symmetry import (
     ConjugationPair,
-    _induced_from,
-    _pair_coordinates,
     double_pair,
     extension_blocks,
+    induced_pairs,
     random_pair,
     symmetry_residuals,
 )
@@ -82,17 +81,16 @@ def _approximants(
     """Steps 1-3 of the pipeline at each of ``depths``, for the ball point
     ``that`` of an operator.  Every formula runs per depth, and each step's
     solves run as one stack: first the doubled points' factors, then those
-    of their induced pairs' coordinates.  The cut is not factored on its
-    own: the doubled point's factor checks the norm of both blocks."""
-    big_pair = double_pair(pair)
+    of their induced pairs' coordinates (:func:`induced_pairs`).  The cut is
+    not factored on its own: the doubled point's factor checks the norm of
+    both blocks."""
     blocks = [extension_blocks(_cut(that, depth), pair) for depth in depths]
-    doubled = [BallPoint(f.mat, held=f) for f in gram_factor(blocks)]
-    coords = gram_factor([_pair_coordinates(point, big_pair) for point in doubled])
-    steps = []
-    for point, held in zip(doubled, coords):
-        out_pair = _induced_from(point, big_pair, held)
-        steps.append((inverse_bounded_transform(point), out_pair, point))
-    return steps
+    doubled = [BallPoint(f) for f in gram_factor(blocks)]
+    out_pairs = induced_pairs(doubled, double_pair(pair))
+    return [
+        (inverse_bounded_transform(point), out_pair, point)
+        for point, out_pair in zip(doubled, out_pairs)
+    ]
 
 
 def symmetric_approximant(

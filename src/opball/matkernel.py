@@ -84,8 +84,16 @@ def _as_stack(a) -> tuple[np.ndarray, bool]:
     """(S, single): a matrix, or a stack (sequence or 3-D array) of matrices
     of one shape, as a read-only complex128 stack S of shape (b, rows, cols),
     checked as :func:`as_cmat` checks a matrix.  ``single`` when ``a`` is
-    one matrix, which is a stack of one."""
-    m = np.array(a, dtype=np.complex128, order="C")
+    one matrix, which is a stack of one.  Matrices of different shapes raise
+    :class:`ShapeMismatch`; a malformed member keeps numpy's error."""
+    try:
+        m = np.array(a, dtype=np.complex128, order="C")
+    except ValueError:
+        shapes = [np.shape(x) for x in a]
+        if len(set(shapes)) < 2 or any(len(s) != 2 for s in shapes):
+            raise
+        named = ", ".join(map(str, dict.fromkeys(shapes)))
+        raise ShapeMismatch(f"stack members differ in shape: {named}") from None
     single = m.ndim == 2
     return _checked(m[None] if single else m, 3), single
 

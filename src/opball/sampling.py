@@ -38,7 +38,7 @@ def _at_random_margins(
         if margin is not None:
             c = (1.0 - margin) / f.norm
             f = f.transport(f.mat * c, lambda x: c * c * x, flip=False)
-        points.append(BallPoint(f.mat, held=f))
+        points.append(BallPoint(f))
     return points
 
 

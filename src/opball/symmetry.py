@@ -33,7 +33,7 @@ import numpy as np
 
 from .ball import BallPoint
 from .errors import BadDims, NotSymmetric, OutOfBall, ShapeMismatch, Singular
-from .matkernel import GramFactor, adj, as_cmat, fro_norm, gram_factor, op_norm, require_shape
+from .matkernel import adj, as_cmat, fro_norm, gram_factor, op_norm, require_shape
 from .tolerances import DEFAULT
 from .transform import OperatorHK, inverse_bounded_transform
 
@@ -282,35 +282,35 @@ def induced_pair(a: BallPoint, pair: ConjugationPair) -> ConjugationPair:
     map and N are those of the exchanged spaces.  A margin collapsed below
     the defect floor raises :class:`Singular`, as every inverse defect does.
     """
-    return _induced_from(a, pair, gram_factor(_pair_coordinates(a, pair)))
+    return induced_pairs([a], pair)[0]
 
 
-def _pair_coordinates(a: BallPoint, pair: ConjugationPair) -> np.ndarray:
-    """adj(B) for the coordinates B of the contraction ``a``: the matrix of
-    the ball point B* that :func:`induced_pair` factors.  A contraction that
-    is not symmetric for ``pair`` raises :class:`NotSymmetric`."""
-    b, gap = _coordinates(a.mat, pair)
-    if not _norm_within(gap, DEFAULT.symmetry_pre):
-        raise NotSymmetric(
-            f"contraction has symmetry residual {op_norm(gap):.3e} for the given pair"
-        )
-    return adj(b)
-
-
-def _induced_from(a: BallPoint, pair: ConjugationPair, coords: GramFactor) -> ConjugationPair:
-    """:func:`induced_pair` of ``a``, given ``coords``, the factor of its
-    :func:`_pair_coordinates` (solved alone or in a stack)."""
-    try:
-        point = BallPoint(coords.mat, held=coords)
-    except OutOfBall as exc:
-        raise Singular(f"pair coordinates of the contraction left the ball: {exc}") from exc
+def induced_pairs(points, pair: ConjugationPair) -> list[ConjugationPair]:
+    """:func:`induced_pair` of each contraction of ``points`` for the one
+    ``pair``, the factors of their coordinates B* solved as one stack after
+    every point's symmetry is checked."""
+    coords = []
+    for a in points:
+        b, gap = _coordinates(a.mat, pair)
+        if not _norm_within(gap, DEFAULT.symmetry_pre):
+            raise NotSymmetric(
+                f"contraction has symmetry residual {op_norm(gap):.3e} for the given pair"
+            )
+        coords.append(adj(b))
     primary = pair.side is Side.BWD_FWD
-    # (I - N N*)^(1/2): the left defect of M for BWD_FWD, the right for FWD_BWD
-    defect_sqrt = a.defect(0.5, "left" if primary else "right")
-    x = point.defect(-0.5, "left") @ _first(pair).T @ np.conj(defect_sqrt)
-    return ConjugationPair(
-        x if primary else x.T, _other_side(pair.side), check_tol=DEFAULT.induced_pair_residual
-    )
+    out = []
+    for a, f in zip(points, gram_factor(coords)):
+        try:
+            point = BallPoint(f)
+        except OutOfBall as exc:
+            raise Singular(f"pair coordinates of the contraction left the ball: {exc}") from exc
+        # (I - N N*)^(1/2): the left defect of M for BWD_FWD, the right for FWD_BWD
+        defect_sqrt = a.defect(0.5, "left" if primary else "right")
+        x = point.defect(-0.5, "left") @ _first(pair).T @ np.conj(defect_sqrt)
+        out.append(ConjugationPair(
+            x if primary else x.T, _other_side(pair.side), check_tol=DEFAULT.induced_pair_residual
+        ))
+    return out
 
 
 def induced_operator(

@@ -25,12 +25,12 @@ a hidden assumption.
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .ball import BallPoint, _held_factor
+from .ball import BallPoint
 from .matkernel import GramFactor, adj, as_cmat, gram_factor, inverse, op_norm, require_shape
 
 
@@ -38,24 +38,23 @@ from .matkernel import GramFactor, adj, as_cmat, gram_factor, inverse, op_norm, 
 class OperatorHK:
     """An operator from H to K, stored as its dimK x dimH matrix.
 
-    ``held`` hands in the operator's factor, as for
-    :class:`~opball.ball.BallPoint`; without it, ``factor`` is solved on
-    first use.
+    Built from a :class:`GramFactor` in place of its matrix, as
+    ``OperatorHK(f)``, it keeps ``f`` as ``factor`` and takes ``mat`` from
+    ``f.mat``, as :class:`~opball.ball.BallPoint` does; otherwise ``factor``
+    is solved on first use.
     """
 
     mat: np.ndarray
     dim_h: int = field(init=False)
     dim_k: int = field(init=False)
-    _: KW_ONLY
-    held: InitVar[GramFactor | None] = None
 
-    def __post_init__(self, held):
-        if held is None:
-            m = as_cmat(self.mat)
-        else:
-            m = _held_factor(held, self.mat).mat
+    def __post_init__(self):
+        if isinstance(self.mat, GramFactor):
+            m = self.mat.mat
             # the instance entry is where cached_property keeps its value
-            self.__dict__["factor"] = held
+            self.__dict__["factor"] = self.mat
+        else:
+            m = as_cmat(self.mat)
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "dim_k", m.shape[0])
         object.__setattr__(self, "dim_h", m.shape[1])
@@ -83,7 +82,7 @@ def bounded_transform(t: OperatorHK) -> BallPoint:
     g = f.power(1.0, -0.5, f.side)
     mat = adj(t.mat) @ g if f.side == "left" else g @ adj(t.mat)
     f = f.transport(mat, lambda x: x / (1.0 + x), flip=True)
-    return BallPoint(f.mat, held=f)
+    return BallPoint(f)
 
 
 def inverse_bounded_transform(a: BallPoint) -> OperatorHK:
@@ -95,7 +94,7 @@ def inverse_bounded_transform(a: BallPoint) -> OperatorHK:
     """
     mat = a.defect(-0.5, "right") @ adj(a.mat)
     f = a.factor.transport(mat, lambda x: x / (1.0 - x), flip=True)
-    return OperatorHK(f.mat, held=f)
+    return OperatorHK(f)
 
 
 def left_defect(t: OperatorHK, x: OperatorHK) -> np.ndarray:
@@ -134,7 +133,7 @@ def right_defect_inv(s: OperatorHK, t: OperatorHK) -> np.ndarray:
 def operators(mats) -> list[OperatorHK]:
     """Operators of the matrices ``mats``, all of one shape, each holding
     its factor from one stacked solve."""
-    return [OperatorHK(f.mat, held=f) for f in gram_factor(mats)]
+    return [OperatorHK(f) for f in gram_factor(mats)]
 
 
 def operator_dist(t: OperatorHK, s: OperatorHK) -> float:

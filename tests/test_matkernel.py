@@ -19,9 +19,11 @@ from opball import (
     NearBoundaryWarning,
     NoConvergence,
     NotHermitian,
+    OperatorHK,
     ShapeMismatch,
     Singular,
     as_cmat,
+    ball_dists,
     fro_norm,
     gram_factor,
     herm_eig,
@@ -31,6 +33,7 @@ from opball import (
     mobius,
     mobius_inv,
     op_norm,
+    operator_dists,
 )
 
 
@@ -281,6 +284,44 @@ def test_stacked_gram_factor_and_op_norm_are_the_member_loop(shape):
     assert same_bytes(op_norm(np.zeros((3,) + shape)), np.zeros(3))
 
 
+def _point_pair(shape):
+    return BallPoint(np.full(shape, 0.1)), BallPoint(np.full(shape, 0.2))
+
+
+def _operator_pair(shape):
+    return OperatorHK(np.ones(shape)), OperatorHK(np.full(shape, 2.0))
+
+
+# stacked entry point -> a call whose members differ in shape, and the shapes
+MIXED_STACKS = {
+    "op_norm": (lambda: op_norm([np.eye(2), np.eye(3)]), "(2, 2), (3, 3)"),
+    "gram_factor": (
+        lambda: gram_factor([np.eye(2), np.ones((2, 3)), np.eye(2)]), "(2, 2), (2, 3)"
+    ),
+    "ball_dists": (
+        lambda: ball_dists([_point_pair((2, 2)), _point_pair((3, 1))]), "(2, 2), (3, 1)"
+    ),
+    # each left defect is dimH x dimK, the adjoint's shape
+    "operator_dists": (
+        lambda: operator_dists([_operator_pair((2, 2)), _operator_pair((3, 1))]), "(2, 2), (1, 3)"
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MIXED_STACKS))
+def test_a_stack_of_mixed_shapes_names_them(entry):
+    call, shapes = MIXED_STACKS[entry]
+    with pytest.raises(ShapeMismatch) as info:
+        call()
+    assert str(info.value) == f"stack members differ in shape: {shapes}"
+
+
+def test_a_malformed_stack_member_keeps_numpys_error():
+    for stack in ([np.eye(2), "ab"], [[[1.0, "a"]], [[1.0, 2.0]]], [[1.0, 2.0], [3.0]]):
+        with pytest.raises(ValueError):
+            op_norm(stack)
+
+
 def test_no_convergence_names_the_member_left(monkeypatch):
     # a Hermitian M has the Gram matrix M M* = M^2, of the same pattern:
     # diagonal, one active pair, dense
@@ -526,3 +567,20 @@ def test_library_never_uses_numpy_linalg():
             else:
                 continue
             assert not any("linalg" in name for name in names), (path.name, node.lineno)
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a module's underscore names are its own; tests may still reach them
+    for path in sorted(pathlib.Path(opball.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                if not (node.level or node.module.startswith("opball")):
+                    continue
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names if alias.name.startswith("opball")]
+            else:
+                continue
+            for name in names:
+                private = [part for part in name.split(".") if part.startswith("_")]
+                assert not private, (path.name, node.lineno, name)

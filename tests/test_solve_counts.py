@@ -23,6 +23,7 @@ from opball import (
     GramFactor,
     NotSymmetric,
     OperatorHK,
+    OutOfBall,
     ShapeMismatch,
     Side,
     adj,
@@ -34,6 +35,7 @@ from opball import (
     gram_factor,
     identity_pair,
     induced_pair,
+    induced_pairs,
     inverse_bounded_transform,
     mobius,
     op_norm,
@@ -48,7 +50,12 @@ from opball.cli import main
 from opball.identities import run_identities
 from opball.matkernel import fro_norm
 from opball.matio import write_matrix
-from opball.sampling import _at_random_margins, random_ball_point, random_ball_points
+from opball.sampling import (
+    _at_random_margins,
+    random_ball_point,
+    random_ball_points,
+    random_symmetric_ball_point,
+)
 
 
 @pytest.fixture
@@ -230,16 +237,18 @@ def test_transported_factor_matches_a_fresh_solve(solves, site, shape, zero):
                 assert np.abs(got - ref).max() <= 64 * EPS * np.abs(ref).max()
 
 
-def test_a_held_factor_must_be_of_the_matrix():
+def test_a_record_built_from_its_factor_keeps_it(jacobi_stacks):
     rng = np.random.default_rng(28)
-    m = 0.1 * complex_draw(rng, 3, 2)
-    f = gram_factor(m)
-    with pytest.raises(ValueError):
-        BallPoint(m, held=f)  # an equal matrix is not the factor's own array
-    with pytest.raises(ValueError):
-        OperatorHK(m.copy(), held=f)
-    assert BallPoint(f.mat, held=f).factor is f
-    assert OperatorHK(f.mat, held=f).factor is f
+    f = gram_factor(0.1 * complex_draw(rng, 3, 2))
+    before = len(jacobi_stacks)
+    for record in (BallPoint(f), OperatorHK(f)):
+        assert record.factor is f and record.mat is f.mat
+    assert len(jacobi_stacks) == before
+    for m in (np.eye(2), complex_draw(rng, 3, 2)):
+        outside = gram_factor(m)
+        assert outside.norm >= 1.0
+        with pytest.raises(OutOfBall):
+            BallPoint(outside)
 
 
 def _near_identity_pair(delta, tol):
@@ -361,3 +370,18 @@ def test_stacked_distances_are_the_member_loop(jacobi_stacks):
     assert len(jacobi_stacks) - before == 1
     for dist, pair in zip(dists, pairs):
         assert same_bytes(dist, ball_dist(*pair))
+
+
+@pytest.mark.parametrize("side", [Side.BWD_FWD, Side.FWD_BWD])
+def test_stacked_induced_pairs_are_the_member_loop(jacobi_stacks, side):
+    rng = np.random.default_rng(44)
+    dims = (3, 5) if side is Side.BWD_FWD else (5, 3)
+    pair = random_pair(*dims, rng)
+    assert pair.side is side
+    points = [random_symmetric_ball_point(rng, pair) for _ in range(3)]
+    points.append(BallPoint(np.zeros((pair.dim_dst, pair.dim_src))))
+    before = len(jacobi_stacks)
+    stacked = induced_pairs(points, pair)
+    assert len(jacobi_stacks) - before == 1
+    for out, a in zip(stacked, points, strict=True):
+        assert same_bytes(out.j_fwd, induced_pair(a, pair).j_fwd)
