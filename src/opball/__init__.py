@@ -11,7 +11,10 @@ from .ball import (
     BallPoint,
     ball_dist,
     ball_dists,
+    defects,
+    lifts,
     mobius,
+    mobius_images,
     mobius_inv,
     mobius_to_origin,
     poincare_dist,
@@ -54,6 +57,8 @@ from .matkernel import (
     herm_sqrt,
     inverse,
     op_norm,
+    powers,
+    transport,
 )
 from .symmetry import (
     ConjugationPair,
@@ -79,7 +84,9 @@ from .transform import (
     OperatorHK,
     bounded_transform,
     inverse_bounded_transform,
+    inverse_bounded_transforms,
     left_defect,
+    left_defects,
     operator_dist,
     operator_dists,
     operators,

@@ -36,7 +36,16 @@ from .errors import (
     OutOfDisc,
     Singular,
 )
-from .matkernel import GramFactor, adj, gram_factor, inverse, op_norm, require_shape
+from .matkernel import (
+    GramFactor,
+    adj,
+    gram_factor,
+    inverse,
+    op_norm,
+    powers,
+    require_shape,
+    stacked,
+)
 from .tolerances import DEFAULT
 
 
@@ -82,20 +91,36 @@ class BallPoint:
         Power -1/2 amplifies roundoff by about 1/margin: it warns with
         :class:`NearBoundaryWarning` below ``DEFAULT.near_boundary`` and
         raises :class:`Singular` when a defect eigenvalue lies below
-        ``DEFAULT.defect_floor``: the margin has collapsed.
+        ``DEFAULT.defect_floor``: the margin has collapsed.  This is the
+        one-item case of :func:`defects`.
         """
-        if power < 0 and self.margin < DEFAULT.near_boundary:
-            # name the nearest caller outside the package, however deep the call
-            frame, level = sys._getframe(1), 2
-            while frame is not None and frame.f_globals.get("__package__") == __package__:
-                frame, level = frame.f_back, level + 1
-            message = (f"ball margin {self.margin:.3e} below {DEFAULT.near_boundary:.0e}; "
-                       "inverse defect loses accuracy")
-            warnings.warn(message, NearBoundaryWarning, stacklevel=level)
-        try:
-            return self.factor.power(-1.0, power, side)
-        except EigenvalueBelowFloor as exc:
-            raise Singular(f"defect eigenvalue {exc.eigenvalue:.3e}: margin too small") from exc
+        return defects((self,), power, side)[0]
+
+
+def defects(points, power: float, side: str) -> list[np.ndarray]:
+    """:meth:`BallPoint.defect` of each point of ``points``, the powers not
+    yet kept computed as one stack per held side and shape
+    (:func:`~opball.matkernel.powers`).  Each point near the sphere warns;
+    a collapsed margin in any point raises :class:`Singular` for the first
+    such point."""
+    if power < 0:
+        for point in points:
+            if point.margin < DEFAULT.near_boundary:
+                _warn_near_boundary(point.margin)
+    try:
+        return powers([point.factor for point in points], -1.0, power, side)
+    except EigenvalueBelowFloor as exc:
+        raise Singular(f"defect eigenvalue {exc.eigenvalue:.3e}: margin too small") from exc
+
+
+def _warn_near_boundary(margin: float) -> None:
+    # name the nearest caller outside the package, however deep the call
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    message = (f"ball margin {margin:.3e} below {DEFAULT.near_boundary:.0e}; "
+               "inverse defect loses accuracy")
+    warnings.warn(message, NearBoundaryWarning, stacklevel=level)
 
 
 def zero_point(dim_h: int, dim_k: int) -> BallPoint:
@@ -103,17 +128,27 @@ def zero_point(dim_h: int, dim_k: int) -> BallPoint:
     return BallPoint(np.zeros((dim_h, dim_k), dtype=np.complex128))
 
 
-def _mobius_mat(a: BallPoint, z: np.ndarray, sign: float) -> np.ndarray:
-    """Shared core of the Moebius map (sign=+1) and its inverse (sign=-1)."""
+def _mobius_images(a: BallPoint, points, sign: float) -> list[BallPoint]:
+    """Shared core of the Moebius map (sign=+1) and its inverse (sign=-1) at
+    each of ``points``, the images factored as one stack."""
+    for point in points:
+        require_shape(point.mat, a.shape, "ball point")
     m = a.mat
-    eye_k = np.eye(m.shape[1])
+    z = stacked([point.mat for point in points])
     middle = z + sign * m
-    bracket = eye_k + sign * adj(m) @ z
+    bracket = np.eye(m.shape[1]) + sign * adj(m) @ z
     try:
-        bracket_inv = inverse(bracket)
+        bracket_inv = stacked([inverse(b) for b in bracket])
     except Singular as exc:
         raise Singular("Moebius bracket is singular: margin too small") from exc
-    return a.defect(-0.5, "left") @ middle @ bracket_inv @ a.defect(0.5, "right")
+    images = a.defect(-0.5, "left") @ middle @ bracket_inv @ a.defect(0.5, "right")
+    return [BallPoint(f) for f in gram_factor(images)]
+
+
+def mobius_images(a: BallPoint, zs) -> list[BallPoint]:
+    """:func:`mobius` with center ``a`` at each point of ``zs``, the images
+    factored as one stack."""
+    return _mobius_images(a, zs, +1.0)
 
 
 def mobius(a: BallPoint, z: BallPoint) -> BallPoint:
@@ -121,15 +156,14 @@ def mobius(a: BallPoint, z: BallPoint) -> BallPoint:
 
     The operator analogue of the disc automorphism w -> (w + a)/(1 + conj(a) w);
     it maps the ball bi-holomorphically onto itself and sends 0 to ``a``.
+    This is the one-item case of :func:`mobius_images`.
     """
-    require_shape(z.mat, a.shape, "ball point")
-    return BallPoint(_mobius_mat(a, z.mat, +1.0))
+    return mobius_images(a, (z,))[0]
 
 
 def mobius_inv(a: BallPoint, z: BallPoint) -> BallPoint:
     """Inverse of :func:`mobius` with the same center: sends ``a`` to 0."""
-    require_shape(z.mat, a.shape, "ball point")
-    return BallPoint(_mobius_mat(a, z.mat, -1.0))
+    return _mobius_images(a, (z,), -1.0)[0]
 
 
 def mobius_to_origin(center: BallPoint, point: BallPoint) -> BallPoint:
@@ -165,8 +199,15 @@ def ball_dist(x: BallPoint, y: BallPoint) -> float:
 def ball_dists(pairs) -> list[float]:
     """:func:`ball_dist` of each (x, y) of ``pairs``, all of one shape, the
     norms of the lifts solved as one stack."""
-    lifts = []
+    return [math.asinh(d) for d in op_norm(lifts(pairs)).tolist()]
+
+
+def lifts(pairs) -> np.ndarray:
+    """The lift (I - X X*)^(-1/2) (Y - X) (I - Y* Y)^(-1/2) of each (x, y)
+    of ``pairs``, all of one shape, as one stack: the off-diagonal block of
+    g_X^(-1) g_Y, whose norm is sinh of :func:`ball_dist`."""
     for x, y in pairs:
         require_shape(y.mat, x.shape, "ball point")
-        lifts.append(x.defect(-0.5, "left") @ (y.mat - x.mat) @ y.defect(-0.5, "right"))
-    return [math.asinh(d) for d in op_norm(lifts).tolist()]
+    diff = stacked([y.mat - x.mat for x, y in pairs])
+    left = stacked(defects([x for x, _ in pairs], -0.5, "left"))
+    return left @ diff @ stacked(defects([y for _, y in pairs], -0.5, "right"))

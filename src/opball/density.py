@@ -23,7 +23,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -44,18 +44,19 @@ from .tolerances import DEFAULT
 from .transform import (
     OperatorHK,
     bounded_transform,
-    inverse_bounded_transform,
+    inverse_bounded_transforms,
     operator_dists,
 )
 
 
-def _cut(point: BallPoint, depth: int) -> np.ndarray:
-    """The matrix of ``point`` with every row past ``depth`` zeroed."""
-    if not 1 <= depth <= point.dim_h:
-        raise BadDepth(f"depth {depth} outside 1..{point.dim_h}")
-    cut = point.mat.copy()
-    cut[depth:, :] = 0.0
-    return cut
+def _cuts(point: BallPoint, depths) -> np.ndarray:
+    """The matrix of ``point`` with every row past the depth zeroed, for
+    each of ``depths``, as one stack."""
+    for depth in depths:
+        if not 1 <= depth <= point.dim_h:
+            raise BadDepth(f"depth {depth} outside 1..{point.dim_h}")
+    rows = np.arange(point.dim_h)[None, :, None]
+    return np.where(rows < np.asarray(depths)[:, None, None], point.mat, 0.0)
 
 
 def truncate(point: BallPoint, depth: int) -> BallPoint:
@@ -64,7 +65,7 @@ def truncate(point: BallPoint, depth: int) -> BallPoint:
     Row selection never increases the spectral norm, so the result stays
     strictly inside the ball.
     """
-    return BallPoint(_cut(point, depth))
+    return BallPoint(_cuts(point, [depth])[0])
 
 
 def _require_pair_dims(t: OperatorHK, pair: ConjugationPair) -> None:
@@ -79,18 +80,15 @@ def _approximants(
     that: BallPoint, pair: ConjugationPair, depths
 ) -> list[tuple[OperatorHK, ConjugationPair, BallPoint]]:
     """Steps 1-3 of the pipeline at each of ``depths``, for the ball point
-    ``that`` of an operator.  Every formula runs per depth, and each step's
-    solves run as one stack: first the doubled points' factors, then those
-    of their induced pairs' coordinates (:func:`induced_pairs`).  The cut is
-    not factored on its own: the doubled point's factor checks the norm of
-    both blocks."""
-    blocks = [extension_blocks(_cut(that, depth), pair) for depth in depths]
+    ``that`` of an operator.  Each step runs as one stacked expression over
+    all depths: the cuts and their extension blocks, the doubled points'
+    factors, their induced pairs (:func:`induced_pairs`) and the inverse
+    transforms.  The cut is not factored on its own: the doubled point's
+    factor checks the norm of both blocks."""
+    blocks = extension_blocks(_cuts(that, depths), pair)
     doubled = [BallPoint(f) for f in gram_factor(blocks)]
     out_pairs = induced_pairs(doubled, double_pair(pair))
-    return [
-        (inverse_bounded_transform(point), out_pair, point)
-        for point, out_pair in zip(doubled, out_pairs)
-    ]
+    return list(zip(inverse_bounded_transforms(doubled), out_pairs, doubled))
 
 
 def symmetric_approximant(
@@ -188,8 +186,8 @@ class EnsembleReport:
         """Median distance across trials at each depth."""
         if not self.results:
             return []
-        per_depth = zip(*[[row.dist for row in r.rows] for r in self.results])
-        return [float(np.median(list(col))) for col in per_depth]
+        dists = [[row.dist for row in r.rows] for r in self.results]
+        return np.median(dists, axis=0).tolist()
 
     def all_valid(self) -> bool:
         return all(not r.violations() for r in self.results)
@@ -237,7 +235,7 @@ def profile_csv(profile: ApproxProfile) -> str:
     :func:`report_json` are the fields of the records; both are stability
     contracts relied on by downstream tooling and pinned by the CLI tests."""
     lines = [",".join(f.name for f in fields(ProfileRow))]
-    lines += [",".join(map(repr, astuple(row))) for row in profile.rows]
+    lines += [",".join(map(repr, vars(row).values())) for row in profile.rows]
     return "\n".join(lines) + "\n"
 
 

@@ -24,7 +24,16 @@ from typing import Callable
 
 import numpy as np
 
-from .ball import ball_dist, ball_dists, mobius, mobius_inv, poincare_dist, zero_point
+from .ball import (
+    ball_dist,
+    ball_dists,
+    lifts,
+    mobius,
+    mobius_images,
+    mobius_inv,
+    poincare_dist,
+    zero_point,
+)
 from .matkernel import adj, fro_norm, herm_inv_sqrt, inverse, op_norm
 from .sampling import (
     complex_gaussian,
@@ -46,7 +55,7 @@ from .transform import (
     OperatorHK,
     bounded_transform,
     inverse_bounded_transform,
-    operator_dist,
+    left_defects,
     operator_dists,
     operators,
     right_defect,
@@ -92,7 +101,7 @@ def mobius_invariance(rng, dim_h, dim_k) -> float:
     """| ball_dist(mobius(A,X), mobius(A,Y)) - ball_dist(X, Y) |."""
     p, q = random_dims(rng, dim_h, dim_k)
     a, x, y = random_ball_points(rng, p, q, 3, margin_min=0.05)
-    d_image, d = ball_dists([(mobius(a, x), mobius(a, y)), (x, y)])
+    d_image, d = ball_dists([tuple(mobius_images(a, [x, y])), (x, y)])
     return abs(d_image - d)
 
 
@@ -163,8 +172,10 @@ def metric_two_routes(rng, dim_h, dim_k) -> float:
         mat = complex_gaussian(rng, q, p, 10 ** rng.uniform(math.log10(30.0), math.log10(300.0)))
         mats = [mat, mat]
     t, s = operators(mats)
-    d_direct = operator_dist(t, s)
-    d_ball = ball_dist(bounded_transform(t), bounded_transform(s))
+    hats = (bounded_transform(t), bounded_transform(s))
+    # the two routes' lifts are of one shape, so their norms are one stack
+    norms = op_norm(np.concatenate([left_defects([(t, s)]), lifts([hats])]))
+    d_direct, d_ball = (math.asinh(d) for d in norms.tolist())
     return abs(d_direct - d_ball)
 
 

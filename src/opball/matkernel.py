@@ -14,8 +14,18 @@ held follows from the push-through identity f(AB) A = A f(BA) (Higham,
 M*M side.  Ball points and operators keep their factor, so a defect never
 costs a second solve of the same operand.  The eigenvalue floor of a power
 is not a parameter: only the inverse square root of a defect, (I - G)^(-1/2),
-is checked against ``DEFAULT.defect_floor``, and ``BallPoint.defect`` is the
-one place that asks for defect powers.
+is checked against ``DEFAULT.defect_floor``, and ``ball.defects`` (with
+``BallPoint.defect`` its one-item case) is the one place that asks for
+defect powers.
+
+Powers and transports are formed for a stack of factors at once, as the
+solves are: :func:`powers` computes the powers not yet kept as one batched
+expression per held side and shape, and :func:`transport` maps the stacked
+spectra of several factors at once.  :meth:`GramFactor.power` and
+:meth:`GramFactor.transport` are their one-item cases, on ``[None]`` views
+of the factor's arrays (a single transport sorts its own arrays), and each
+member of a stack gives exactly the bytes it gives alone: a stacked matmul multiplies each member as the matrix
+product does, on operands laid out as the one-item call lays them out.
 
 The eigensolver is a cyclic two-sided complex Jacobi iteration over a stack
 of matrices of one size, run on the input scaled by a power of two per
@@ -80,7 +90,7 @@ def as_cmat(a) -> np.ndarray:
     return _checked(np.array(a, dtype=np.complex128, order="C"), 2)
 
 
-def _as_stack(a) -> tuple[np.ndarray, bool]:
+def as_cstack(a) -> tuple[np.ndarray, bool]:
     """(S, single): a matrix, or a stack (sequence or 3-D array) of matrices
     of one shape, as a read-only complex128 stack S of shape (b, rows, cols),
     checked as :func:`as_cmat` checks a matrix.  ``single`` when ``a`` is
@@ -92,10 +102,32 @@ def _as_stack(a) -> tuple[np.ndarray, bool]:
         shapes = [np.shape(x) for x in a]
         if len(set(shapes)) < 2 or any(len(s) != 2 for s in shapes):
             raise
-        named = ", ".join(map(str, dict.fromkeys(shapes)))
-        raise ShapeMismatch(f"stack members differ in shape: {named}") from None
+        raise _shapes_differ(shapes) from None
     single = m.ndim == 2
     return _checked(m[None] if single else m, 3), single
+
+
+def _shapes_differ(shapes) -> ShapeMismatch:
+    named = ", ".join(map(str, dict.fromkeys(shapes)))
+    return ShapeMismatch(f"stack members differ in shape: {named}")
+
+
+def require_one_shape(shapes) -> None:
+    """Raise :class:`ShapeMismatch` naming the distinct ``shapes``, in order
+    of appearance, unless there is only one."""
+    if len(set(shapes)) > 1:
+        raise _shapes_differ(shapes)
+
+
+def stacked(arrays) -> np.ndarray:
+    """Arrays of one shape (matrices, or rows of eigenvalues) as one array
+    with a leading stack axis: a ``[None]`` view of a single array, a
+    C-ordered copy of several.  Arrays of different shapes raise
+    :class:`ShapeMismatch` naming them."""
+    if len(arrays) == 1:
+        return arrays[0][None]
+    require_one_shape([a.shape for a in arrays])
+    return np.array(arrays)
 
 
 def _checked(m: np.ndarray, ndim: int) -> np.ndarray:
@@ -123,13 +155,15 @@ def adj(a: np.ndarray) -> np.ndarray:
     return a.conj().mT
 
 
-def fro_norm(a: np.ndarray) -> float:
+def fro_norm(a: np.ndarray):
     """Frobenius norm of a matrix (cheap upper bound for the spectral norm),
     summed at the power-of-two scale of max|a| so that no square overflows
-    or underflows."""
+    or underflows.  A float for a matrix; for a stack (b, rows, cols), the
+    array of its members' norms, each the bytes it gives alone."""
     s = np.abs(a)
-    _, exp = np.frexp(s.max(initial=0.0))
-    return float(np.ldexp(np.sqrt((np.ldexp(s, -exp) ** 2).sum()), exp))
+    _, exp = np.frexp(s.max(axis=(-2, -1), initial=0.0, keepdims=True))
+    norms = np.ldexp(np.sqrt((np.ldexp(s, -exp) ** 2).sum(axis=(-2, -1))), exp[..., 0, 0])
+    return float(norms) if a.ndim == 2 else norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +240,9 @@ def _norms(vals: np.ndarray, exp: np.ndarray) -> np.ndarray:
 
 
 def _sorted_eig(vals: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_jacobi`'s stacked result with each member's eigenvalues
-    ascending and its basis columns (read-only) in the same order."""
+    """A stack of eigenvalue rows (b, n) and bases (b, n, n), :func:`_jacobi`'s
+    result or a transported spectrum, with each member's eigenvalues
+    ascending (stable) and its basis columns (read-only) in the same order."""
     order = np.argsort(vals, axis=1, kind="stable")
     cols_at, vals_at = _plan(*vals.shape)[4]
     basis = basis.reshape(-1)[order[:, None, :] + cols_at]
@@ -327,8 +362,9 @@ def herm_eig(p) -> HermSpectrum:
 
 
 def _spectral(basis: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """basis diag(vals) basis*, re-symmetrized so it is Hermitian to roundoff."""
-    out = (basis * vals) @ adj(basis)
+    """basis diag(vals) basis* (of each member of a stack of bases and
+    eigenvalue rows), re-symmetrized so it is Hermitian to roundoff."""
+    out = (basis * vals[..., None, :]) @ adj(basis)
     return _freeze(0.5 * (out + adj(out)))
 
 
@@ -403,36 +439,14 @@ class GramFactor:
         In the pushed form, an entry of size one cancels where g is small,
         leaving an absolute error of order eps there.  A product g(M*M) M*
         is therefore best written M* g(MM*) when MM* is the held matrix.
-        A power that raises is not kept, so it raises on every call.
+        A power that raises is not kept, so it raises on every call.  This is
+        the one-item case of :func:`powers`.
         """
         key = (sign, power, side)
         out = self._powers.get(key)
         if out is None:
-            out = self._powers[key] = self._power(sign, power, side)
+            out = self._powers[key] = _power_stack((self,), sign, power, side)[0]
         return out
-
-    def _power(self, sign: float, power: float, side: str) -> np.ndarray:
-        if side not in ("left", "right") or sign not in (1, -1) or power not in (0.5, -0.5):
-            raise ValueError(f"unsupported Gram power sign={sign}, power={power}, side={side!r}")
-        push = side != self.side
-        x = self.eigenvalues
-        d = 1.0 + sign * x
-        if sign < 0 and power < 0:
-            lo = min(float(d.min()), 1.0) if push else float(d.min())
-            if lo < DEFAULT.defect_floor:
-                raise EigenvalueBelowFloor(lo, DEFAULT.defect_floor)
-        r = np.sqrt(np.maximum(d, 0.0))
-        basis = self.basis
-        if not push:
-            return _spectral(basis, r if power > 0 else 1.0 / r)
-        if power > 0:
-            # where 1 + sign x was clipped, g = 0 and h = -1 / x with x >= 1
-            h = np.where(d > 0.0, sign / (1.0 + r), -1.0 / np.maximum(x, 1.0))
-        else:
-            h = -sign / (r * (1.0 + r))
-        n = self.mat if side == "right" else adj(self.mat)
-        out = np.eye(n.shape[1]) + adj(n) @ (basis * h) @ adj(basis) @ n
-        return _freeze(0.5 * (out + adj(out)))
 
     def transport(self, mat, eigen_map, flip: bool) -> GramFactor:
         """The factor of ``mat``, a matrix whose Gram matrix on the held side
@@ -443,16 +457,103 @@ class GramFactor:
         functions of M are of this kind: the bounded transform and its
         inverse (x / (1 + x), x / (1 - x)) exchange the Gram sides, and a
         scalar multiple c M (c^2 x) keeps them.  Rounding in the map may
-        reorder equal neighbours, so the mapped spectrum is re-sorted.
+        reorder equal neighbours, so the mapped spectrum is re-sorted.  This
+        is the one-item case of :func:`transport`.
         """
-        m = as_cmat(mat)
-        side = {"left": "right", "right": "left"}[self.side] if flip else self.side
-        require_shape(self.basis, (m.shape[0 if side == "left" else 1],) * 2, "held basis")
-        vals = np.asarray(eigen_map(self.eigenvalues), dtype=np.float64)
+        return transport((self,), mat, eigen_map, flip)[0]
+
+
+_OTHER_SIDE = {"left": "right", "right": "left"}
+
+
+def powers(factors, sign: float, power: float, side: str) -> list[np.ndarray]:
+    """:meth:`GramFactor.power` of each factor of ``factors``, for one
+    (sign, power, side).
+
+    The powers not yet kept are computed as one stack per (held side, shape)
+    of the factors, a factor listed twice only once, and each is kept in its
+    factor.  A floor hit in any member raises
+    :class:`EigenvalueBelowFloor` for the first such member and keeps no
+    member's power.  Each member's power is the bytes it gives alone.
+    """
+    if len(factors) == 1:
+        return [factors[0].power(sign, power, side)]
+    key = (sign, power, side)
+    groups: dict[tuple, dict[int, GramFactor]] = {}
+    for f in factors:
+        if key not in f._powers:
+            groups.setdefault((f.side, f.mat.shape), {})[id(f)] = f
+    done = []
+    for group in groups.values():
+        group = list(group.values())
+        done.append((group, _power_stack(group, sign, power, side)))
+    for group, stack in done:
+        for f, value in zip(group, stack):
+            f._powers[key] = value
+    return [f._powers[key] for f in factors]
+
+
+def _power_stack(factors, sign: float, power: float, side: str) -> np.ndarray:
+    """The power of :meth:`GramFactor.power` of each factor of ``factors``,
+    which hold one side of matrices of one shape, as one read-only stack."""
+    if side not in _OTHER_SIDE or sign not in (1, -1) or power not in (0.5, -0.5):
+        raise ValueError(f"unsupported Gram power sign={sign}, power={power}, side={side!r}")
+    if len(factors) == 1:
+        (f,) = factors
+        x, basis, mats = f.eigenvalues[None], f.basis[None], f.mat[None]
+    else:
+        x = np.array([f.eigenvalues for f in factors])
+        basis = np.array([f.basis for f in factors])
+        mats = np.array([f.mat for f in factors])
+    push = side != factors[0].side
+    d = 1.0 + sign * x
+    if sign < 0 and power < 0:
+        for lo in d.min(axis=1).tolist():
+            lo = min(lo, 1.0) if push else lo
+            if lo < DEFAULT.defect_floor:
+                raise EigenvalueBelowFloor(lo, DEFAULT.defect_floor)
+    r = np.sqrt(np.maximum(d, 0.0))
+    if not push:
+        return _spectral(basis, r if power > 0 else 1.0 / r)
+    if power > 0:
+        # where 1 + sign x was clipped, g = 0 and h = -1 / x with x >= 1
+        h = np.where(d > 0.0, sign / (1.0 + r), -1.0 / np.maximum(x, 1.0))
+    else:
+        h = -sign / (r * (1.0 + r))
+    n = mats if side == "right" else adj(mats)
+    out = np.eye(n.shape[2]) + adj(n) @ (basis * h[:, None, :]) @ adj(basis) @ n
+    return _freeze(0.5 * (out + adj(out)))
+
+
+def transport(factors, mats, eigen_map, flip: bool) -> tuple[GramFactor, ...]:
+    """:meth:`GramFactor.transport` of each factor of ``factors`` to the
+    matrix at the same place in ``mats`` (a matrix or a stack of one
+    shape), the map applied to the stacked spectra at once.  Each factor's
+    ``mat`` is a read-only view into one checked copy of ``mats``."""
+    stack, _ = as_cstack(mats)
+    b, rows, cols = stack.shape
+    if b != len(factors):
+        raise ShapeMismatch(f"{b} matrices for {len(factors)} factors")
+    sides = []
+    for f in factors:
+        side = _OTHER_SIDE[f.side] if flip else f.side
+        require_shape(f.basis, ((rows if side == "left" else cols),) * 2, "held basis")
+        sides.append(side)
+    if b == 1:
+        # one factor sorts its own arrays: cheaper than the stacked gather
+        (f,) = factors
+        vals = np.asarray(eigen_map(f.eigenvalues[None]), dtype=np.float64)[0]
         order = np.argsort(vals, kind="stable")
-        top = float(vals[order[-1]])
-        norm = math.sqrt(top) if top > 0.0 else 0.0
-        return GramFactor(m, side, _freeze(vals[order]), _freeze(self.basis[:, order]), norm)
+        vals, bases = [_freeze(vals[order])], [_freeze(f.basis[:, order])]
+    else:
+        vals = np.asarray(eigen_map(np.array([f.eigenvalues for f in factors])), dtype=np.float64)
+        vals, bases = _sorted_eig(vals, np.array([f.basis for f in factors]))
+        _freeze(vals)
+    out = []
+    for m, side, v, q in zip(stack, sides, vals, bases):
+        top = float(v[-1])
+        out.append(GramFactor(m, side, v, q, math.sqrt(top) if top > 0.0 else 0.0))
+    return tuple(out)
 
 
 def gram_factor(m):
@@ -460,7 +561,7 @@ def gram_factor(m):
     of :func:`op_norm` with the eigenvectors kept and sorted.  A stack of
     matrices gives the tuple of their factors from one stacked solve, each
     factor's ``mat`` a read-only view into the stack."""
-    stack, single = _as_stack(m)
+    stack, single = as_cstack(m)
     gram, exp, side = _scaled_gram(stack)
     vals, basis = _jacobi(gram)
     norms = _norms(vals, exp).tolist()
@@ -478,7 +579,7 @@ def op_norm(a):
     the eigenvectors.  A float for a matrix; for a stack, the read-only array
     of its members' norms from one stacked iteration.  An all-zero input
     takes no iteration."""
-    stack, single = _as_stack(a)
+    stack, single = as_cstack(a)
     if not np.count_nonzero(stack):
         norms = np.zeros(len(stack))
     else:

@@ -28,12 +28,22 @@ from __future__ import annotations
 
 from dataclasses import KW_ONLY, InitVar, dataclass
 from enum import Enum
+from itertools import groupby
 
 import numpy as np
 
-from .ball import BallPoint
+from .ball import BallPoint, defects
 from .errors import BadDims, NotSymmetric, OutOfBall, ShapeMismatch, Singular
-from .matkernel import adj, as_cmat, fro_norm, gram_factor, op_norm, require_shape
+from .matkernel import (
+    adj,
+    as_cmat,
+    as_cstack,
+    fro_norm,
+    gram_factor,
+    op_norm,
+    require_shape,
+    stacked,
+)
 from .tolerances import DEFAULT
 from .transform import OperatorHK, inverse_bounded_transform
 
@@ -69,11 +79,9 @@ class ConjugationPair:
             raise ShapeMismatch(f"side must be a Side, got {type(self.side).__name__}")
         object.__setattr__(self, "j_fwd", as_cmat(self.j_fwd))
         tol = DEFAULT.pair_residual if check_tol is None else check_tol
-        gap = _isometry_gap(self)
-        if not _norm_within(gap, tol):
-            raise ShapeMismatch(
-                f"conjugation pair isometry gap {op_norm(gap):.3e} exceeds {tol:.1e}"
-            )
+        beyond = _first_beyond(_isometry_gap(self)[None], tol)
+        if beyond is not None:
+            raise ShapeMismatch(f"conjugation pair isometry gap {beyond[1]:.3e} exceeds {tol:.1e}")
 
     @property
     def j_bwd(self) -> np.ndarray:
@@ -88,10 +96,17 @@ class ConjugationPair:
         return self.j_fwd.shape[0]
 
 
-def _norm_within(gap: np.ndarray, tol: float) -> bool:
-    """||gap|| <= tol in the spectral norm.  Since ||X|| <= ||X||_F, a
-    Frobenius norm within ``tol`` decides it without an eigen-solve."""
-    return fro_norm(gap) <= tol or op_norm(gap) <= tol
+def _first_beyond(gaps: np.ndarray, tol: float) -> tuple[int, float] | None:
+    """(i, ||gaps[i]||) for the first member of a stack of gaps beyond
+    ``tol`` in the spectral norm, or None.  Since ||X|| <= ||X||_F, a
+    Frobenius norm within ``tol`` decides a member without an eigen-solve;
+    the members it leaves open are solved as one stack."""
+    unsure = [i for i, fro in enumerate(fro_norm(gaps).tolist()) if not fro <= tol]
+    if unsure:
+        for i, norm in zip(unsure, op_norm(gaps[unsure]).tolist()):
+            if not norm <= tol:
+                return i, norm
+    return None
 
 
 def _first(pair: ConjugationPair) -> np.ndarray:
@@ -174,21 +189,25 @@ def conj_apply(pair: ConjugationPair, direction: str, x) -> np.ndarray:
     return j @ np.conj(vec)
 
 
-def _flipped(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
-    """C1 M* C1 as a linear matrix, for a dst x src matrix M:
+def _flipped(mats: np.ndarray, pair: ConjugationPair) -> np.ndarray:
+    """C1 M* C1 as a linear matrix, for each dst x src matrix M of a stack:
     j_fwd transpose(M) conj(j_fwd)."""
-    require_shape(mat, (pair.dim_dst, pair.dim_src), "matrix for the pair")
-    return pair.j_fwd @ mat.T @ np.conj(pair.j_fwd)
+    require_shape(mats[0], (pair.dim_dst, pair.dim_src), "matrix for the pair")
+    return pair.j_fwd @ mats.mT @ np.conj(pair.j_fwd)
 
 
-def _coordinates(mat: np.ndarray, pair: ConjugationPair) -> tuple[np.ndarray, np.ndarray]:
-    """(B, B - transpose(B)) for B = first* N, the oriented matrix (N = M for
-    ``BWD_FWD``, M* for ``FWD_BWD``) of a dst x src matrix M in the pair's
-    frame: square on the identity-composition side, and symmetric iff M is
-    pair-symmetric."""
-    require_shape(mat, (pair.dim_dst, pair.dim_src), "matrix for the pair")
-    b = adj(_first(pair)) @ (mat if pair.side is Side.BWD_FWD else adj(mat))
-    return b, b - b.T
+def _coordinates(mats: np.ndarray, j_fwd: np.ndarray, side: Side) -> tuple[np.ndarray, np.ndarray]:
+    """(B, B - transpose(B)) stacked, for B = first* N the oriented matrix
+    (N = M for ``BWD_FWD``, M* for ``FWD_BWD``) of each member M of a stack
+    of dst x src matrices in the frame of the pair (j_fwd, side), or of the
+    pair at the same place in a stack of ``j_fwd``: square on the
+    identity-composition side, and symmetric iff M is pair-symmetric.
+    first* is adj(j_fwd) for ``BWD_FWD`` and conj(j_fwd) for ``FWD_BWD``."""
+    if side is Side.BWD_FWD:
+        b = adj(j_fwd) @ mats
+    else:
+        b = np.conj(j_fwd) @ adj(mats)
+    return b, b - b.mT
 
 
 def symmetry_residual(t: OperatorHK, pair: ConjugationPair) -> float:
@@ -207,8 +226,16 @@ def symmetry_residual(t: OperatorHK, pair: ConjugationPair) -> float:
 def symmetry_residuals(ts, pairs) -> list[float]:
     """:func:`symmetry_residual` of each operator of ``ts`` for the pair at
     the same place in ``pairs``, the norms solved as one stack (the
-    operators are of one shape)."""
-    return op_norm([_coordinates(t.mat, pair)[1] for t, pair in zip(ts, pairs)]).tolist()
+    operators are of one shape).  The coordinates are formed as one stack
+    per run of pairs of one side and shape."""
+    gaps = []
+    for (side, _), run in groupby(zip(ts, pairs), key=lambda tp: (tp[1].side, tp[1].j_fwd.shape)):
+        run = list(run)
+        for t, pair in run:
+            require_shape(t.mat, (pair.dim_dst, pair.dim_src), "matrix for the pair")
+        j_fwd = stacked([pair.j_fwd for _, pair in run])
+        gaps.extend(_coordinates(stacked([t.mat for t, _ in run]), j_fwd, side)[1])
+    return op_norm(gaps).tolist()
 
 
 def symmetric_part(mat, pair: ConjugationPair) -> np.ndarray:
@@ -218,7 +245,7 @@ def symmetric_part(mat, pair: ConjugationPair) -> np.ndarray:
     residual zero up to roundoff, an admissible input of ``induced_pair``.
     """
     m = as_cmat(mat)
-    return 0.5 * (m + _flipped(m, pair))
+    return 0.5 * (m + _flipped(m[None], pair)[0])
 
 
 def swap_roles(pair: ConjugationPair) -> ConjugationPair:
@@ -241,16 +268,17 @@ def double_pair(pair: ConjugationPair) -> ConjugationPair:
     return ConjugationPair(fwd, pair.side)
 
 
-def extension_blocks(mat: np.ndarray, pair: ConjugationPair) -> np.ndarray:
+def extension_blocks(mat, pair: ConjugationPair) -> np.ndarray:
     """diag(M, C1 M* C1) as one doubled matrix; the linear matrix of the
-    conjugated adjoint block is j_fwd transpose(M) conj(j_fwd)."""
-    m = as_cmat(mat)
+    conjugated adjoint block is j_fwd transpose(M) conj(j_fwd).  A stack of
+    matrices gives the stack of their doubled matrices, formed at once."""
+    m, single = as_cstack(mat)
     flipped = _flipped(m, pair)
     s, d = pair.dim_src, pair.dim_dst
-    out = np.zeros((2 * d, 2 * s), dtype=np.complex128)
-    out[:d, :s] = m
-    out[d:, s:] = flipped
-    return out
+    out = np.zeros((len(m), 2 * d, 2 * s), dtype=np.complex128)
+    out[:, :d, :s] = m
+    out[:, d:, s:] = flipped
+    return out[0] if single else out
 
 
 def symmetric_extension(
@@ -287,30 +315,28 @@ def induced_pair(a: BallPoint, pair: ConjugationPair) -> ConjugationPair:
 
 def induced_pairs(points, pair: ConjugationPair) -> list[ConjugationPair]:
     """:func:`induced_pair` of each contraction of ``points`` for the one
-    ``pair``, the factors of their coordinates B* solved as one stack after
-    every point's symmetry is checked."""
-    coords = []
+    ``pair``, after every point's symmetry is checked: the coordinates, the
+    symmetry gates, the factors of the coordinates B*, the defects and the
+    free parts each formed or solved as one stack."""
     for a in points:
-        b, gap = _coordinates(a.mat, pair)
-        if not _norm_within(gap, DEFAULT.symmetry_pre):
-            raise NotSymmetric(
-                f"contraction has symmetry residual {op_norm(gap):.3e} for the given pair"
-            )
-        coords.append(adj(b))
-    primary = pair.side is Side.BWD_FWD
-    out = []
-    for a, f in zip(points, gram_factor(coords)):
+        require_shape(a.mat, (pair.dim_dst, pair.dim_src), "matrix for the pair")
+    b, gaps = _coordinates(stacked([a.mat for a in points]), pair.j_fwd, pair.side)
+    beyond = _first_beyond(gaps, DEFAULT.symmetry_pre)
+    if beyond is not None:
+        raise NotSymmetric(f"contraction has symmetry residual {beyond[1]:.3e} for the given pair")
+    coords = []
+    for f in gram_factor(adj(b)):
         try:
-            point = BallPoint(f)
+            coords.append(BallPoint(f))
         except OutOfBall as exc:
             raise Singular(f"pair coordinates of the contraction left the ball: {exc}") from exc
-        # (I - N N*)^(1/2): the left defect of M for BWD_FWD, the right for FWD_BWD
-        defect_sqrt = a.defect(0.5, "left" if primary else "right")
-        x = point.defect(-0.5, "left") @ _first(pair).T @ np.conj(defect_sqrt)
-        out.append(ConjugationPair(
-            x if primary else x.T, _other_side(pair.side), check_tol=DEFAULT.induced_pair_residual
-        ))
-    return out
+    primary = pair.side is Side.BWD_FWD
+    # (I - N N*)^(1/2): the left defect of M for BWD_FWD, the right for FWD_BWD
+    defect_sqrt = stacked(defects(points, 0.5, "left" if primary else "right"))
+    x = stacked(defects(coords, -0.5, "left")) @ _first(pair).T @ np.conj(defect_sqrt)
+    side = _other_side(pair.side)
+    tol = DEFAULT.induced_pair_residual
+    return [ConjugationPair(m if primary else m.T, side, check_tol=tol) for m in x]
 
 
 def induced_operator(

@@ -30,8 +30,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .ball import BallPoint
-from .matkernel import GramFactor, adj, as_cmat, gram_factor, inverse, op_norm, require_shape
+from .ball import BallPoint, defects
+from .matkernel import (
+    GramFactor,
+    adj,
+    as_cmat,
+    gram_factor,
+    inverse,
+    op_norm,
+    powers,
+    require_one_shape,
+    require_shape,
+    stacked,
+    transport,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,18 +103,38 @@ def inverse_bounded_transform(a: BallPoint) -> OperatorHK:
     Near the sphere it warns, and at a collapsed margin raises
     :class:`Singular`, through :meth:`~opball.ball.BallPoint.defect`.  The
     result's factor is ``a``'s transported by x / (1 - x), sides exchanged.
+    This is the one-item case of :func:`inverse_bounded_transforms`.
     """
-    mat = a.defect(-0.5, "right") @ adj(a.mat)
-    f = a.factor.transport(mat, lambda x: x / (1.0 - x), flip=True)
-    return OperatorHK(f)
+    return inverse_bounded_transforms((a,))[0]
+
+
+def inverse_bounded_transforms(points) -> list[OperatorHK]:
+    """:func:`inverse_bounded_transform` of each ball point of ``points``,
+    all of one shape: the defects, products and transported factors each
+    formed as one stack."""
+    mats = adj(stacked([a.mat for a in points]))
+    mats = stacked(defects(points, -0.5, "right")) @ mats
+    factors = transport([a.factor for a in points], mats, lambda x: x / (1.0 - x), flip=True)
+    return [OperatorHK(f) for f in factors]
 
 
 def left_defect(t: OperatorHK, x: OperatorHK) -> np.ndarray:
-    """(I + T*T)^(1/2) X* - T* (I + X X*)^(1/2), of shape dimH x dimK."""
-    require_shape(x.mat, t.mat.shape, "operator")
-    left = t.factor.power(1.0, 0.5, "right")
-    right = x.factor.power(1.0, 0.5, "left")
-    return left @ adj(x.mat) - adj(t.mat) @ right
+    """(I + T*T)^(1/2) X* - T* (I + X X*)^(1/2), of shape dimH x dimK.  This
+    is the one-item case of :func:`left_defects`."""
+    return left_defects([(t, x)])[0]
+
+
+def left_defects(pairs) -> np.ndarray:
+    """:func:`left_defect` of each (t, x) of ``pairs``, all of one shape, as
+    one stack, each power taken for all pairs at once
+    (:func:`~opball.matkernel.powers`)."""
+    for t, x in pairs:
+        require_shape(x.mat, t.mat.shape, "operator")
+    require_one_shape([(t.dim_h, t.dim_k) for t, _ in pairs])
+    left = stacked(powers([t.factor for t, _ in pairs], 1.0, 0.5, "right"))
+    right = stacked(powers([x.factor for _, x in pairs], 1.0, 0.5, "left"))
+    ts, xs = stacked([t.mat for t, _ in pairs]), stacked([x.mat for _, x in pairs])
+    return left @ adj(xs) - adj(ts) @ right
 
 
 def right_defect(t: OperatorHK, x: OperatorHK) -> np.ndarray:
@@ -145,5 +177,5 @@ def operator_dist(t: OperatorHK, s: OperatorHK) -> float:
 
 def operator_dists(pairs) -> list[float]:
     """:func:`operator_dist` of each (t, s) of ``pairs``, all of one shape,
-    the norms solved as one stack."""
-    return [math.asinh(d) for d in op_norm([left_defect(t, s) for t, s in pairs]).tolist()]
+    the left defects formed and their norms solved as one stack."""
+    return [math.asinh(d) for d in op_norm(left_defects(pairs)).tolist()]

@@ -24,16 +24,22 @@ from opball import (
     Singular,
     as_cmat,
     ball_dists,
+    extension_blocks,
     fro_norm,
     gram_factor,
     herm_eig,
     herm_inv_sqrt,
     herm_sqrt,
+    identity_pair,
     inverse,
+    inverse_bounded_transforms,
+    left_defects,
+    lifts,
     mobius,
     mobius_inv,
     op_norm,
     operator_dists,
+    transport,
 )
 
 
@@ -275,6 +281,9 @@ def test_stacked_gram_factor_and_op_norm_are_the_member_loop(shape):
         assert same_bytes(factor.basis, alone.basis)
         assert same_bytes(factor.norm, alone.norm)
         assert same_bytes(factor.norm, op_norm(member))
+    for stack in (np.stack(normed), np.stack(normed).mT):
+        for member, fro in zip(stack, fro_norm(stack), strict=True):
+            assert same_bytes(fro, fro_norm(member))
     norms = op_norm(normed)
     assert not norms.flags.writeable
     for member, norm in zip(normed, norms):
@@ -304,6 +313,23 @@ MIXED_STACKS = {
     # each left defect is dimH x dimK, the adjoint's shape
     "operator_dists": (
         lambda: operator_dists([_operator_pair((2, 2)), _operator_pair((3, 1))]), "(2, 2), (1, 3)"
+    ),
+    "left_defects": (
+        lambda: left_defects([_operator_pair((2, 2)), _operator_pair((3, 1))]), "(2, 2), (1, 3)"
+    ),
+    "lifts": (lambda: lifts([_point_pair((2, 2)), _point_pair((3, 1))]), "(2, 2), (3, 1)"),
+    "inverse_bounded_transforms": (
+        lambda: inverse_bounded_transforms([*_point_pair((2, 2)), *_point_pair((3, 1))]),
+        "(2, 2), (3, 1)",
+    ),
+    "transport": (
+        lambda: transport(gram_factor([np.eye(2), np.eye(2)]), [np.eye(2), np.ones((2, 3))],
+                          lambda x: x, flip=False),
+        "(2, 2), (2, 3)",
+    ),
+    "extension_blocks": (
+        lambda: extension_blocks([np.eye(2), np.ones((2, 3)), np.eye(2)], identity_pair(2)),
+        "(2, 2), (2, 3)",
     ),
 }
 

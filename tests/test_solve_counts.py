@@ -10,6 +10,7 @@ is compared with a fresh solve of the matrix it produced.
 """
 
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -20,31 +21,43 @@ import opball.transform
 from opball import (
     BallPoint,
     ConjugationPair,
-    GramFactor,
+    EigenvalueBelowFloor,
+    NearBoundaryWarning,
     NotSymmetric,
     OperatorHK,
     OutOfBall,
     ShapeMismatch,
     Side,
+    Singular,
     adj,
     approximation_profile,
     ball_dist,
     ball_dists,
     bounded_transform,
+    defects,
     ensemble_experiment,
+    extension_blocks,
     gram_factor,
     identity_pair,
     induced_pair,
     induced_pairs,
     inverse_bounded_transform,
+    inverse_bounded_transforms,
+    left_defect,
+    left_defects,
+    lifts,
     mobius,
+    mobius_images,
     op_norm,
     operator_dist,
     operator_dists,
     operators,
     pair_residual,
+    powers,
     random_pair,
+    swap_roles,
     symmetry_residual,
+    symmetry_residuals,
 )
 from opball.cli import main
 from opball.identities import run_identities
@@ -145,7 +158,7 @@ def test_identities_trial_kernel_calls(jacobi_stacks):
     # the operands a check draws together are one stack, and so are the
     # distances or norms it takes of independent operands
     run_identities(0, 1, 8, 3, 1e-8)
-    assert len(jacobi_stacks) == 43
+    assert len(jacobi_stacks) == 41
 
 
 def test_metric_kernel_calls(jacobi_stacks, tmp_path, capsys):
@@ -166,28 +179,34 @@ def test_profile_kernel_calls(jacobi_stacks):
     assert len(jacobi_stacks) <= 6
 
 
-def test_each_gram_power_is_computed_once_per_profile(monkeypatch):
-    requested, computed = collections.Counter(), collections.Counter()
-    power, compute = GramFactor.power, GramFactor._power
+@pytest.fixture
+def power_stacks(monkeypatch):
+    """The members of every computation of the stacked power core, which
+    every Gram power, one-item or stacked, goes through: one list of
+    (factor, key) per computation."""
+    stacks = []
+    core = matkernel._power_stack
 
-    def counted_power(self, *key):
-        requested[self, key] += 1
-        return power(self, *key)
+    def counted(factors, *key):
+        stacks.append([(f, key) for f in factors])
+        return core(factors, *key)
 
-    def counted_compute(self, *key):
-        computed[self, key] += 1
-        return compute(self, *key)
+    monkeypatch.setattr(matkernel, "_power_stack", counted)
+    return stacks
 
-    monkeypatch.setattr(GramFactor, "power", counted_power)
-    monkeypatch.setattr(GramFactor, "_power", counted_compute)
+
+def test_each_gram_power_is_computed_once_per_profile(power_stacks):
     rng = np.random.default_rng(113)
     t = OperatorHK(complex_draw(rng, 2, 8))
     profile = approximation_profile(t, random_pair(2, 8, rng))
     assert not profile.violations()
-    # the full-depth approximant's (I + X X*)^(1/2) serves every depth's distance
-    assert max(requested.values()) == t.dim_h
-    assert set(computed) == set(requested)
+    computed = collections.Counter(member for stack in power_stacks for member in stack)
     assert max(computed.values()) == 1
+    # the transform's power, four per depth (the induced pair's two defects,
+    # the inverse transform's and the distance's), and the full-depth
+    # approximant's (I + X X*)^(1/2), which serves every depth's distance
+    assert len(computed) == 34
+    assert len(power_stacks) <= 6
 
 
 EPS = np.finfo(float).eps
@@ -370,6 +389,136 @@ def test_stacked_distances_are_the_member_loop(jacobi_stacks):
     assert len(jacobi_stacks) - before == 1
     for dist, pair in zip(dists, pairs):
         assert same_bytes(dist, ball_dist(*pair))
+
+
+POWER_KEYS = [(sign, power, side) for sign in (1.0, -1.0) for power in (0.5, -0.5)
+              for side in ("left", "right")]
+
+
+def _power_members():
+    """Fresh factors of the same bytes on every call: two square factors
+    holding "left", a transported square factor holding "right", a factor
+    of another shape, and the first one listed again."""
+    rng = np.random.default_rng(45)
+    first, second = (_ball_operand(complex_draw(rng, 4, 4)).factor for _ in range(2))
+    moved = bounded_transform(OperatorHK(complex_draw(rng, 4, 4))).factor
+    other = _ball_operand(complex_draw(rng, 5, 3)).factor
+    return [first, moved, other, second, first]
+
+
+@pytest.mark.parametrize("key", POWER_KEYS, ids=lambda key: "%+d,%+.1f,%s" % key)
+def test_stacked_powers_are_the_member_loop(power_stacks, key):
+    members = _power_members()
+    assert [f.side for f in members[:2]] == ["left", "right"]
+    before = len(power_stacks)
+    out = powers(members, *key)
+    # one stack per (held side, shape), the factor listed twice in it once
+    assert sorted(len(stack) for stack in power_stacks[before:]) == [1, 1, 2]
+    assert out[4] is out[0]
+    for f, got in zip(members, out, strict=True):
+        assert f.power(*key) is got
+    for got, f in zip(out, _power_members(), strict=True):
+        assert same_bytes(got, f.power(*key))
+
+
+def test_a_floor_hit_in_a_stack_keeps_no_power(power_stacks):
+    rng = np.random.default_rng(46)
+    # the first factor's stack (another shape) is computed before the floor
+    # hit in the second stack
+    ok = _ball_operand(complex_draw(rng, 3, 2)).factor
+    fine, edge = gram_factor([np.diag([0.5, 0.25]), np.diag([1.0 - 1e-15, 0.5])])
+    with pytest.raises(EigenvalueBelowFloor) as alone:
+        gram_factor(edge.mat).power(-1.0, -0.5, "left")
+    for _ in range(2):
+        with pytest.raises(EigenvalueBelowFloor) as info:
+            powers([ok, fine, edge], -1.0, -0.5, "left")
+        assert same_bytes(info.value.eigenvalue, alone.value.eigenvalue)
+        assert not any(f._powers for f in (ok, fine, edge))
+    assert [len(stack) for stack in power_stacks] == [1, 1, 2, 1, 2]
+    points = [BallPoint(f) for f in (ok, fine, edge)]
+    with pytest.warns(NearBoundaryWarning), pytest.raises(Singular):
+        defects(points, -0.5, "left")
+    assert same_bytes(defects(points[:2], -0.5, "left")[1], fine.power(-1.0, -0.5, "left"))
+
+
+def _mixed_points():
+    """Fresh ball points of the same bytes on every call, of two shapes, the
+    square ones holding either Gram side."""
+    rng = np.random.default_rng(47)
+    return [
+        _ball_operand(complex_draw(rng, 4, 4)),
+        bounded_transform(OperatorHK(complex_draw(rng, 4, 4))),
+        BallPoint(np.zeros((4, 4))),
+        _ball_operand(complex_draw(rng, 4, 4)),
+        _ball_operand(complex_draw(rng, 5, 3)),
+    ]
+
+
+@pytest.mark.parametrize("power", [0.5, -0.5])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_stacked_defects_are_the_member_loop(power, side):
+    points = _mixed_points()
+    for got, a in zip(defects(points, power, side), _mixed_points(), strict=True):
+        assert same_bytes(got, a.defect(power, side))
+
+
+def test_stacked_inverse_transforms_are_the_member_loop(jacobi_stacks):
+    points = _mixed_points()[:4]
+    assert {a.factor.side for a in points} == {"left", "right"}
+    before = len(jacobi_stacks)
+    ops = inverse_bounded_transforms(points)
+    assert len(jacobi_stacks) == before  # the factors are transported
+    for op, a in zip(ops, _mixed_points(), strict=False):
+        alone = inverse_bounded_transform(a)
+        assert op.factor.mat is op.mat
+        assert same_bytes(op.mat, alone.mat) and same_factor(op.factor, alone.factor)
+
+
+def test_stacked_lifts_and_images_are_the_member_loop(jacobi_stacks):
+    def fresh():
+        rng = np.random.default_rng(48)
+        ops = operators([10.0 ** e * complex_draw(rng, 5, 3) for e in (-1, 0, 1)])
+        return ops, random_ball_points(rng, 5, 3, 4)
+
+    (t, s, u), (a, x, y, z) = fresh()
+    op_pairs = [(t, s), (s, t), (u, u), (t, u)]
+    ball_pairs = [(x, y), (y, x), (z, z), (x, z)]
+    got = [left_defects(op_pairs), lifts(ball_pairs)]
+    before = len(jacobi_stacks)
+    images = mobius_images(a, [x, y, z, x])
+    assert len(jacobi_stacks) - before == 1
+    (t, s, u), (a, x, y, z) = fresh()
+    for d, pair in zip(got[0], [(t, s), (s, t), (u, u), (t, u)], strict=True):
+        assert same_bytes(d, left_defect(*pair))
+    (t, s, u), (a, x, y, z) = fresh()
+    for d, pair in zip(got[1], [(x, y), (y, x), (z, z), (x, z)], strict=True):
+        assert same_bytes(d, lifts([pair])[0])
+        assert same_bytes(math.asinh(op_norm(d)), ball_dist(*pair))
+    (t, s, u), (a, x, y, z) = fresh()
+    for image, point in zip(images, [x, y, z, x], strict=True):
+        alone = mobius(a, point)
+        assert same_bytes(image.mat, alone.mat) and same_factor(image.factor, alone.factor)
+
+
+def test_stacked_symmetry_residuals_are_the_member_loop(jacobi_stacks):
+    rng = np.random.default_rng(49)
+    pair = random_pair(4, 4, rng)
+    pairs = [pair, swap_roles(pair), swap_roles(pair), random_pair(4, 4, rng)]
+    assert [p.side for p in pairs] == [Side.BWD_FWD, Side.FWD_BWD, Side.FWD_BWD, Side.BWD_FWD]
+    ts = [OperatorHK(complex_draw(rng, 4, 4)) for _ in pairs]
+    before = len(jacobi_stacks)
+    residuals = symmetry_residuals(ts, pairs)
+    assert len(jacobi_stacks) - before == 1
+    for residual, t, p in zip(residuals, ts, pairs, strict=True):
+        assert same_bytes(residual, symmetry_residual(t, p))
+
+
+def test_stacked_extension_blocks_are_the_member_loop():
+    rng = np.random.default_rng(50)
+    pair = random_pair(3, 5, rng)
+    mats = [complex_draw(rng, 5, 3) for _ in range(3)]
+    for got, m in zip(extension_blocks(mats, pair), mats, strict=True):
+        assert same_bytes(got, extension_blocks(m, pair))
 
 
 @pytest.mark.parametrize("side", [Side.BWD_FWD, Side.FWD_BWD])
