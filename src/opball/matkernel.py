@@ -23,8 +23,8 @@ solves are: :func:`powers` computes the powers not yet kept as one batched
 expression per held side and shape, and :func:`transport` maps the stacked
 spectra of several factors at once.  :meth:`GramFactor.power` and
 :meth:`GramFactor.transport` are their one-item cases, on ``[None]`` views
-of the factor's arrays (a single transport sorts its own arrays), and each
-member of a stack gives exactly the bytes it gives alone: a stacked matmul multiplies each member as the matrix
+of the factor's arrays, and each member of a stack gives exactly the bytes
+it gives alone: a stacked matmul multiplies each member as the matrix
 product does, on operands laid out as the one-item call lays them out.
 
 The eigensolver is a cyclic two-sided complex Jacobi iteration over a stack
@@ -442,11 +442,7 @@ class GramFactor:
         A power that raises is not kept, so it raises on every call.  This is
         the one-item case of :func:`powers`.
         """
-        key = (sign, power, side)
-        out = self._powers.get(key)
-        if out is None:
-            out = self._powers[key] = _power_stack((self,), sign, power, side)[0]
-        return out
+        return powers((self,), sign, power, side)[0]
 
     def transport(self, mat, eigen_map, flip: bool) -> GramFactor:
         """The factor of ``mat``, a matrix whose Gram matrix on the held side
@@ -457,8 +453,9 @@ class GramFactor:
         functions of M are of this kind: the bounded transform and its
         inverse (x / (1 + x), x / (1 - x)) exchange the Gram sides, and a
         scalar multiple c M (c^2 x) keeps them.  Rounding in the map may
-        reorder equal neighbours, so the mapped spectrum is re-sorted.  This
-        is the one-item case of :func:`transport`.
+        reorder equal neighbours, so a mapped spectrum out of order is
+        re-sorted (stably, its columns with it).  This is the one-item case
+        of :func:`transport`.
         """
         return transport((self,), mat, eigen_map, flip)[0]
 
@@ -468,58 +465,53 @@ _OTHER_SIDE = {"left": "right", "right": "left"}
 
 def powers(factors, sign: float, power: float, side: str) -> list[np.ndarray]:
     """:meth:`GramFactor.power` of each factor of ``factors``, for one
-    (sign, power, side).
+    (sign, power, side), and the one place that keeps powers.
 
     The powers not yet kept are computed as one stack per (held side, shape)
     of the factors, a factor listed twice only once, and each is kept in its
-    factor.  A floor hit in any member raises
-    :class:`EigenvalueBelowFloor` for the first such member and keeps no
-    member's power.  Each member's power is the bytes it gives alone.
+    factor.  The floor is checked on every member before any power is
+    computed: a hit raises :class:`EigenvalueBelowFloor` for the first such
+    member of ``factors`` and keeps no member's power.  Each member's power
+    is the bytes it gives alone.
     """
-    if len(factors) == 1:
-        return [factors[0].power(sign, power, side)]
     key = (sign, power, side)
-    groups: dict[tuple, dict[int, GramFactor]] = {}
-    for f in factors:
-        if key not in f._powers:
-            groups.setdefault((f.side, f.mat.shape), {})[id(f)] = f
-    done = []
-    for group in groups.values():
-        group = list(group.values())
-        done.append((group, _power_stack(group, sign, power, side)))
-    for group, stack in done:
-        for f, value in zip(group, stack):
-            f._powers[key] = value
+    todo = [f for f in factors if key not in f._powers]
+    if todo:
+        if side not in _OTHER_SIDE or sign not in (1, -1) or power not in (0.5, -0.5):
+            raise ValueError(f"unsupported Gram power sign={sign}, power={power}, side={side!r}")
+        if sign < 0 and power < 0:
+            for f in todo:
+                # min(1 - x) over the ascending spectrum, and 1 on the pushed side
+                lo = 1.0 - float(f.eigenvalues[-1])
+                lo = min(lo, 1.0) if side != f.side else lo
+                if lo < DEFAULT.defect_floor:
+                    raise EigenvalueBelowFloor(lo, DEFAULT.defect_floor)
+        groups: dict[tuple, list[GramFactor]] = {}
+        for f in dict.fromkeys(todo):
+            groups.setdefault((f.side, f.mat.shape), []).append(f)
+        for group in groups.values():
+            stack = _power_stack(group, sign, power, side)
+            for i, f in enumerate(group):
+                f._powers[key] = stack[i]
     return [f._powers[key] for f in factors]
 
 
 def _power_stack(factors, sign: float, power: float, side: str) -> np.ndarray:
     """The power of :meth:`GramFactor.power` of each factor of ``factors``,
-    which hold one side of matrices of one shape, as one read-only stack."""
-    if side not in _OTHER_SIDE or sign not in (1, -1) or power not in (0.5, -0.5):
-        raise ValueError(f"unsupported Gram power sign={sign}, power={power}, side={side!r}")
-    if len(factors) == 1:
-        (f,) = factors
-        x, basis, mats = f.eigenvalues[None], f.basis[None], f.mat[None]
-    else:
-        x = np.array([f.eigenvalues for f in factors])
-        basis = np.array([f.basis for f in factors])
-        mats = np.array([f.mat for f in factors])
-    push = side != factors[0].side
+    which hold one side of matrices of one shape and pass the floor, as one
+    read-only stack."""
+    x = stacked([f.eigenvalues for f in factors])
+    basis = stacked([f.basis for f in factors])
     d = 1.0 + sign * x
-    if sign < 0 and power < 0:
-        for lo in d.min(axis=1).tolist():
-            lo = min(lo, 1.0) if push else lo
-            if lo < DEFAULT.defect_floor:
-                raise EigenvalueBelowFloor(lo, DEFAULT.defect_floor)
     r = np.sqrt(np.maximum(d, 0.0))
-    if not push:
+    if side == factors[0].side:
         return _spectral(basis, r if power > 0 else 1.0 / r)
     if power > 0:
         # where 1 + sign x was clipped, g = 0 and h = -1 / x with x >= 1
         h = np.where(d > 0.0, sign / (1.0 + r), -1.0 / np.maximum(x, 1.0))
     else:
         h = -sign / (r * (1.0 + r))
+    mats = stacked([f.mat for f in factors])
     n = mats if side == "right" else adj(mats)
     out = np.eye(n.shape[2]) + adj(n) @ (basis * h[:, None, :]) @ adj(basis) @ n
     return _freeze(0.5 * (out + adj(out)))
@@ -528,8 +520,10 @@ def _power_stack(factors, sign: float, power: float, side: str) -> np.ndarray:
 def transport(factors, mats, eigen_map, flip: bool) -> tuple[GramFactor, ...]:
     """:meth:`GramFactor.transport` of each factor of ``factors`` to the
     matrix at the same place in ``mats`` (a matrix or a stack of one
-    shape), the map applied to the stacked spectra at once.  Each factor's
-    ``mat`` is a read-only view into one checked copy of ``mats``."""
+    shape), the map applied to the stacked spectra at once and the stack
+    re-sorted only if the map put some member's spectrum out of order (a
+    stable sort of an ordered row is the identity).  Each factor's ``mat``
+    is a read-only view into one checked copy of ``mats``."""
     stack, _ = as_cstack(mats)
     b, rows, cols = stack.shape
     if b != len(factors):
@@ -539,20 +533,16 @@ def transport(factors, mats, eigen_map, flip: bool) -> tuple[GramFactor, ...]:
         side = _OTHER_SIDE[f.side] if flip else f.side
         require_shape(f.basis, ((rows if side == "left" else cols),) * 2, "held basis")
         sides.append(side)
-    if b == 1:
-        # one factor sorts its own arrays: cheaper than the stacked gather
-        (f,) = factors
-        vals = np.asarray(eigen_map(f.eigenvalues[None]), dtype=np.float64)[0]
-        order = np.argsort(vals, kind="stable")
-        vals, bases = [_freeze(vals[order])], [_freeze(f.basis[:, order])]
-    else:
-        vals = np.asarray(eigen_map(np.array([f.eigenvalues for f in factors])), dtype=np.float64)
-        vals, bases = _sorted_eig(vals, np.array([f.basis for f in factors]))
-        _freeze(vals)
+    vals = np.asarray(eigen_map(stacked([f.eigenvalues for f in factors])), dtype=np.float64)
+    bases = stacked([f.basis for f in factors])
+    if (vals[:, 1:] < vals[:, :-1]).any():
+        vals, bases = _sorted_eig(vals, bases)
+    _freeze(vals)
+    _freeze(bases)
     out = []
-    for m, side, v, q in zip(stack, sides, vals, bases):
-        top = float(v[-1])
-        out.append(GramFactor(m, side, v, q, math.sqrt(top) if top > 0.0 else 0.0))
+    for i, top in enumerate(vals[:, -1].tolist()):
+        norm = math.sqrt(top) if top > 0.0 else 0.0
+        out.append(GramFactor(stack[i], sides[i], vals[i], bases[i], norm))
     return tuple(out)
 
 

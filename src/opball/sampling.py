@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ball import BallPoint
-from .matkernel import gram_factor, transport
+from .matkernel import gram_factor
 from .symmetry import ConjugationPair, symmetric_part
 from .transform import OperatorHK
 
@@ -27,26 +27,19 @@ def _at_random_margins(
     margin, uniform in [margin_min, margin_max], and rescaled to it (left as
     is when it is zero, which draws no margin: a nonzero matrix has a
     nonzero norm).  The draws are solved as one stack; each rescaled point's
-    factor is its draw's factor transported by c^2 x, all in one transport."""
+    factor is its draw's factor transported by c^2 x."""
     draws, margins = [], []
     for _ in range(count):
         g = draw()
         draws.append(g)
         margins.append(rng.uniform(margin_min, margin_max) if g.any() else None)
-    factors = list(gram_factor(draws))
-    moved = [i for i, margin in enumerate(margins) if margin is not None]
-    if moved:
-        scales = [(1.0 - margins[i]) / factors[i].norm for i in moved]
-        cs = np.array(scales)[:, None]
-        rescaled = transport(
-            [factors[i] for i in moved],
-            [factors[i].mat * c for i, c in zip(moved, scales)],
-            lambda x: cs * cs * x,
-            flip=False,
-        )
-        for i, f in zip(moved, rescaled):
-            factors[i] = f
-    return [BallPoint(f) for f in factors]
+    points = []
+    for f, margin in zip(gram_factor(draws), margins):
+        if margin is not None:
+            c = (1.0 - margin) / f.norm
+            f = f.transport(f.mat * c, lambda x: c * c * x, flip=False)
+        points.append(BallPoint(f))
+    return points
 
 
 def random_ball_points(

@@ -423,22 +423,60 @@ def test_stacked_powers_are_the_member_loop(power_stacks, key):
 
 def test_a_floor_hit_in_a_stack_keeps_no_power(power_stacks):
     rng = np.random.default_rng(46)
-    # the first factor's stack (another shape) is computed before the floor
-    # hit in the second stack
     ok = _ball_operand(complex_draw(rng, 3, 2)).factor
     fine, edge = gram_factor([np.diag([0.5, 0.25]), np.diag([1.0 - 1e-15, 0.5])])
+    # a later hit of the first member's (held side, shape): the first hit in
+    # the list raises, whatever the order its group would be computed in
+    late = gram_factor(np.array([[1.0 - 4e-15, 0.0], [0.0, 0.5], [0.0, 0.0]]))
+    assert (late.side, late.mat.shape) == (ok.side, ok.mat.shape)
     with pytest.raises(EigenvalueBelowFloor) as alone:
         gram_factor(edge.mat).power(-1.0, -0.5, "left")
+    with pytest.raises(EigenvalueBelowFloor) as other:
+        gram_factor(late.mat).power(-1.0, -0.5, "left")
+    assert other.value.eigenvalue != alone.value.eigenvalue
     for _ in range(2):
         with pytest.raises(EigenvalueBelowFloor) as info:
-            powers([ok, fine, edge], -1.0, -0.5, "left")
+            powers([ok, fine, edge, late], -1.0, -0.5, "left")
         assert same_bytes(info.value.eigenvalue, alone.value.eigenvalue)
-        assert not any(f._powers for f in (ok, fine, edge))
-    assert [len(stack) for stack in power_stacks] == [1, 1, 2, 1, 2]
+        assert not any(f._powers for f in (ok, fine, edge, late))
+    # the floor is checked before any stack is computed
+    assert power_stacks == []
     points = [BallPoint(f) for f in (ok, fine, edge)]
     with pytest.warns(NearBoundaryWarning), pytest.raises(Singular):
         defects(points, -0.5, "left")
     assert same_bytes(defects(points[:2], -0.5, "left")[1], fine.power(-1.0, -0.5, "left"))
+
+
+def test_stacked_transport_re_sorts_a_reordered_spectrum():
+    # (x - 2)^2 keeps the order of the first member's spectrum (9, 16, 25)
+    # and reorders the second's (0.25, 1, 4): each member is sorted with its
+    # columns as it is alone
+    def fresh():
+        mats = [np.zeros((4, 3), dtype=complex) for _ in range(2)]
+        for m, values in zip(mats, ([3.0, 4.0, 5.0], [0.5, 1.0, 2.0]), strict=True):
+            m[:3, :3] = np.diag(values)
+        return gram_factor(mats)
+
+    def shift(x):
+        return (x - 2.0) ** 2
+
+    factors = fresh()
+    out = matkernel.transport(factors, [f.mat for f in factors], shift, flip=False)
+    for got, f in zip(out, fresh(), strict=True):
+        assert same_factor(got, f.transport(f.mat, shift, flip=False))
+    assert same_bytes(out[0].basis, factors[0].basis)
+    assert out[1].eigenvalues.tolist() == sorted(shift(factors[1].eigenvalues).tolist())
+    for got, f in zip(out, factors, strict=True):
+        assert np.all(np.diff(got.eigenvalues) >= 0.0)
+        assert not got.eigenvalues.flags.writeable and not got.basis.flags.writeable
+        want = (f.basis * shift(f.eigenvalues)) @ adj(f.basis)
+        np.testing.assert_allclose((got.basis * got.eigenvalues) @ adj(got.basis), want,
+                                   atol=1e-12)
+    # a map that reorders no member leaves every basis as it was, read-only
+    scaled = matkernel.transport(factors, [f.mat for f in factors], lambda x: 4.0 * x, False)
+    for got, f in zip(scaled, factors, strict=True):
+        assert same_bytes(got.basis, f.basis) and same_bytes(got.eigenvalues, 4.0 * f.eigenvalues)
+        assert not got.eigenvalues.flags.writeable and not got.basis.flags.writeable
 
 
 def _mixed_points():
