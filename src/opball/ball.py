@@ -97,12 +97,11 @@ class BallPoint:
         return defects((self,), power, side)[0]
 
 
-def defects(points, power: float, side: str) -> list[np.ndarray]:
-    """:meth:`BallPoint.defect` of each point of ``points``, the powers not
-    yet kept computed as one stack per held side and shape
-    (:func:`~opball.matkernel.powers`).  Each point near the sphere warns;
-    a collapsed margin in any point raises :class:`Singular` for the first
-    such point."""
+def defects(points, power: float, side: str) -> np.ndarray:
+    """:meth:`BallPoint.defect` of each point of ``points``, all of one
+    shape, as one read-only stack (:func:`~opball.matkernel.powers`).  Each
+    point near the sphere warns; a collapsed margin in any point raises
+    :class:`Singular` for the first such point."""
     if power < 0:
         for point in points:
             if point.margin < DEFAULT.near_boundary:
@@ -209,5 +208,5 @@ def lifts(pairs) -> np.ndarray:
     for x, y in pairs:
         require_shape(y.mat, x.shape, "ball point")
     diff = stacked([y.mat - x.mat for x, y in pairs])
-    left = stacked(defects([x for x, _ in pairs], -0.5, "left"))
-    return left @ diff @ stacked(defects([y for _, y in pairs], -0.5, "right"))
+    left = defects([x for x, _ in pairs], -0.5, "left")
+    return left @ diff @ defects([y for _, y in pairs], -0.5, "right")

@@ -19,9 +19,9 @@ is checked against ``DEFAULT.defect_floor``, and ``ball.defects`` (with
 defect powers.
 
 Powers and transports are formed for a stack of factors at once, as the
-solves are: :func:`powers` computes the powers not yet kept as one batched
-expression per held side and shape, and :func:`transport` maps the stacked
-spectra of several factors at once.  :meth:`GramFactor.power` and
+solves are: :func:`powers` computes the powers of factors of one shape as
+one batched expression per held side, and :func:`transport` maps the
+stacked spectra of several factors at once.  :meth:`GramFactor.power` and
 :meth:`GramFactor.transport` are their one-item cases, on ``[None]`` views
 of the factor's arrays, and each member of a stack gives exactly the bytes
 it gives alone: a stacked matmul multiplies each member as the matrix
@@ -50,15 +50,14 @@ is Gaussian elimination with partial pivoting and an explicit pivot floor,
 so near-singular systems fail loudly instead of returning garbage.
 
 All functions are pure: inputs are never mutated and returned arrays are
-read-only, so values are freely shareable across threads.  A factor's
-powers are memoized in the factor; two threads that ask for the same power
-at once both compute it, and either result is the same bytes.
+read-only, so values are freely shareable across threads.  A factor is
+immutable and keeps no powers: each call computes the powers it returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -412,11 +411,9 @@ class GramFactor:
     eigenvalues: np.ndarray
     basis: np.ndarray
     norm: float
-    _powers: dict = field(default_factory=dict, init=False, repr=False)
 
     def power(self, sign: float, power: float, side: str) -> np.ndarray:
-        """(I + sign G)^power for G = M*M (``side="right"``) or MM* (``"left"``),
-        computed once per (sign, power, side) and kept in the factor.
+        """(I + sign G)^power for G = M*M (``side="right"``) or MM* (``"left"``).
 
         ``sign`` is +1 or -1 and ``power`` is +1/2 or -1/2.  When ``side``
         names the Gram matrix not held, the push-through identity gives
@@ -439,8 +436,7 @@ class GramFactor:
         In the pushed form, an entry of size one cancels where g is small,
         leaving an absolute error of order eps there.  A product g(M*M) M*
         is therefore best written M* g(MM*) when MM* is the held matrix.
-        A power that raises is not kept, so it raises on every call.  This is
-        the one-item case of :func:`powers`.
+        This is the one-item case of :func:`powers`.
         """
         return powers((self,), sign, power, side)[0]
 
@@ -463,37 +459,34 @@ class GramFactor:
 _OTHER_SIDE = {"left": "right", "right": "left"}
 
 
-def powers(factors, sign: float, power: float, side: str) -> list[np.ndarray]:
-    """:meth:`GramFactor.power` of each factor of ``factors``, for one
-    (sign, power, side), and the one place that keeps powers.
+def powers(factors, sign: float, power: float, side: str) -> np.ndarray:
+    """:meth:`GramFactor.power` of each factor of ``factors``, matrices of
+    one shape, for one (sign, power, side), as one read-only stack.
 
-    The powers not yet kept are computed as one stack per (held side, shape)
-    of the factors, a factor listed twice only once, and each is kept in its
-    factor.  The floor is checked on every member before any power is
-    computed: a hit raises :class:`EigenvalueBelowFloor` for the first such
-    member of ``factors`` and keeps no member's power.  Each member's power
-    is the bytes it gives alone.
+    The powers are computed as one stack per held side, a factor listed
+    twice only once.  The floor is checked on every member before any power
+    is computed: a hit raises :class:`EigenvalueBelowFloor` for the first
+    such member of ``factors``.  Members of different shapes raise
+    :class:`ShapeMismatch` naming them.  Each member's power is the bytes
+    it gives alone.
     """
-    key = (sign, power, side)
-    todo = [f for f in factors if key not in f._powers]
-    if todo:
-        if side not in _OTHER_SIDE or sign not in (1, -1) or power not in (0.5, -0.5):
-            raise ValueError(f"unsupported Gram power sign={sign}, power={power}, side={side!r}")
-        if sign < 0 and power < 0:
-            for f in todo:
-                # min(1 - x) over the ascending spectrum, and 1 on the pushed side
-                lo = 1.0 - float(f.eigenvalues[-1])
-                lo = min(lo, 1.0) if side != f.side else lo
-                if lo < DEFAULT.defect_floor:
-                    raise EigenvalueBelowFloor(lo, DEFAULT.defect_floor)
-        groups: dict[tuple, list[GramFactor]] = {}
-        for f in dict.fromkeys(todo):
-            groups.setdefault((f.side, f.mat.shape), []).append(f)
-        for group in groups.values():
-            stack = _power_stack(group, sign, power, side)
-            for i, f in enumerate(group):
-                f._powers[key] = stack[i]
-    return [f._powers[key] for f in factors]
+    if side not in _OTHER_SIDE or sign not in (1, -1) or power not in (0.5, -0.5):
+        raise ValueError(f"unsupported Gram power sign={sign}, power={power}, side={side!r}")
+    require_one_shape([f.mat.shape for f in factors])
+    if sign < 0 and power < 0:
+        for f in factors:
+            # min(1 - x) over the ascending spectrum, and 1 on the pushed side
+            lo = 1.0 - float(f.eigenvalues[-1])
+            lo = min(lo, 1.0) if side != f.side else lo
+            if lo < DEFAULT.defect_floor:
+                raise EigenvalueBelowFloor(lo, DEFAULT.defect_floor)
+    unique = list(dict.fromkeys(factors))
+    groups = [[f for f in unique if f.side == held] for held in _OTHER_SIDE]
+    stacks = [_power_stack(group, sign, power, side) for group in groups if group]
+    if len(stacks) == 1 and len(unique) == len(factors):
+        return stacks[0]
+    at = {f: i for i, f in enumerate(groups[0] + groups[1])}
+    return _freeze(np.concatenate(stacks)[[at[f] for f in factors]])
 
 
 def _power_stack(factors, sign: float, power: float, side: str) -> np.ndarray:

@@ -81,7 +81,7 @@ class ConjugationPair:
         tol = DEFAULT.pair_residual if check_tol is None else check_tol
         beyond = _first_beyond(_isometry_gap(self)[None], tol)
         if beyond is not None:
-            raise ShapeMismatch(f"conjugation pair isometry gap {beyond[1]:.3e} exceeds {tol:.1e}")
+            raise ShapeMismatch(f"conjugation pair isometry gap {beyond:.3e} exceeds {tol:.1e}")
 
     @property
     def j_bwd(self) -> np.ndarray:
@@ -96,16 +96,16 @@ class ConjugationPair:
         return self.j_fwd.shape[0]
 
 
-def _first_beyond(gaps: np.ndarray, tol: float) -> tuple[int, float] | None:
-    """(i, ||gaps[i]||) for the first member of a stack of gaps beyond
-    ``tol`` in the spectral norm, or None.  Since ||X|| <= ||X||_F, a
-    Frobenius norm within ``tol`` decides a member without an eigen-solve;
-    the members it leaves open are solved as one stack."""
+def _first_beyond(gaps: np.ndarray, tol: float) -> float | None:
+    """The spectral norm of the first member of a stack of gaps beyond
+    ``tol``, or None.  Since ||X|| <= ||X||_F, a Frobenius norm within
+    ``tol`` decides a member without an eigen-solve; the members it leaves
+    open are solved as one stack."""
     unsure = [i for i, fro in enumerate(fro_norm(gaps).tolist()) if not fro <= tol]
     if unsure:
-        for i, norm in zip(unsure, op_norm(gaps[unsure]).tolist()):
+        for norm in op_norm(gaps[unsure]).tolist():
             if not norm <= tol:
-                return i, norm
+                return norm
     return None
 
 
@@ -323,7 +323,7 @@ def induced_pairs(points, pair: ConjugationPair) -> list[ConjugationPair]:
     b, gaps = _coordinates(stacked([a.mat for a in points]), pair.j_fwd, pair.side)
     beyond = _first_beyond(gaps, DEFAULT.symmetry_pre)
     if beyond is not None:
-        raise NotSymmetric(f"contraction has symmetry residual {beyond[1]:.3e} for the given pair")
+        raise NotSymmetric(f"contraction has symmetry residual {beyond:.3e} for the given pair")
     coords = []
     for f in gram_factor(adj(b)):
         try:
@@ -332,8 +332,8 @@ def induced_pairs(points, pair: ConjugationPair) -> list[ConjugationPair]:
             raise Singular(f"pair coordinates of the contraction left the ball: {exc}") from exc
     primary = pair.side is Side.BWD_FWD
     # (I - N N*)^(1/2): the left defect of M for BWD_FWD, the right for FWD_BWD
-    defect_sqrt = stacked(defects(points, 0.5, "left" if primary else "right"))
-    x = stacked(defects(coords, -0.5, "left")) @ _first(pair).T @ np.conj(defect_sqrt)
+    defect_sqrt = defects(points, 0.5, "left" if primary else "right")
+    x = defects(coords, -0.5, "left") @ _first(pair).T @ np.conj(defect_sqrt)
     side = _other_side(pair.side)
     tol = DEFAULT.induced_pair_residual
     return [ConjugationPair(m if primary else m.T, side, check_tol=tol) for m in x]

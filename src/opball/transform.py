@@ -113,7 +113,7 @@ def inverse_bounded_transforms(points) -> list[OperatorHK]:
     all of one shape: the defects, products and transported factors each
     formed as one stack."""
     mats = adj(stacked([a.mat for a in points]))
-    mats = stacked(defects(points, -0.5, "right")) @ mats
+    mats = defects(points, -0.5, "right") @ mats
     factors = transport([a.factor for a in points], mats, lambda x: x / (1.0 - x), flip=True)
     return [OperatorHK(f) for f in factors]
 
@@ -131,8 +131,8 @@ def left_defects(pairs) -> np.ndarray:
     for t, x in pairs:
         require_shape(x.mat, t.mat.shape, "operator")
     require_one_shape([(t.dim_h, t.dim_k) for t, _ in pairs])
-    left = stacked(powers([t.factor for t, _ in pairs], 1.0, 0.5, "right"))
-    right = stacked(powers([x.factor for _, x in pairs], 1.0, 0.5, "left"))
+    left = powers([t.factor for t, _ in pairs], 1.0, 0.5, "right")
+    right = powers([x.factor for _, x in pairs], 1.0, 0.5, "left")
     ts, xs = stacked([t.mat for t, _ in pairs]), stacked([x.mat for _, x in pairs])
     return left @ adj(xs) - adj(ts) @ right
 

@@ -1,0 +1,38 @@
+"""Every name a module of the package imports is used in it.
+
+The package's ``__init__.py`` imports names only to re-export them, so it is
+not walked.  A name counts as used when the module refers to it anywhere,
+annotations included.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "opball"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used(module):
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    assert _unused_imports(tree) == []
+
+
+def test_an_unused_import_is_found():
+    tree = ast.parse("import math\nfrom os import path, sep\n\nprint(sep)\n")
+    assert _unused_imports(tree) == ["math (line 1)", "path (line 2)"]

@@ -5,6 +5,7 @@ never calls it.
 """
 
 import ast
+import dataclasses
 import pathlib
 import re
 import warnings
@@ -24,6 +25,7 @@ from opball import (
     Singular,
     as_cmat,
     ball_dists,
+    defects,
     extension_blocks,
     fro_norm,
     gram_factor,
@@ -39,6 +41,7 @@ from opball import (
     mobius_inv,
     op_norm,
     operator_dists,
+    powers,
     transport,
 )
 
@@ -318,6 +321,15 @@ MIXED_STACKS = {
         lambda: left_defects([_operator_pair((2, 2)), _operator_pair((3, 1))]), "(2, 2), (1, 3)"
     ),
     "lifts": (lambda: lifts([_point_pair((2, 2)), _point_pair((3, 1))]), "(2, 2), (3, 1)"),
+    "powers": (
+        lambda: powers(gram_factor([np.eye(2), np.eye(2)]) + (gram_factor(np.ones((2, 3))),),
+                       1.0, 0.5, "left"),
+        "(2, 2), (2, 3)",
+    ),
+    "defects": (
+        lambda: defects([*_point_pair((2, 2)), *_point_pair((3, 1))], 0.5, "left"),
+        "(2, 2), (3, 1)",
+    ),
     "inverse_bounded_transforms": (
         lambda: inverse_bounded_transforms([*_point_pair((2, 2)), *_point_pair((3, 1))]),
         "(2, 2), (3, 1)",
@@ -374,9 +386,14 @@ def test_no_convergence_names_the_member_left(monkeypatch):
     assert match is not None and 0.0 < float(match.group(1)) < 1.0
 
 
-def test_gram_power_is_kept_but_a_floor_hit_raises_every_time():
+def test_gram_power_repeats_its_bytes_and_a_floor_hit_raises_every_time():
     factor = gram_factor(np.diag([1.0 - 1e-15, 0.5]))
-    assert factor.power(-1.0, 0.5, "left") is factor.power(-1.0, 0.5, "left")
+    first = factor.power(-1.0, 0.5, "left")
+    assert same_bytes(factor.power(-1.0, 0.5, "left"), first)
+    assert not first.flags.writeable
+    # the factor is its solve and nothing else: it keeps no powers
+    names = [f.name for f in dataclasses.fields(factor)]
+    assert names == ["mat", "side", "eigenvalues", "basis", "norm"]
     for _ in range(2):
         with pytest.raises(EigenvalueBelowFloor):
             factor.power(-1.0, -0.5, "left")
