@@ -46,8 +46,9 @@ eigenvalues and vectors are exactly the bytes it gives alone.
 At desk sizes (side <= 64) it converges in a handful of sweeps and keeps the
 eigenbasis unitary and the reconstruction residual at roundoff level.
 Solves are counted in matrices, the stack length, not in calls.  Inversion
-is Gaussian elimination with partial pivoting and an explicit pivot floor,
-so near-singular systems fail loudly instead of returning garbage.
+is Gauss-Jordan elimination with partial pivoting on [A | I] and an
+explicit pivot floor, so near-singular systems fail loudly instead of
+returning garbage.
 
 All functions are pure: inputs are never mutated and returned arrays are
 read-only, so values are freely shareable across threads.  A factor is
@@ -113,7 +114,9 @@ def _shapes_differ(shapes) -> ShapeMismatch:
 
 def require_one_shape(shapes) -> None:
     """Raise :class:`ShapeMismatch` naming the distinct ``shapes``, in order
-    of appearance, unless there is only one."""
+    of appearance, unless there is only one; an empty stack raises too."""
+    if not shapes:
+        raise ShapeMismatch("stack is empty: need at least one member")
     if len(set(shapes)) > 1:
         raise _shapes_differ(shapes)
 
@@ -121,8 +124,8 @@ def require_one_shape(shapes) -> None:
 def stacked(arrays) -> np.ndarray:
     """Arrays of one shape (matrices, or rows of eigenvalues) as one array
     with a leading stack axis: a ``[None]`` view of a single array, a
-    C-ordered copy of several.  Arrays of different shapes raise
-    :class:`ShapeMismatch` naming them."""
+    C-ordered copy of several.  Arrays of different shapes, or none, raise
+    :class:`ShapeMismatch`."""
     if len(arrays) == 1:
         return arrays[0][None]
     require_one_shape([a.shape for a in arrays])
@@ -572,7 +575,8 @@ def op_norm(a):
 
 
 def inverse(a) -> np.ndarray:
-    """Matrix inverse by Gaussian elimination with partial pivoting.
+    """Matrix inverse by Gauss-Jordan elimination with partial pivoting on
+    the augmented matrix [A | I], whose right half ends as the inverse.
 
     Raises :class:`Singular` when a pivot falls below
     ``pivot_floor * max|A|``, rather than dividing through by noise.
@@ -581,10 +585,8 @@ def inverse(a) -> np.ndarray:
     n = m.shape[0]
     if n != m.shape[1]:
         raise ShapeMismatch(f"inverse needs a square matrix, got {m.shape}")
-    scale = float(np.abs(m).max())
-    threshold = DEFAULT.pivot_floor * scale
-    work = m.copy()
-    out = np.eye(n, dtype=np.complex128)
+    threshold = DEFAULT.pivot_floor * float(np.abs(m).max())
+    work = np.concatenate((m, np.eye(n, dtype=np.complex128)), axis=1)
     for k in range(n):
         pivot_row = k + int(np.argmax(np.abs(work[k:, k])))
         pivot = work[pivot_row, k]
@@ -592,12 +594,8 @@ def inverse(a) -> np.ndarray:
             raise Singular(f"pivot {abs(pivot):.3e} at column {k} below threshold")
         if pivot_row != k:
             work[[k, pivot_row]] = work[[pivot_row, k]]
-            out[[k, pivot_row]] = out[[pivot_row, k]]
-        inv_piv = 1.0 / pivot
-        work[k] *= inv_piv
-        out[k] *= inv_piv
+        work[k] *= 1.0 / pivot
         factors = work[:, k].copy()
         factors[k] = 0.0
         work -= np.outer(factors, work[k])
-        out -= np.outer(factors, out[k])
-    return _freeze(out)
+    return _freeze(work[:, n:].copy())

@@ -66,7 +66,9 @@ class ConjugationPair:
     Only ``j_fwd`` is stored; ``j_bwd`` is its transpose, so the pairing
     axiom holds by construction.  Construction checks the one invariant,
     first* first = I, against ``check_tol`` (keyword only; default
-    ``DEFAULT.pair_residual``); the partner is then contractive.
+    ``DEFAULT.pair_residual``); the partner is then contractive.  The pairs
+    of :func:`induced_pairs` are checked as one stack before they are built,
+    against ``DEFAULT.induced_pair_residual``, and skip this per-pair check.
     """
 
     j_fwd: np.ndarray
@@ -79,9 +81,7 @@ class ConjugationPair:
             raise ShapeMismatch(f"side must be a Side, got {type(self.side).__name__}")
         object.__setattr__(self, "j_fwd", as_cmat(self.j_fwd))
         tol = DEFAULT.pair_residual if check_tol is None else check_tol
-        beyond = _first_beyond(_isometry_gap(self)[None], tol)
-        if beyond is not None:
-            raise ShapeMismatch(f"conjugation pair isometry gap {beyond:.3e} exceeds {tol:.1e}")
+        _gate_isometry(_first(self.j_fwd, self.side)[None], tol)
 
     @property
     def j_bwd(self) -> np.ndarray:
@@ -109,21 +109,46 @@ def _first_beyond(gaps: np.ndarray, tol: float) -> float | None:
     return None
 
 
-def _first(pair: ConjugationPair) -> np.ndarray:
+def _first(j_fwd: np.ndarray, side: Side) -> np.ndarray:
     """The linear part of the map applied first in the identity composition
-    (the isometry): j_fwd for ``BWD_FWD``, transpose(j_fwd) for ``FWD_BWD``."""
-    return pair.j_fwd if pair.side is Side.BWD_FWD else pair.j_fwd.T
+    (the isometry) of the pair (j_fwd, side), or of each pair of a stack of
+    ``j_fwd``: j_fwd for ``BWD_FWD``, transpose(j_fwd) for ``FWD_BWD``."""
+    return j_fwd if side is Side.BWD_FWD else j_fwd.mT
 
 
-def _isometry_gap(pair: ConjugationPair) -> np.ndarray:
-    first = _first(pair)
-    return adj(first) @ first - np.eye(first.shape[1])
+def _isometry_gaps(first: np.ndarray) -> np.ndarray:
+    """first* first - I for a frame, or for each member of a stack."""
+    return adj(first) @ first - np.eye(first.shape[-1])
+
+
+def _gate_isometry(firsts: np.ndarray, tol: float) -> None:
+    """Raise :class:`ShapeMismatch` for the first member of a stack of
+    frames whose isometry gap has a spectral norm beyond ``tol``."""
+    beyond = _first_beyond(_isometry_gaps(firsts), tol)
+    if beyond is not None:
+        raise ShapeMismatch(f"conjugation pair isometry gap {beyond:.3e} exceeds {tol:.1e}")
+
+
+def _checked_pairs(frames: np.ndarray, side: Side) -> list[ConjugationPair]:
+    """The pairs (j_fwd, side) of each ``j_fwd`` of a read-only C-ordered
+    stack, after their isometry gaps are gated as one stack against
+    ``DEFAULT.induced_pair_residual``: each pair is what
+    ``ConjugationPair(j_fwd, side, check_tol=...)`` builds, without its
+    per-pair check.  The one place a pair skips that check."""
+    _gate_isometry(_first(frames, side), DEFAULT.induced_pair_residual)
+    pairs = []
+    for j_fwd in frames:
+        pair = object.__new__(ConjugationPair)
+        object.__setattr__(pair, "j_fwd", j_fwd)
+        object.__setattr__(pair, "side", side)
+        pairs.append(pair)
+    return pairs
 
 
 def pair_residual(pair: ConjugationPair) -> float:
     """Spectral norm of the pair's one invariant gap, first* first - I (the
     identity composition's gap is its conjugate)."""
-    return op_norm(_isometry_gap(pair))
+    return op_norm(_isometry_gaps(_first(pair.j_fwd, pair.side)))
 
 
 def canonical_pair(m: int, n: int) -> ConjugationPair:
@@ -316,8 +341,11 @@ def induced_pair(a: BallPoint, pair: ConjugationPair) -> ConjugationPair:
 def induced_pairs(points, pair: ConjugationPair) -> list[ConjugationPair]:
     """:func:`induced_pair` of each contraction of ``points`` for the one
     ``pair``, after every point's symmetry is checked: the coordinates, the
-    symmetry gates, the factors of the coordinates B*, the defects and the
-    free parts each formed or solved as one stack."""
+    symmetry gates, the factors of the coordinates B*, the defects, the free
+    parts and the isometry gates of the new pairs each formed or solved as
+    one stack.  A new pair whose isometry gap exceeds
+    ``DEFAULT.induced_pair_residual`` raises, for the first such point, the
+    :class:`ShapeMismatch` its ``ConjugationPair`` construction raises."""
     for a in points:
         require_shape(a.mat, (pair.dim_dst, pair.dim_src), "matrix for the pair")
     b, gaps = _coordinates(stacked([a.mat for a in points]), pair.j_fwd, pair.side)
@@ -333,10 +361,8 @@ def induced_pairs(points, pair: ConjugationPair) -> list[ConjugationPair]:
     primary = pair.side is Side.BWD_FWD
     # (I - N N*)^(1/2): the left defect of M for BWD_FWD, the right for FWD_BWD
     defect_sqrt = defects(points, 0.5, "left" if primary else "right")
-    x = defects(coords, -0.5, "left") @ _first(pair).T @ np.conj(defect_sqrt)
-    side = _other_side(pair.side)
-    tol = DEFAULT.induced_pair_residual
-    return [ConjugationPair(m if primary else m.T, side, check_tol=tol) for m in x]
+    x = defects(coords, -0.5, "left") @ _first(pair.j_fwd, pair.side).T @ np.conj(defect_sqrt)
+    return _checked_pairs(as_cstack(x if primary else x.mT)[0], _other_side(pair.side))
 
 
 def induced_operator(

@@ -33,11 +33,13 @@ from opball import (
     herm_inv_sqrt,
     herm_sqrt,
     identity_pair,
+    induced_pairs,
     inverse,
     inverse_bounded_transforms,
     left_defects,
     lifts,
     mobius,
+    mobius_images,
     mobius_inv,
     op_norm,
     operator_dists,
@@ -352,6 +354,27 @@ def test_a_stack_of_mixed_shapes_names_them(entry):
     with pytest.raises(ShapeMismatch) as info:
         call()
     assert str(info.value) == f"stack members differ in shape: {shapes}"
+
+
+# stacked entry point -> a call with no members
+EMPTY_STACKS = {
+    "ball_dists": lambda: ball_dists([]),
+    "operator_dists": lambda: operator_dists([]),
+    "lifts": lambda: lifts([]),
+    "left_defects": lambda: left_defects([]),
+    "defects": lambda: defects([], 0.5, "left"),
+    "powers": lambda: powers([], 1.0, 0.5, "left"),
+    "inverse_bounded_transforms": lambda: inverse_bounded_transforms([]),
+    "induced_pairs": lambda: induced_pairs([], identity_pair(2)),
+    "mobius_images": lambda: mobius_images(BallPoint(np.zeros((2, 2))), []),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EMPTY_STACKS))
+def test_an_empty_stack_is_refused(entry):
+    with pytest.raises(ShapeMismatch) as info:
+        EMPTY_STACKS[entry]()
+    assert str(info.value) == "stack is empty: need at least one member"
 
 
 def test_a_malformed_stack_member_keeps_numpys_error():

@@ -17,8 +17,10 @@ import pytest
 
 import opball.ball
 import opball.matkernel as matkernel
+import opball.symmetry
 import opball.transform
 from opball import (
+    DEFAULT,
     BallPoint,
     ConjugationPair,
     EigenvalueBelowFloor,
@@ -180,6 +182,34 @@ def test_profile_kernel_calls(jacobi_stacks):
 
 
 @pytest.fixture
+def gate_stacks(monkeypatch):
+    """The stack length of every tolerance gate (``symmetry._first_beyond``)
+    decided so far."""
+    stacks = []
+    first_beyond = opball.symmetry._first_beyond
+
+    def counted(gaps, tol):
+        stacks.append(len(gaps))
+        return first_beyond(gaps, tol)
+
+    monkeypatch.setattr(opball.symmetry, "_first_beyond", counted)
+    return stacks
+
+
+@pytest.mark.parametrize("seed", [0, 1, 113])
+def test_profile_gate_calls(gate_stacks, seed):
+    # the random pair, the doubled pair, the induced pairs' symmetry
+    # pre-gate, and the isometry gaps of all 8 induced pairs as one stack
+    ensemble_experiment(8, 2, 1, seed)
+    assert gate_stacks == [1, 1, 8, 8]
+
+
+def test_identities_trial_gate_calls(gate_stacks):
+    run_identities(0, 1, 8, 3, 1e-8)
+    assert len(gate_stacks) == 7
+
+
+@pytest.fixture
 def power_stacks(monkeypatch):
     """The members of every computation of the stacked power core, which
     every Gram power, one-item or stacked, goes through: one list of
@@ -290,6 +320,37 @@ def test_pair_gate_rejects_spectral_residual_above_tolerance():
     with pytest.raises(ShapeMismatch) as info:
         _near_identity_pair(0.75e-10, 1e-10)()
     assert str(info.value) == expected
+
+
+def _near_isometry_frames(deltas, side):
+    """The ``j_fwd`` of side ``side`` of the frames (1 + delta) Q, for one
+    orthonormal 5x3 Q, as one read-only stack: the isometry gap is 2 delta I
+    to first order, of spectral norm 2 delta and Frobenius norm
+    2 delta sqrt(3)."""
+    q = random_pair(3, 5, 52).j_fwd
+    return matkernel.as_cstack([(1.0 + d) * (q if side is Side.BWD_FWD else q.T)
+                                for d in deltas])[0]
+
+
+@pytest.mark.parametrize("side", [Side.BWD_FWD, Side.FWD_BWD])
+def test_stacked_pair_gate_raises_for_the_first_member_beyond(side):
+    tol = DEFAULT.induced_pair_residual
+    frames = _near_isometry_frames([0.3e-8, 0.75e-8, 1e-8], side)
+    # the first member passes on its spectral norm only; the other two fail
+    first = ConjugationPair(frames[0], side, check_tol=tol)
+    isometry = frames[0] if side is Side.BWD_FWD else frames[0].T
+    assert pair_residual(first) < tol < fro_norm(adj(isometry) @ isometry - np.eye(3))
+    errors = []
+    for frame in frames[1:]:
+        with pytest.raises(ShapeMismatch) as alone:
+            ConjugationPair(frame, side, check_tol=tol)
+        errors.append(str(alone.value))
+    assert errors[0] != errors[1]
+    with pytest.raises(ShapeMismatch) as info:
+        opball.symmetry._checked_pairs(frames, side)
+    assert str(info.value) == errors[0]
+    (built,) = opball.symmetry._checked_pairs(frames[:1], side)
+    assert built.side is side and same_bytes(built.j_fwd, first.j_fwd)
 
 
 def _near_symmetric_point(eps):

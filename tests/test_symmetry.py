@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opball import (
+    DEFAULT,
     BadDims,
     BallPoint,
     ConjugationPair,
@@ -19,6 +20,7 @@ from opball import (
     identity_pair,
     induced_operator,
     induced_pair,
+    induced_pairs,
     inverse_bounded_transform,
     op_norm,
     pair_residual,
@@ -243,6 +245,28 @@ def test_induced_pair_mirrored_branch():
         assert pair_residual(out) <= 1e-8
         t, out2 = induced_operator(a, pair)
         assert symmetry_residual(t, out2) <= 1e-8
+
+
+@pytest.mark.parametrize("side", [Side.BWD_FWD, Side.FWD_BWD])
+def test_induced_pairs_store_what_the_constructor_stores(side):
+    # the stacked isometry gate builds no pair through the constructor: each
+    # j_fwd must still be the read-only C-ordered array it would store
+    rng = np.random.default_rng(53)
+    for _ in range(10):
+        p = int(rng.integers(1, 5))
+        q = int(rng.integers(p, 7))
+        pair = random_pair(p, q, rng) if side is Side.BWD_FWD else random_pair(q, p, rng)
+        if pair.side is not side:
+            pair = ConjugationPair(pair.j_fwd, side)
+        points = [random_symmetric_ball_point(rng, pair, margin_min=0.2) for _ in range(3)]
+        points.append(BallPoint(np.zeros((pair.dim_dst, pair.dim_src))))
+        for out in induced_pairs(points, pair):
+            assert type(out) is ConjugationPair and out.side is not side
+            assert not out.j_fwd.flags.writeable and out.j_fwd.flags.c_contiguous
+            ref = ConjugationPair(out.j_fwd, out.side, check_tol=DEFAULT.induced_pair_residual)
+            assert out.j_fwd.dtype == ref.j_fwd.dtype
+            assert out.j_fwd.tobytes() == ref.j_fwd.tobytes()
+            assert pair_residual(out) <= DEFAULT.induced_pair_residual
 
 
 def _random_side_pairs(rng, count):
