@@ -15,9 +15,9 @@ forming that image, and is definitional here: the chain-infimum (Kobayashi)
 pseudo-metric reduces to it on the ball, so chains are never constructed.
 
 Boundary policy: constructors demand a strictly positive margin, and every
-defect (I - A A*)^(+-1/2) or (I - A* A)^(+-1/2) comes from
-:meth:`BallPoint.defect`, which warns for an inverse square root near the
-sphere and raises :class:`Singular` rather than return digits that are noise.
+defect (I - A A*)^(+-1/2) or (I - A* A)^(+-1/2) comes from :func:`defects`,
+which warns for an inverse square root near the sphere and raises
+:class:`Singular` rather than return digits that are noise.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def poincare_dist(a: complex, b: complex) -> float:
     """Hyperbolic distance on the unit disc, the 1 x 1 case of :func:`ball_dist`:
     asinh(|b - a| / sqrt((1 - |a|^2)(1 - |b|^2))) = atanh(|a - b| / |1 - conj(a) b|).
     """
-    if abs(a) >= 1.0 or abs(b) >= 1.0:
+    if not (abs(a) < 1.0 and abs(b) < 1.0):
         raise OutOfDisc(f"disc points required, got |a|={abs(a)}, |b|={abs(b)}")
     return math.asinh(abs(b - a) / math.sqrt((1.0 - abs(a) ** 2) * (1.0 - abs(b) ** 2)))
 

@@ -73,6 +73,7 @@ from .tolerances import DEFAULT
 
 _MAX_SWEEPS = 42
 _EPS = float(np.finfo(float).eps)
+_EMPTY = "stack is empty: need at least one member"
 _OUT_OF_RANGE = f"result exceeds the float range (max {np.finfo(float).max:.3e})"
 
 
@@ -94,7 +95,7 @@ def as_cstack(a) -> tuple[np.ndarray, bool]:
     """(S, single): a matrix, or a stack (sequence or 3-D array) of matrices
     of one shape, as a read-only complex128 stack S of shape (b, rows, cols),
     checked as :func:`as_cmat` checks a matrix.  ``single`` when ``a`` is
-    one matrix, which is a stack of one.  Matrices of different shapes raise
+    one matrix, which is a stack of one.  Mixed shapes or no matrix raise
     :class:`ShapeMismatch`; a malformed member keeps numpy's error."""
     try:
         m = np.array(a, dtype=np.complex128, order="C")
@@ -103,6 +104,8 @@ def as_cstack(a) -> tuple[np.ndarray, bool]:
         if len(set(shapes)) < 2 or any(len(s) != 2 for s in shapes):
             raise
         raise _shapes_differ(shapes) from None
+    if m.ndim != 2 and m.shape[:1] == (0,):
+        raise ShapeMismatch(_EMPTY)
     single = m.ndim == 2
     return _checked(m[None] if single else m, 3), single
 
@@ -116,7 +119,7 @@ def require_one_shape(shapes) -> None:
     """Raise :class:`ShapeMismatch` naming the distinct ``shapes``, in order
     of appearance, unless there is only one; an empty stack raises too."""
     if not shapes:
-        raise ShapeMismatch("stack is empty: need at least one member")
+        raise ShapeMismatch(_EMPTY)
     if len(set(shapes)) > 1:
         raise _shapes_differ(shapes)
 

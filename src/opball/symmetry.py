@@ -26,9 +26,8 @@ when B = transpose(B), its matrix in the conjugation's frame being symmetric
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
 
 import numpy as np
 
@@ -65,23 +64,20 @@ class ConjugationPair:
 
     Only ``j_fwd`` is stored; ``j_bwd`` is its transpose, so the pairing
     axiom holds by construction.  Construction checks the one invariant,
-    first* first = I, against ``check_tol`` (keyword only; default
-    ``DEFAULT.pair_residual``); the partner is then contractive.  The pairs
-    of :func:`induced_pairs` are checked as one stack before they are built,
-    against ``DEFAULT.induced_pair_residual``, and skip this per-pair check.
+    first* first = I, against ``DEFAULT.pair_residual``; the partner is then
+    contractive.  The pairs of :func:`induced_pairs` are checked as one
+    stack before they are built, against ``DEFAULT.induced_pair_residual``,
+    and skip this per-pair check.
     """
 
     j_fwd: np.ndarray
     side: Side
-    _: KW_ONLY
-    check_tol: InitVar[float | None] = None
 
-    def __post_init__(self, check_tol):
+    def __post_init__(self):
         if not isinstance(self.side, Side):
             raise ShapeMismatch(f"side must be a Side, got {type(self.side).__name__}")
         object.__setattr__(self, "j_fwd", as_cmat(self.j_fwd))
-        tol = DEFAULT.pair_residual if check_tol is None else check_tol
-        _gate_isometry(_first(self.j_fwd, self.side)[None], tol)
+        _gate_isometry(_first(self.j_fwd, self.side)[None], DEFAULT.pair_residual)
 
     @property
     def j_bwd(self) -> np.ndarray:
@@ -133,8 +129,8 @@ def _checked_pairs(frames: np.ndarray, side: Side) -> list[ConjugationPair]:
     """The pairs (j_fwd, side) of each ``j_fwd`` of a read-only C-ordered
     stack, after their isometry gaps are gated as one stack against
     ``DEFAULT.induced_pair_residual``: each pair is what
-    ``ConjugationPair(j_fwd, side, check_tol=...)`` builds, without its
-    per-pair check.  The one place a pair skips that check."""
+    ``ConjugationPair(j_fwd, side)`` builds, without its per-pair check at
+    ``DEFAULT.pair_residual``.  The one place a pair skips that check."""
     _gate_isometry(_first(frames, side), DEFAULT.induced_pair_residual)
     pairs = []
     for j_fwd in frames:
@@ -206,6 +202,8 @@ def random_pair(dim_src: int, dim_dst: int, seed) -> ConjugationPair:
 def conj_apply(pair: ConjugationPair, direction: str, x) -> np.ndarray:
     """Apply C1 (``direction='fwd'``) or C2 (``'bwd'``) to a vector."""
     vec = np.asarray(x, dtype=np.complex128).reshape(-1)
+    if not np.isfinite(vec).all():
+        raise ShapeMismatch("vector entries must be finite")
     if direction not in ("fwd", "bwd"):
         raise ShapeMismatch(f"direction must be 'fwd' or 'bwd', got {direction!r}")
     j = pair.j_fwd if direction == "fwd" else pair.j_bwd
@@ -221,17 +219,17 @@ def _flipped(mats: np.ndarray, pair: ConjugationPair) -> np.ndarray:
     return pair.j_fwd @ mats.mT @ np.conj(pair.j_fwd)
 
 
-def _coordinates(mats: np.ndarray, j_fwd: np.ndarray, side: Side) -> tuple[np.ndarray, np.ndarray]:
-    """(B, B - transpose(B)) stacked, for B = first* N the oriented matrix
-    (N = M for ``BWD_FWD``, M* for ``FWD_BWD``) of each member M of a stack
-    of dst x src matrices in the frame of the pair (j_fwd, side), or of the
-    pair at the same place in a stack of ``j_fwd``: square on the
-    identity-composition side, and symmetric iff M is pair-symmetric.
-    first* is adj(j_fwd) for ``BWD_FWD`` and conj(j_fwd) for ``FWD_BWD``."""
-    if side is Side.BWD_FWD:
-        b = adj(j_fwd) @ mats
-    else:
-        b = np.conj(j_fwd) @ adj(mats)
+def _oriented(mats: np.ndarray, side: Side) -> np.ndarray:
+    """N = M for ``BWD_FWD``, M* for ``FWD_BWD`` (of each M of a stack)."""
+    return mats if side is Side.BWD_FWD else adj(mats)
+
+
+def _coordinates(first: np.ndarray, oriented: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, B - transpose(B)) for the coordinates B = first* N of the
+    oriented matrix N of M in the pair's frame ``first``, or of each member
+    of a stack in the frame at the same place (or the one frame): square on
+    the identity-composition side, and symmetric iff M is pair-symmetric."""
+    b = adj(first) @ oriented
     return b, b - b.mT
 
 
@@ -250,17 +248,15 @@ def symmetry_residual(t: OperatorHK, pair: ConjugationPair) -> float:
 
 def symmetry_residuals(ts, pairs) -> list[float]:
     """:func:`symmetry_residual` of each operator of ``ts`` for the pair at
-    the same place in ``pairs``, the norms solved as one stack (the
-    operators are of one shape).  The coordinates are formed as one stack
-    per run of pairs of one side and shape."""
-    gaps = []
-    for (side, _), run in groupby(zip(ts, pairs), key=lambda tp: (tp[1].side, tp[1].j_fwd.shape)):
-        run = list(run)
-        for t, pair in run:
-            require_shape(t.mat, (pair.dim_dst, pair.dim_src), "matrix for the pair")
-        j_fwd = stacked([pair.j_fwd for _, pair in run])
-        gaps.extend(_coordinates(stacked([t.mat for t, _ in run]), j_fwd, side)[1])
-    return op_norm(gaps).tolist()
+    the same place in ``pairs``: frames, oriented matrices, coordinates and
+    norms each one stack.  Unequal lengths or shapes raise ShapeMismatch."""
+    if len(ts) != len(pairs):
+        raise ShapeMismatch(f"{len(ts)} operators for {len(pairs)} pairs")
+    for t, pair in zip(ts, pairs):
+        require_shape(t.mat, (pair.dim_dst, pair.dim_src), "matrix for the pair")
+    firsts = stacked([_first(pair.j_fwd, pair.side) for pair in pairs])
+    oriented = stacked([_oriented(t.mat, pair.side) for t, pair in zip(ts, pairs)])
+    return op_norm(_coordinates(firsts, oriented)[1]).tolist()
 
 
 def symmetric_part(mat, pair: ConjugationPair) -> np.ndarray:
@@ -345,10 +341,11 @@ def induced_pairs(points, pair: ConjugationPair) -> list[ConjugationPair]:
     parts and the isometry gates of the new pairs each formed or solved as
     one stack.  A new pair whose isometry gap exceeds
     ``DEFAULT.induced_pair_residual`` raises, for the first such point, the
-    :class:`ShapeMismatch` its ``ConjugationPair`` construction raises."""
+    :class:`ShapeMismatch` of the constructor's gate at that tolerance."""
     for a in points:
         require_shape(a.mat, (pair.dim_dst, pair.dim_src), "matrix for the pair")
-    b, gaps = _coordinates(stacked([a.mat for a in points]), pair.j_fwd, pair.side)
+    first = _first(pair.j_fwd, pair.side)
+    b, gaps = _coordinates(first, _oriented(stacked([a.mat for a in points]), pair.side))
     beyond = _first_beyond(gaps, DEFAULT.symmetry_pre)
     if beyond is not None:
         raise NotSymmetric(f"contraction has symmetry residual {beyond:.3e} for the given pair")
@@ -361,7 +358,7 @@ def induced_pairs(points, pair: ConjugationPair) -> list[ConjugationPair]:
     primary = pair.side is Side.BWD_FWD
     # (I - N N*)^(1/2): the left defect of M for BWD_FWD, the right for FWD_BWD
     defect_sqrt = defects(points, 0.5, "left" if primary else "right")
-    x = defects(coords, -0.5, "left") @ _first(pair.j_fwd, pair.side).T @ np.conj(defect_sqrt)
+    x = defects(coords, -0.5, "left") @ first.T @ np.conj(defect_sqrt)
     return _checked_pairs(as_cstack(x if primary else x.mT)[0], _other_side(pair.side))
 
 

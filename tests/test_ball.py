@@ -112,6 +112,10 @@ def test_poincare_rejects_outside():
         poincare_dist(1.0, 0.0)
     with pytest.raises(OutOfDisc):
         poincare_dist(0.0, 2.0j)
+    # NaN compares false against the disc bound, so it must not pass as inside
+    for a, b in ((float("nan"), 0.5), (0.2 + complex(0.0, float("nan")), 0.1), (0.0, complex("nan"))):
+        with pytest.raises(OutOfDisc):
+            poincare_dist(a, b)
 
 
 @given(re_a=disc_coord, im_a=disc_coord, re_b=disc_coord, im_b=disc_coord)

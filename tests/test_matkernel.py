@@ -43,7 +43,10 @@ from opball import (
     mobius_inv,
     op_norm,
     operator_dists,
+    operators,
     powers,
+    random_pair,
+    symmetry_residuals,
     transport,
 )
 
@@ -345,6 +348,14 @@ MIXED_STACKS = {
         lambda: extension_blocks([np.eye(2), np.ones((2, 3)), np.eye(2)], identity_pair(2)),
         "(2, 2), (2, 3)",
     ),
+    # two BWD_FWD frames of different shapes whose 3x3 coordinates would stack
+    "symmetry_residuals": (
+        lambda: symmetry_residuals(
+            [OperatorHK(np.ones((5, 3))), OperatorHK(np.ones((4, 3)))],
+            [random_pair(3, 5, 1), random_pair(3, 4, 2)],
+        ),
+        "(5, 3), (4, 3)",
+    ),
 }
 
 
@@ -367,6 +378,12 @@ EMPTY_STACKS = {
     "inverse_bounded_transforms": lambda: inverse_bounded_transforms([]),
     "induced_pairs": lambda: induced_pairs([], identity_pair(2)),
     "mobius_images": lambda: mobius_images(BallPoint(np.zeros((2, 2))), []),
+    "gram_factor": lambda: gram_factor([]),
+    "op_norm": lambda: op_norm([]),
+    "operators": lambda: operators([]),
+    "transport": lambda: transport([], [], lambda x: x, flip=False),
+    "extension_blocks": lambda: extension_blocks([], identity_pair(2)),
+    "symmetry_residuals": lambda: symmetry_residuals([], []),
 }
 
 

@@ -300,25 +300,32 @@ def test_a_record_built_from_its_factor_keeps_it(jacobi_stacks):
             BallPoint(outside)
 
 
-def _near_identity_pair(delta, tol):
-    f = (1.0 + delta) * np.eye(16)
-    return lambda: ConjugationPair(f, Side.BWD_FWD, check_tol=tol)
+def _near_identity_frame(delta):
+    return (1.0 + delta) * np.eye(16)
 
 
 def test_pair_gate_accepts_spectral_residual_below_tolerance():
-    # isometry gap 2 delta I: spectral norm 6e-11, Frobenius norm 2.4e-10
-    pair = _near_identity_pair(0.3e-10, 1.0)()
+    # isometry gap 2 delta I: spectral norm 6e-11, Frobenius norm 2.4e-10;
+    # a directly built pair is gated at DEFAULT.pair_residual = 1e-10
+    assert DEFAULT.pair_residual == 1e-10
+    pair = ConjugationPair(_near_identity_frame(0.3e-10), Side.BWD_FWD)
     gap = adj(pair.j_fwd) @ pair.j_fwd - np.eye(16)
     assert pair_residual(pair) < 1e-10 < fro_norm(gap)
-    _near_identity_pair(0.3e-10, 1e-10)()
 
 
 def test_pair_gate_rejects_spectral_residual_above_tolerance():
-    res = pair_residual(_near_identity_pair(0.75e-10, 1.0)())
+    frame = _near_identity_frame(0.75e-10)
+    opball.symmetry._gate_isometry(frame[None], 1.0)  # passes at a loose tolerance
+    # the stacked gate of the induced pairs (1e-8) builds the pair
+    (pair,) = opball.symmetry._checked_pairs(matkernel.as_cstack(frame)[0], Side.BWD_FWD)
+    res = pair_residual(pair)
     assert res > 1e-10
     expected = f"conjugation pair isometry gap {res:.3e} exceeds 1.0e-10"
+    with pytest.raises(ShapeMismatch) as gated:
+        opball.symmetry._gate_isometry(frame[None], 1e-10)
+    assert str(gated.value) == expected
     with pytest.raises(ShapeMismatch) as info:
-        _near_identity_pair(0.75e-10, 1e-10)()
+        ConjugationPair(frame, Side.BWD_FWD)
     assert str(info.value) == expected
 
 
@@ -337,20 +344,24 @@ def test_stacked_pair_gate_raises_for_the_first_member_beyond(side):
     tol = DEFAULT.induced_pair_residual
     frames = _near_isometry_frames([0.3e-8, 0.75e-8, 1e-8], side)
     # the first member passes on its spectral norm only; the other two fail
-    first = ConjugationPair(frames[0], side, check_tol=tol)
+    (first,) = opball.symmetry._checked_pairs(frames[:1], side)
     isometry = frames[0] if side is Side.BWD_FWD else frames[0].T
     assert pair_residual(first) < tol < fro_norm(adj(isometry) @ isometry - np.eye(3))
     errors = []
     for frame in frames[1:]:
         with pytest.raises(ShapeMismatch) as alone:
-            ConjugationPair(frame, side, check_tol=tol)
+            opball.symmetry._checked_pairs(frame[None], side)
         errors.append(str(alone.value))
+        # the constructor's message for the same gap, at its own tolerance
+        with pytest.raises(ShapeMismatch) as direct:
+            ConjugationPair(frame, side)
+        assert str(direct.value) == errors[-1].replace(
+            f"{tol:.1e}", f"{DEFAULT.pair_residual:.1e}")
     assert errors[0] != errors[1]
     with pytest.raises(ShapeMismatch) as info:
         opball.symmetry._checked_pairs(frames, side)
     assert str(info.value) == errors[0]
-    (built,) = opball.symmetry._checked_pairs(frames[:1], side)
-    assert built.side is side and same_bytes(built.j_fwd, first.j_fwd)
+    assert first.side is side and same_bytes(first.j_fwd, matkernel.as_cmat(frames[0]))
 
 
 def _near_symmetric_point(eps):
@@ -614,6 +625,11 @@ def test_stacked_symmetry_residuals_are_the_member_loop(jacobi_stacks):
     assert len(jacobi_stacks) - before == 1
     for residual, t, p in zip(residuals, ts, pairs, strict=True):
         assert same_bytes(residual, symmetry_residual(t, p))
+    # one operator is not read against several pairs, nor several against one
+    for count_t, count_p in ((1, 2), (3, 2), (2, 1)):
+        with pytest.raises(ShapeMismatch) as info:
+            symmetry_residuals(ts[:count_t], pairs[:count_p])
+        assert str(info.value) == f"{count_t} operators for {count_p} pairs"
 
 
 def test_stacked_extension_blocks_are_the_member_loop():

@@ -72,7 +72,10 @@ def test_two_matrix_call_and_untyped_side_are_refused():
     for side in (fwd.T, "fwd_bwd", None):
         with pytest.raises(ShapeMismatch, match="side must be a Side"):
             ConjugationPair(fwd, side)
-    assert ConjugationPair(fwd, Side.FWD_BWD, check_tol=1e-12).side is Side.FWD_BWD
+    # the gate's tolerance is DEFAULT.pair_residual, not an argument
+    with pytest.raises(TypeError):
+        ConjugationPair(fwd, Side.FWD_BWD, check_tol=1e-12)
+    assert ConjugationPair(fwd, Side.FWD_BWD).side is Side.FWD_BWD
 
 
 def test_canonical_pair_bad_dims():
@@ -115,6 +118,11 @@ def test_conj_apply():
     pair = identity_pair(2)
     out = conj_apply(pair, "fwd", np.array([1j, 1.0]))
     assert np.allclose(out, [-1j, 1.0])
+    # a column is read as the vector it holds; NaN or inf entries are refused
+    assert np.array_equal(conj_apply(pair, "fwd", [[1j], [1.0]]), out)
+    for bad in ([np.nan, 1.0], [1.0, complex(0.0, np.inf)], [[np.nan], [1.0]]):
+        with pytest.raises(ShapeMismatch, match="vector entries must be finite"):
+            conj_apply(pair, "fwd", bad)
     rect = canonical_pair(1, 2)
     assert np.allclose(conj_apply(rect, "fwd", [2.0 + 1j]), [2.0 - 1j, 0.0])
     # conjugate linearity
@@ -263,7 +271,7 @@ def test_induced_pairs_store_what_the_constructor_stores(side):
         for out in induced_pairs(points, pair):
             assert type(out) is ConjugationPair and out.side is not side
             assert not out.j_fwd.flags.writeable and out.j_fwd.flags.c_contiguous
-            ref = ConjugationPair(out.j_fwd, out.side, check_tol=DEFAULT.induced_pair_residual)
+            ref = ConjugationPair(out.j_fwd, out.side)
             assert out.j_fwd.dtype == ref.j_fwd.dtype
             assert out.j_fwd.tobytes() == ref.j_fwd.tobytes()
             assert pair_residual(out) <= DEFAULT.induced_pair_residual
