@@ -11,10 +11,7 @@ from .ball import (
     BallPoint,
     ball_dist,
     ball_dists,
-    defects,
-    lifts,
     mobius,
-    mobius_images,
     mobius_inv,
     mobius_to_origin,
     poincare_dist,
@@ -29,7 +26,6 @@ from .density import (
     profile_csv,
     report_json,
     symmetric_approximant,
-    truncate,
 )
 from .errors import (
     BadDepth,
@@ -57,8 +53,6 @@ from .matkernel import (
     herm_sqrt,
     inverse,
     op_norm,
-    powers,
-    transport,
 )
 from .symmetry import (
     ConjugationPair,
@@ -66,27 +60,22 @@ from .symmetry import (
     canonical_pair,
     conj_apply,
     double_pair,
-    extension_blocks,
     identity_pair,
     induced_operator,
     induced_pair,
-    induced_pairs,
     pair_residual,
     random_pair,
     swap_roles,
     symmetric_extension,
     symmetric_part,
     symmetry_residual,
-    symmetry_residuals,
 )
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 from .transform import (
     OperatorHK,
     bounded_transform,
     inverse_bounded_transform,
-    inverse_bounded_transforms,
     left_defect,
-    left_defects,
     operator_dist,
     operator_dists,
     operators,

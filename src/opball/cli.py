@@ -33,8 +33,10 @@ def _fmt12(x: float) -> str:
     """Exactly 12 significant digits, positional."""
     if x == 0.0:
         return "0.000000000000"
-    decimals = max(0, 11 - math.floor(math.log10(abs(x))))
-    return f"{x:.{decimals}f}"
+    # the exponent of the rounded value, so a carry into the next power of
+    # ten does not add a digit
+    exponent = int(f"{x:.11e}".partition("e")[2])
+    return f"{x:.{max(0, 11 - exponent)}f}"
 
 
 @functools.cache
@@ -82,6 +84,8 @@ def _cmd_identities(args) -> int:
         raise BadDims("need 1 <= dim-k <= 8 and dim-k <= dim-h <= 32")
     if args.trials < 0 or not 0 < args.tol < math.inf:
         raise BadDims("need trials >= 0 and tol > 0")
+    if args.seed < 0:
+        raise BadDims("need seed >= 0")
     reports = run_identities(args.seed, args.trials, args.dim_h, args.dim_k, args.tol)
     payload = {
         "seed": args.seed,
@@ -143,6 +147,8 @@ def _cmd_approx(args) -> int:
         raise BadDims("need 1 <= dim-k <= dim-h <= 32")
     if args.trials < 1 or args.jobs < 1:
         raise BadDims("need trials >= 1 and jobs >= 1")
+    if args.seed < 0:
+        raise BadDims("need seed >= 0")
     prefix = Path(args.out)
     # an unwritable prefix fails before any trial runs
     with _writing():

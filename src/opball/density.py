@@ -59,15 +59,6 @@ def _cuts(point: BallPoint, depths) -> np.ndarray:
     return np.where(rows < np.asarray(depths)[:, None, None], point.mat, 0.0)
 
 
-def truncate(point: BallPoint, depth: int) -> BallPoint:
-    """Keep the first ``depth`` rows of a ball point, zero the rest.
-
-    Row selection never increases the spectral norm, so the result stays
-    strictly inside the ball.
-    """
-    return BallPoint(_cuts(point, [depth])[0])
-
-
 def _require_pair_dims(t: OperatorHK, pair: ConjugationPair) -> None:
     if (pair.dim_src, pair.dim_dst) != (t.dim_k, t.dim_h):
         raise BadDims(

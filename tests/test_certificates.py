@@ -11,12 +11,13 @@ without sharing a formula with it.
     orthogonal to the frame moves M by exactly ||B - B^T||/2, and no
     symmetric operator is closer.
 (c) The profile distance has a closed form on the undoubled space:
-    operator_dist(approx_n, approx_full) = ball_dist(truncate(T^, n), T^)
-    with T^ = bounded_transform(t).  The doubled points are block diagonal,
-    so the distance is the larger of the two block distances, and the
-    flipped block sees only a compression of the point, which does not
-    increase the distance.  The ball route shares no stacked solve, no
-    doubling and no induced pair with the profile.
+    operator_dist(approx_n, approx_full) = ball_dist(T^_n, T^), where
+    T^ = bounded_transform(t) and T^_n is T^ with the rows past n zeroed.
+    The doubled points are block diagonal, so the distance is the larger of
+    the two block distances, and the flipped block sees only a compression
+    of the point, which does not increase the distance.  The ball route
+    shares no stacked solve, no doubling and no induced pair with the
+    profile.
 
 numpy.linalg.svd is the oracle here; the library never calls numpy.linalg.
 """
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 
 from opball import (
+    BallPoint,
     ConjugationPair,
     OperatorHK,
     Side,
@@ -36,7 +38,6 @@ from opball import (
     random_pair,
     symmetric_part,
     symmetry_residual,
-    truncate,
 )
 from opball.sampling import random_operator
 
@@ -107,7 +108,8 @@ def test_profile_distance_is_the_ball_distance_of_the_truncations():
         profile = approximation_profile(t, random_pair(dim_k, dim_h, rng))
         that = bounded_transform(t)
         for row in profile.rows[:-1]:
-            ref = ball_dist(truncate(that, row.n), that)
+            cut = np.where(np.arange(dim_h)[:, None] < row.n, that.mat, 0.0)
+            ref = ball_dist(BallPoint(cut), that)
             worst = max(worst, abs(row.dist - ref) / ref)
         # at full depth both sides are the distance of a point to itself
         assert ball_dist(that, that) == 0.0

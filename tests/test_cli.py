@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from opball.cli import build_parser, main
+from opball.cli import _fmt12, build_parser, main
 from opball.matio import MatrixFileError, read_matrix, read_pair, write_matrix, write_pair
 from opball.symmetry import canonical_pair
 
@@ -91,6 +91,8 @@ def test_identities_flag_validation(capsys):
         (["symcheck", "--tol", "inf"], "symcheck: need tol > 0"),
         (["symcheck", "--tol", "-1"], "symcheck: need tol > 0"),
         (["symcheck", "--tol", "0"], "symcheck: need tol > 0"),
+        (["identities", "--seed", "-1", "--trials", "1"], "identities: need seed >= 0"),
+        (["approx", "--seed", "-1", "--trials", "1"], "approx: need seed >= 0"),
     ],
 )
 def test_rejected_input_prints_one_line(tmp_path, capsys, args, line):
@@ -147,6 +149,20 @@ def test_metric_scalar_oracle(tmp_path, capsys):
     one = save(tmp_path, "one.json", [[1.0]])
     assert main(["metric", zero, one]) == 0
     assert capsys.readouterr().out.strip() == "0.881373587020"
+
+
+@pytest.mark.parametrize(
+    "x, printed",
+    [
+        (0.881373587020, "0.881373587020"),
+        # rounding carries into the next power of ten
+        (9.9999999999995, "10.0000000000"),
+        (0.99999999999996, "1.00000000000"),
+        (99.9999999999996, "100.000000000"),
+    ],
+)
+def test_twelve_significant_digits(x, printed):
+    assert _fmt12(x) == printed
 
 
 def test_metric_shape_mismatch(tmp_path, capsys):

@@ -11,12 +11,12 @@ from opball import (
     BallPoint,
     OperatorHK,
     bounded_transform,
+    inverse_bounded_transform,
     mobius_to_origin,
     op_norm,
     operator_dist,
     random_pair,
     symmetry_residual,
-    truncate,
     zero_operator,
 )
 from opball.density import (
@@ -30,27 +30,34 @@ from opball.sampling import random_ball_point, random_operator
 from opball.symmetry import extension_blocks, swap_roles
 
 
-def test_truncate_column_example():
+def test_approximant_cut_column_example():
+    # the doubled point's leading block is the depth-n cut of the transform
     col = BallPoint(np.array([[0.3], [0.4], [0.2]]))
-    cut = truncate(col, 2)
-    assert np.allclose(cut.mat, [[0.3], [0.4], [0.0]])
-    assert np.array_equal(truncate(col, 3).mat, col.mat)
+    t = inverse_bounded_transform(col)
+    pair = random_pair(1, 3, seed=0)
+    _, _, doubled = symmetric_approximant(t, pair, 2)
+    assert np.allclose(doubled.mat[:3, :1], [[0.3], [0.4], [0.0]])
+    _, _, doubled = symmetric_approximant(t, pair, 3)
+    assert np.array_equal(doubled.mat[:3, :1], bounded_transform(t).mat)
 
 
-def test_truncate_norm_monotone():
+def test_approximant_cut_norm_monotone():
     rng = np.random.default_rng(61)
-    for _ in range(30):
+    for i in range(30):
         point = random_ball_point(rng, int(rng.integers(2, 9)), int(rng.integers(1, 4)))
         depth = int(rng.integers(1, point.dim_h + 1))
-        assert op_norm(truncate(point, depth).mat) <= op_norm(point.mat) + 1e-14
+        t = inverse_bounded_transform(point)
+        pair = random_pair(point.dim_k, point.dim_h, seed=i)
+        _, _, doubled = symmetric_approximant(t, pair, depth)
+        cut = doubled.mat[: point.dim_h, : point.dim_k]
+        assert op_norm(cut) <= op_norm(bounded_transform(t).mat) + 1e-14
 
 
-def test_truncate_bad_depth():
-    point = BallPoint(np.zeros((3, 1)))
-    with pytest.raises(BadDepth):
-        truncate(point, 0)
-    with pytest.raises(BadDepth):
-        truncate(point, 4)
+def test_approximant_bad_depth():
+    pair = random_pair(1, 3, seed=0)
+    for depth in (0, 4):
+        with pytest.raises(BadDepth):
+            symmetric_approximant(zero_operator(3, 1), pair, depth)
 
 
 def test_approximant_full_depth_recovers_input():
@@ -94,7 +101,7 @@ def test_approximant_norm_equals_truncation_norm():
     that = bounded_transform(t)
     for depth in (1, 3, 6):
         _, _, doubled = symmetric_approximant(t, pair, depth)
-        expected = op_norm(truncate(that, depth).mat)
+        expected = op_norm(np.where(np.arange(that.dim_h)[:, None] < depth, that.mat, 0.0))
         assert doubled.factor.norm == pytest.approx(expected, abs=1e-12)
 
 

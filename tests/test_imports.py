@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in it.
+"""Every name a module of the package imports is used in it, and the package
+re-exports the paper's objects, not the batched forms behind them.
 
 The package's ``__init__.py`` imports names only to re-export them, so it is
 not walked.  A name counts as used when the module refers to it anywhere,
@@ -6,6 +7,7 @@ annotations included.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -36,3 +38,26 @@ def test_every_imported_name_is_used(module):
 def test_an_unused_import_is_found():
     tree = ast.parse("import math\nfrom os import path, sep\n\nprint(sep)\n")
     assert _unused_imports(tree) == ["math (line 1)", "path (line 2)"]
+
+
+
+# module -> names it defines that the package does not re-export: the
+# batched forms behind the paper's objects, and the tolerance record's class
+UNEXPORTED = {
+    "ball": ("defects", "lifts", "mobius_images"),
+    "matkernel": ("powers", "transport"),
+    "symmetry": ("extension_blocks", "induced_pairs", "symmetry_residuals"),
+    "tolerances": ("Tolerances",),
+    "transform": ("inverse_bounded_transforms", "left_defects"),
+}
+
+
+def test_the_package_exports_the_papers_objects():
+    package = importlib.import_module("opball")
+    for module, names in UNEXPORTED.items():
+        defining = importlib.import_module(f"opball.{module}")
+        for name in names:
+            assert not hasattr(package, name), name
+            assert callable(getattr(defining, name)), f"opball.{module}.{name}"
+    assert not hasattr(package, "truncate")
+    assert not hasattr(importlib.import_module("opball.density"), "truncate")

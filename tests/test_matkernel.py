@@ -25,30 +25,24 @@ from opball import (
     Singular,
     as_cmat,
     ball_dists,
-    defects,
-    extension_blocks,
     fro_norm,
     gram_factor,
     herm_eig,
     herm_inv_sqrt,
     herm_sqrt,
     identity_pair,
-    induced_pairs,
     inverse,
-    inverse_bounded_transforms,
-    left_defects,
-    lifts,
     mobius,
-    mobius_images,
     mobius_inv,
     op_norm,
     operator_dists,
     operators,
-    powers,
     random_pair,
-    symmetry_residuals,
-    transport,
 )
+from opball.ball import defects, lifts, mobius_images
+from opball.matkernel import powers, transport
+from opball.symmetry import extension_blocks, induced_pairs, symmetry_residuals
+from opball.transform import inverse_bounded_transforms, left_defects
 
 
 def rand_herm(rng, n, scale=1.0):

@@ -13,7 +13,6 @@ from opball import (
     ShapeMismatch,
     ball_dist,
     canonical_pair,
-    extension_blocks,
     gram_factor,
     herm_eig,
     left_defect,
@@ -25,6 +24,7 @@ from opball import (
     symmetry_residual,
     zero_point,
 )
+from opball.symmetry import extension_blocks
 
 ARRAY_RECORDS = {
     "BallPoint": lambda: BallPoint(np.full((3, 2), 0.1)),

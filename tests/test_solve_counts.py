@@ -36,34 +36,26 @@ from opball import (
     ball_dist,
     ball_dists,
     bounded_transform,
-    defects,
     ensemble_experiment,
-    extension_blocks,
     gram_factor,
     identity_pair,
     induced_pair,
-    induced_pairs,
     inverse_bounded_transform,
-    inverse_bounded_transforms,
     left_defect,
-    left_defects,
-    lifts,
     mobius,
-    mobius_images,
     op_norm,
     operator_dist,
     operator_dists,
     operators,
     pair_residual,
-    powers,
     random_pair,
     swap_roles,
     symmetry_residual,
-    symmetry_residuals,
 )
+from opball.ball import defects, lifts, mobius_images
 from opball.cli import main
 from opball.identities import run_identities
-from opball.matkernel import fro_norm
+from opball.matkernel import fro_norm, powers
 from opball.matio import write_matrix
 from opball.sampling import (
     _at_random_margins,
@@ -71,6 +63,8 @@ from opball.sampling import (
     random_ball_points,
     random_symmetric_ball_point,
 )
+from opball.symmetry import extension_blocks, induced_pairs, symmetry_residuals
+from opball.transform import inverse_bounded_transforms, left_defects
 
 
 @pytest.fixture

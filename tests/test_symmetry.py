@@ -20,7 +20,6 @@ from opball import (
     identity_pair,
     induced_operator,
     induced_pair,
-    induced_pairs,
     inverse_bounded_transform,
     op_norm,
     pair_residual,
@@ -31,6 +30,7 @@ from opball import (
     swap_roles,
 )
 from opball.sampling import complex_gaussian, random_operator, random_symmetric_ball_point
+from opball.symmetry import induced_pairs
 
 
 def test_canonical_pair_examples():
