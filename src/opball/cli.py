@@ -82,10 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_identities(args) -> int:
     if not (1 <= args.dim_k <= 8 and args.dim_k <= args.dim_h <= 32):
         raise BadDims("need 1 <= dim-k <= 8 and dim-k <= dim-h <= 32")
-    if args.trials < 0 or not 0 < args.tol < math.inf:
-        raise BadDims("need trials >= 0 and tol > 0")
-    if args.seed < 0:
-        raise BadDims("need seed >= 0")
     reports = run_identities(args.seed, args.trials, args.dim_h, args.dim_k, args.tol)
     payload = {
         "seed": args.seed,

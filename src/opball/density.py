@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import operator
 import os
 from dataclasses import dataclass, fields
 from functools import partial
@@ -51,8 +52,13 @@ from .transform import (
 
 def _cuts(point: BallPoint, depths) -> np.ndarray:
     """The matrix of ``point`` with every row past the depth zeroed, for
-    each of ``depths``, as one stack."""
+    each of ``depths``, as one stack.  A depth must be an integer (numpy's
+    included) in 1..dim_h."""
     for depth in depths:
+        try:
+            operator.index(depth)
+        except TypeError:
+            raise BadDepth(f"depth {depth!r} is not an integer") from None
         if not 1 <= depth <= point.dim_h:
             raise BadDepth(f"depth {depth} outside 1..{point.dim_h}")
     rows = np.arange(point.dim_h)[None, :, None]
@@ -206,6 +212,8 @@ def ensemble_experiment(
         raise BadDims(f"need 1 <= dim_k <= dim_h, got ({dim_h}, {dim_k})")
     if trials < 1:
         raise BadDims(f"need trials >= 1, got {trials}")
+    if seed < 0:
+        raise BadDims("need seed >= 0")
     children = np.random.SeedSequence(seed).spawn(trials)
     run = partial(_run_trial, dim_h, dim_k)
     workers = min(jobs, trials, os.cpu_count() or 1)

@@ -34,6 +34,7 @@ from .ball import (
     poincare_dist,
     zero_point,
 )
+from .errors import BadDims
 from .matkernel import adj, fro_norm, herm_inv_sqrt, inverse, op_norm
 from .sampling import (
     complex_gaussian,
@@ -305,7 +306,14 @@ def run_identities(
     dim_k: int,
     tol: float,
 ) -> list[IdentityReport]:
-    """Run the identity table; each check gets its own spawned seed stream."""
+    """Run the identity table; each check gets its own spawned seed stream.
+
+    A negative ``trials`` or ``seed``, or a ``tol`` that is not a positive
+    finite number, raises :class:`BadDims` before any check runs."""
+    if trials < 0 or not 0 < tol < math.inf:
+        raise BadDims("need trials >= 0 and tol > 0")
+    if seed < 0:
+        raise BadDims("need seed >= 0")
     if trials == 0:
         return []
     reports = []

@@ -6,12 +6,12 @@ roots, the defect powers (I +- G)^(+-1/2) of a Gram matrix G, the spectral
 norm, and general inversion.
 
 Each operand is factored once: :func:`gram_factor` eigen-solves the smaller
-of its two Gram matrices M*M and MM* (MM* when M is square), and the
-resulting :class:`GramFactor` serves the spectral norm and every defect
-power.  Both Gram matrices share their nonzero spectrum, and the one not
-held follows from the push-through identity f(AB) A = A f(BA) (Higham,
-*Functions of Matrices*, SIAM 2008, ch. 1); for a square M that is the
-M*M side.  Ball points and operators keep their factor, so a defect never
+of its two Gram matrices M*M and MM* (MM* when M is square) into a
+:class:`GramFactor`, a record of the spectral norm and the spectrum that
+:func:`powers` takes every defect power from.  Both Gram matrices share
+their nonzero spectrum, and the one not held follows from the push-through
+identity f(AB) A = A f(BA) (Higham, *Functions of Matrices*, SIAM 2008,
+ch. 1); for a square M that is the M*M side.  Ball points and operators keep their factor, so a defect never
 costs a second solve of the same operand.  The eigenvalue floor of a power
 is not a parameter: only the inverse square root of a defect, (I - G)^(-1/2),
 is checked against ``DEFAULT.defect_floor``, and ``ball.defects`` (with
@@ -19,13 +19,13 @@ is checked against ``DEFAULT.defect_floor``, and ``ball.defects`` (with
 defect powers.
 
 Powers and transports are formed for a stack of factors at once, as the
-solves are: :func:`powers` computes the powers of factors of one shape as
+solves are, and a single factor is a stack of one, on ``[None]`` views of
+its arrays: :func:`powers` computes the powers of factors of one shape as
 one batched expression per held side, and :func:`transport` maps the
-stacked spectra of several factors at once.  :meth:`GramFactor.power` and
-:meth:`GramFactor.transport` are their one-item cases, on ``[None]`` views
-of the factor's arrays, and each member of a stack gives exactly the bytes
-it gives alone: a stacked matmul multiplies each member as the matrix
-product does, on operands laid out as the one-item call lays them out.
+stacked spectra of several factors at once.  Each member of a stack gives
+exactly the bytes it gives alone: a stacked matmul multiplies each member
+as the matrix product does, on operands laid out as a stack of one lays
+them out.
 
 The eigensolver is a cyclic two-sided complex Jacobi iteration over a stack
 of matrices of one size, run on the input scaled by a power of two per
@@ -358,9 +358,9 @@ def herm_eig(p) -> HermSpectrum:
     a, exp = _pow2_scaled(m[None])
     asym = fro_norm(a[0] - adj(a[0]))
     # 1 at this scale; capped where 2^-e overflows, far above any asymmetry
-    unit = math.ldexp(1.0, min(-int(exp[0]), 1023))
-    if asym > DEFAULT.herm_asym * unit and asym > DEFAULT.herm_asym * fro_norm(a[0]):
-        relative = asym / max(unit, fro_norm(a[0]))
+    bound = max(math.ldexp(1.0, min(-int(exp[0]), 1023)), fro_norm(a[0]))
+    if asym > DEFAULT.herm_asym * bound:
+        relative = asym / bound
         raise NotHermitian(f"relative asymmetry {relative:.3e} above {DEFAULT.herm_asym:.1e}")
     vals, basis = _sorted_eig(*_jacobi(0.5 * (a + adj(a))))
     return HermSpectrum(_freeze(_unscaled(vals, exp)[0]), basis[0])
@@ -401,14 +401,15 @@ def _scaled_gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
 
 @dataclass(frozen=True, eq=False)
 class GramFactor:
-    """One eigen-solve of the smaller Gram matrix of M, serving every power.
+    """One eigen-solve of the smaller Gram matrix of M, a plain record that
+    :func:`powers` and :func:`transport` take.
 
     ``side`` names the Gram matrix held, "left" for MM* and "right" for M*M;
     ``eigenvalues`` (ascending) and ``basis`` are its spectrum.  A solved
     factor (:func:`gram_factor`) holds the smaller Gram matrix, MM* when M is
     square, and its ``norm``, the spectral norm of M, is :func:`op_norm`'s by
     construction: both take it from the same solve.  A factor built by
-    :meth:`transport` may hold "right" for a square M, and its ``norm``
+    :func:`transport` may hold "right" for a square M, and its ``norm``
     agrees with :func:`op_norm` to roundoff only.
     """
 
@@ -418,56 +419,36 @@ class GramFactor:
     basis: np.ndarray
     norm: float
 
-    def power(self, sign: float, power: float, side: str) -> np.ndarray:
-        """(I + sign G)^power for G = M*M (``side="right"``) or MM* (``"left"``).
-
-        ``sign`` is +1 or -1 and ``power`` is +1/2 or -1/2.  When ``side``
-        names the Gram matrix not held, the push-through identity gives
-
-            (I + sign N*N)^power = I + N* h(NN*) N,   h(x) = (g(x) - 1) / x,
-
-        with N = M for the right side and M* for the left, g(x) =
-        (1 + sign x)^power and r = sqrt(1 + sign x), in the
-        cancellation-free forms h = sign / (1 + r) for power 1/2 and
-        h = -sign / (r (1 + r)) for power -1/2.
-
-        The floor follows from sign and power.  Only the inverse square root
-        of a defect (sign -1, power -1/2) is singular at the boundary: an
-        eigenvalue of I - G below ``DEFAULT.defect_floor`` raises
-        :class:`EigenvalueBelowFloor`, checked on the held spectrum and on
-        1, the eigenvalue that only the pushed side has.  The square root of
-        a defect stays well conditioned there, so its roundoff negatives are
-        clipped to 0 as in :func:`herm_sqrt`; for sign +1, 1 + x >= 1.
-
-        In the pushed form, an entry of size one cancels where g is small,
-        leaving an absolute error of order eps there.  A product g(M*M) M*
-        is therefore best written M* g(MM*) when MM* is the held matrix.
-        This is the one-item case of :func:`powers`.
-        """
-        return powers((self,), sign, power, side)[0]
-
-    def transport(self, mat, eigen_map, flip: bool) -> GramFactor:
-        """The factor of ``mat``, a matrix whose Gram matrix on the held side
-        (swapped when ``flip``) is eigen_map(G) for this factor's G: the same
-        basis and the mapped eigenvalues, with no solve.
-
-        ``eigen_map`` is monotone increasing on the spectrum.  Singular-value
-        functions of M are of this kind: the bounded transform and its
-        inverse (x / (1 + x), x / (1 - x)) exchange the Gram sides, and a
-        scalar multiple c M (c^2 x) keeps them.  Rounding in the map may
-        reorder equal neighbours, so a mapped spectrum out of order is
-        re-sorted (stably, its columns with it).  This is the one-item case
-        of :func:`transport`.
-        """
-        return transport((self,), mat, eigen_map, flip)[0]
-
 
 _OTHER_SIDE = {"left": "right", "right": "left"}
 
 
 def powers(factors, sign: float, power: float, side: str) -> np.ndarray:
-    """:meth:`GramFactor.power` of each factor of ``factors``, matrices of
-    one shape, for one (sign, power, side), as one read-only stack.
+    """(I + sign G)^power for G = M*M (``side="right"``) or MM* (``"left"``)
+    of the matrix M of each factor of ``factors``, matrices of one shape, as
+    one read-only stack; one factor is a stack of one.
+
+    ``sign`` is +1 or -1 and ``power`` is +1/2 or -1/2.  When ``side``
+    names the Gram matrix not held, the push-through identity gives
+
+        (I + sign N*N)^power = I + N* h(NN*) N,   h(x) = (g(x) - 1) / x,
+
+    with N = M for the right side and M* for the left, g(x) =
+    (1 + sign x)^power and r = sqrt(1 + sign x), in the
+    cancellation-free forms h = sign / (1 + r) for power 1/2 and
+    h = -sign / (r (1 + r)) for power -1/2.
+
+    The floor follows from sign and power.  Only the inverse square root
+    of a defect (sign -1, power -1/2) is singular at the boundary: an
+    eigenvalue of I - G below ``DEFAULT.defect_floor`` raises
+    :class:`EigenvalueBelowFloor`, checked on the held spectrum and on
+    1, the eigenvalue that only the pushed side has.  The square root of
+    a defect stays well conditioned there, so its roundoff negatives are
+    clipped to 0 as in :func:`herm_sqrt`; for sign +1, 1 + x >= 1.
+
+    In the pushed form, an entry of size one cancels where g is small,
+    leaving an absolute error of order eps there.  A product g(M*M) M*
+    is therefore best written M* g(MM*) when MM* is the held matrix.
 
     The powers are computed as one stack per held side, a factor listed
     twice only once.  The floor is checked on every member before any power
@@ -496,8 +477,8 @@ def powers(factors, sign: float, power: float, side: str) -> np.ndarray:
 
 
 def _power_stack(factors, sign: float, power: float, side: str) -> np.ndarray:
-    """The power of :meth:`GramFactor.power` of each factor of ``factors``,
-    which hold one side of matrices of one shape and pass the floor, as one
+    """The power of :func:`powers` of each factor of ``factors``, which
+    hold one side of matrices of one shape and pass the floor, as one
     read-only stack."""
     x = stacked([f.eigenvalues for f in factors])
     basis = stacked([f.basis for f in factors])
@@ -517,12 +498,20 @@ def _power_stack(factors, sign: float, power: float, side: str) -> np.ndarray:
 
 
 def transport(factors, mats, eigen_map, flip: bool) -> tuple[GramFactor, ...]:
-    """:meth:`GramFactor.transport` of each factor of ``factors`` to the
-    matrix at the same place in ``mats`` (a matrix or a stack of one
-    shape), the map applied to the stacked spectra at once and the stack
-    re-sorted only if the map put some member's spectrum out of order (a
-    stable sort of an ordered row is the identity).  Each factor's ``mat``
-    is a read-only view into one checked copy of ``mats``."""
+    """The factor of each matrix of ``mats`` (a matrix or a stack of one
+    shape) from the factor of ``factors`` at the same place, with no solve:
+    that matrix's Gram matrix on the held side (swapped when ``flip``) is
+    eigen_map(G) for the factor's G, so the basis is kept and the
+    eigenvalues are mapped, for the stacked spectra at once.
+
+    ``eigen_map`` is monotone increasing on the spectrum.  Singular-value
+    functions of M are of this kind: the bounded transform and its inverse
+    (x / (1 + x), x / (1 - x)) exchange the Gram sides, and a scalar
+    multiple c M (c^2 x) keeps them.  Rounding in the map may reorder equal
+    neighbours, so the stack is re-sorted (stably, columns with their
+    eigenvalues) only if some member's spectrum is out of order.  Each
+    factor's ``mat`` is a read-only view into one checked copy of ``mats``.
+    """
     stack, _ = as_cstack(mats)
     b, rows, cols = stack.shape
     if b != len(factors):

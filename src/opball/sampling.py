@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ball import BallPoint
-from .matkernel import gram_factor
+from .matkernel import gram_factor, transport
 from .symmetry import ConjugationPair, symmetric_part
 from .transform import OperatorHK
 
@@ -37,7 +37,7 @@ def _at_random_margins(
     for f, margin in zip(gram_factor(draws), margins):
         if margin is not None:
             c = (1.0 - margin) / f.norm
-            f = f.transport(f.mat * c, lambda x: c * c * x, flip=False)
+            f = transport((f,), f.mat * c, lambda x: c * c * x, flip=False)[0]
         points.append(BallPoint(f))
     return points
 

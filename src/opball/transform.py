@@ -39,7 +39,6 @@ from .matkernel import (
     inverse,
     op_norm,
     powers,
-    require_one_shape,
     require_shape,
     stacked,
     transport,
@@ -91,10 +90,9 @@ def bounded_transform(t: OperatorHK) -> BallPoint:
     ``t``'s.
     """
     f = t.factor
-    g = f.power(1.0, -0.5, f.side)
+    g = powers((f,), 1.0, -0.5, f.side)[0]
     mat = adj(t.mat) @ g if f.side == "left" else g @ adj(t.mat)
-    f = f.transport(mat, lambda x: x / (1.0 + x), flip=True)
-    return BallPoint(f)
+    return BallPoint(transport((f,), mat, lambda x: x / (1.0 + x), flip=True)[0])
 
 
 def inverse_bounded_transform(a: BallPoint) -> OperatorHK:
@@ -130,7 +128,6 @@ def left_defects(pairs) -> np.ndarray:
     (:func:`~opball.matkernel.powers`)."""
     for t, x in pairs:
         require_shape(x.mat, t.mat.shape, "operator")
-    require_one_shape([(t.dim_h, t.dim_k) for t, _ in pairs])
     left = powers([t.factor for t, _ in pairs], 1.0, 0.5, "right")
     right = powers([x.factor for _, x in pairs], 1.0, 0.5, "left")
     ts, xs = stacked([t.mat for t, _ in pairs]), stacked([x.mat for _, x in pairs])
@@ -140,8 +137,7 @@ def left_defects(pairs) -> np.ndarray:
 def right_defect(t: OperatorHK, x: OperatorHK) -> np.ndarray:
     """(I + X X*)^(1/2) (I + T T*)^(1/2) - X T*, of shape dimK x dimK."""
     require_shape(x.mat, t.mat.shape, "operator")
-    left = x.factor.power(1.0, 0.5, "left")
-    right = t.factor.power(1.0, 0.5, "left")
+    left, right = powers([x.factor, t.factor], 1.0, 0.5, "left")
     return left @ right - x.mat @ adj(t.mat)
 
 
@@ -156,8 +152,7 @@ def right_defect_inv(s: OperatorHK, t: OperatorHK) -> np.ndarray:
     that is solved.
     """
     require_shape(t.mat, s.mat.shape, "operator")
-    outer_left = s.factor.power(1.0, -0.5, "left")
-    outer_right = t.factor.power(1.0, -0.5, "left")
+    outer_left, outer_right = powers([s.factor, t.factor], 1.0, -0.5, "left")
     bracket = np.eye(t.dim_k) - outer_right @ t.mat @ adj(s.mat) @ outer_left
     return outer_left @ inverse(bracket) @ outer_right
 

@@ -44,7 +44,7 @@ from opball import (
 )
 from opball.cli import main as cli_main
 from opball.density import ensemble_experiment
-from opball.identities import induced_pair_invariants
+from opball.identities import induced_pair_invariants, metric_two_routes
 from opball.sampling import (
     complex_gaussian,
     random_ball_point,
@@ -155,6 +155,13 @@ def test_c05_metric_two_routes():
         worst = max(worst, abs(d_direct - d_ball))
     report(5, "metric equals invariant ball distance", worst, 1e-8,
            f", operator norms up to {top_norm:.0f}")
+
+
+def test_metric_two_routes_equal_pair_stratum():
+    # a first uniform of at least 0.85 draws the check's equal-pair stratum,
+    # the one carrying the largest norms
+    assert np.random.default_rng(4).uniform() >= 0.85
+    assert metric_two_routes(np.random.default_rng(4), 8, 3) <= 1e-8
 
 
 def test_c06_metric_axioms():

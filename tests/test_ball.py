@@ -90,6 +90,15 @@ def test_mobius_near_boundary_raises_singular():
         mobius(a, scalar_point(0.1))
 
 
+def test_mobius_singular_bracket():
+    # I + A* Z = diag(about 2e-14, 1.01) falls below the pivot floor, and
+    # the bracket is inverted before any defect of A is taken
+    a = BallPoint(np.diag([1.0 - 1e-14, 0.1]))
+    z = BallPoint(np.diag([-(1.0 - 1e-14), 0.1]))
+    with pytest.raises(Singular, match="Moebius bracket is singular"):
+        mobius(a, z)
+
+
 def test_to_origin_fixed_points():
     rng = np.random.default_rng(5)
     x = random_ball_point(rng, 4, 3, margin_min=0.05)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from opball.cli import _fmt12, build_parser, main
+from opball.errors import BadDims
+from opball.identities import run_identities
 from opball.matio import MatrixFileError, read_matrix, read_pair, write_matrix, write_pair
 from opball.symmetry import canonical_pair
 
@@ -49,6 +51,25 @@ def test_identities_zero_trials(capsys):
     assert main(["identities", "--trials", "0"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["identities"] == []
+
+
+@pytest.mark.parametrize(
+    "seed, trials, tol, message",
+    [
+        (0, -3, 1e-8, "need trials >= 0 and tol > 0"),
+        (0, 1, 0.0, "need trials >= 0 and tol > 0"),
+        (0, 1, float("nan"), "need trials >= 0 and tol > 0"),
+        (0, 1, float("inf"), "need trials >= 0 and tol > 0"),
+        (-1, 1, 1e-8, "need seed >= 0"),
+        (-1, 0, 1e-8, "need seed >= 0"),
+    ],
+    ids=["negative-trials", "zero-tol", "nan-tol", "inf-tol", "negative-seed", "no-trials"],
+)
+def test_run_identities_refuses_its_domain(seed, trials, tol, message):
+    # the library's refusal is the CLI's error line
+    with pytest.raises(BadDims) as info:
+        run_identities(seed, trials, 8, 3, tol)
+    assert str(info.value) == message
 
 
 def test_parser_is_built_once_per_process(capsys):
@@ -238,6 +259,18 @@ MALFORMED = {
     "bool-part": '{"rows": 1, "cols": 1, "data": [[true, 0]]}',
     "integer-past-digit-limit": f'{{"rows": 1, "cols": 1, "data": [[1{"0" * 5000}, 0]]}}',
     "dimensions-past-digit-limit": f'{{"rows": 1{"0" * 4000}, "cols": 1{"0" * 4000}, "data": []}}',
+    "top-level-list": "[1, 2]",
+    "missing-data": '{"rows": 1, "cols": 1}',
+    "zero-rows": '{"rows": 0, "cols": 1, "data": []}',
+    "infinite-entry": '{"rows": 1, "cols": 1, "data": [[Infinity, 0]]}',
+    "nan-entry": '{"rows": 1, "cols": 1, "data": [[0, NaN]]}',
+}
+
+# pair files whose matrix parses but which are no conjugation pair
+MALFORMED_PAIRS = {
+    "no-side": '{"j_fwd": {"rows": 1, "cols": 1, "data": [[1, 0]]}}',
+    "unknown-side": '{"side": "up", "j_fwd": {"rows": 1, "cols": 1, "data": [[1, 0]]}}',
+    "not-isometric": '{"side": "bwd_fwd", "j_fwd": {"rows": 1, "cols": 1, "data": [[2, 0]]}}',
 }
 
 
@@ -253,6 +286,18 @@ def test_malformed_file_is_an_input_error(tmp_path, capsys, command, text):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"{command}: ")
+
+
+@pytest.mark.parametrize("text", list(MALFORMED_PAIRS.values()), ids=list(MALFORMED_PAIRS))
+def test_malformed_pair_file_is_an_input_error(tmp_path, capsys, text):
+    bad = tmp_path / "pair.json"
+    bad.write_text(text)
+    mat = save(tmp_path, "m.json", [[1.0]])
+    assert main(["symcheck", mat, "--pair", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("symcheck: ")
 
 
 def test_symcheck_symmetric_identity_pair(tmp_path, capsys):

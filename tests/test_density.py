@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from opball import (
+    ApproxProfile,
     BadDepth,
     BadDims,
     BallPoint,
     OperatorHK,
+    ProfileRow,
     bounded_transform,
     inverse_bounded_transform,
     mobius_to_origin,
@@ -55,9 +57,14 @@ def test_approximant_cut_norm_monotone():
 
 def test_approximant_bad_depth():
     pair = random_pair(1, 3, seed=0)
-    for depth in (0, 4):
+    for depth in (0, 4, 1.5):
         with pytest.raises(BadDepth):
             symmetric_approximant(zero_operator(3, 1), pair, depth)
+    # a numpy integer is a depth like any other
+    t = inverse_bounded_transform(BallPoint(np.array([[0.3], [0.4], [0.2]])))
+    _, _, by_numpy = symmetric_approximant(t, pair, np.int64(2))
+    _, _, by_int = symmetric_approximant(t, pair, 2)
+    assert np.array_equal(by_numpy.mat, by_int.mat)
 
 
 def test_approximant_full_depth_recovers_input():
@@ -121,6 +128,21 @@ def test_profile_invariants_random():
     assert prof.rows[-1].dist <= 1e-8
     assert all(r.sym_residual <= 1e-8 for r in prof.rows)
     assert prof.min_depth() == 8
+
+
+def test_profile_violations_name_each_breach():
+    healthy = ProfileRow(n=1, dist=0.0, sym_residual=1e-12, margin=0.5)
+    assert ApproxProfile((healthy,), 0.0).violations() == []
+    rows = (
+        ProfileRow(n=2, dist=0.5, sym_residual=3e-8, margin=0.5),
+        ProfileRow(n=1, dist=2e-8, sym_residual=0.0, margin=0.5),
+    )
+    assert ApproxProfile(rows, 5e-8).violations() == [
+        "depths not 1..p: [2, 1]",
+        "final distance 2.000e-08 above 1e-08",
+        "recovery residual 5.000e-08 above 1e-08",
+        "symmetry residual 3.000e-08 at depth 2",
+    ]
 
 
 def test_profile_zero_operator():
@@ -198,6 +220,8 @@ def test_ensemble_flag_guards():
         ensemble_experiment(2, 3, 1, seed=0)
     with pytest.raises(BadDims):
         ensemble_experiment(4, 2, 0, seed=0)
+    with pytest.raises(BadDims, match=r"^need seed >= 0$"):
+        ensemble_experiment(4, 2, 1, seed=-1)
 
 
 def test_profile_csv_format():

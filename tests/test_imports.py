@@ -1,9 +1,11 @@
-"""Every name a module of the package imports is used in it, and the package
+"""Every name a module of the package imports is used in it, every private
+function or class it defines is referenced in the package, and the package
 re-exports the paper's objects, not the batched forms behind them.
 
 The package's ``__init__.py`` imports names only to re-export them, so it is
-not walked.  A name counts as used when the module refers to it anywhere,
-annotations included.
+not walked for unused imports.  A name counts as used when the module refers
+to it anywhere, annotations included; a private name counts as referenced
+when some module of the package names it, as a name or as an attribute.
 """
 
 import ast
@@ -40,6 +42,39 @@ def test_an_unused_import_is_found():
     assert _unused_imports(tree) == ["math (line 1)", "path (line 2)"]
 
 
+def _unreferenced_private(trees) -> list[str]:
+    """The single-underscore functions and classes defined in ``trees`` that
+    no tree refers to."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = {
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, defs) and node.name.startswith("_") and not node.name.startswith("__")
+    }
+    referred = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referred.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referred.add(node.attr)
+    return sorted(defined - referred)
+
+
+def test_every_private_function_is_referenced():
+    trees = [ast.parse(p.read_text(), filename=p.name) for p in sorted(SRC.glob("*.py"))]
+    assert _unreferenced_private(trees) == []
+
+
+def test_an_unreferenced_private_function_is_found():
+    tree = ast.parse(
+        "def _used():\n    pass\n\n\ndef _dead():\n    _used()\n\n\n"
+        "class _Gone:\n    def _method(self):\n        self._used()\n"
+    )
+    assert _unreferenced_private([tree]) == ["_Gone", "_dead", "_method"]
+
+
 
 # module -> names it defines that the package does not re-export: the
 # batched forms behind the paper's objects, and the tolerance record's class
@@ -61,3 +96,11 @@ def test_the_package_exports_the_papers_objects():
             assert callable(getattr(defining, name)), f"opball.{module}.{name}"
     assert not hasattr(package, "truncate")
     assert not hasattr(importlib.import_module("opball.density"), "truncate")
+
+
+def test_a_gram_factor_is_a_plain_record():
+    # powers and transports are taken through matkernel.powers and
+    # matkernel.transport only
+    factor = importlib.import_module("opball.matkernel").GramFactor
+    assert not hasattr(factor, "power")
+    assert not hasattr(factor, "transport")

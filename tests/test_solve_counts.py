@@ -55,7 +55,7 @@ from opball import (
 from opball.ball import defects, lifts, mobius_images
 from opball.cli import main
 from opball.identities import run_identities
-from opball.matkernel import fro_norm, powers
+from opball.matkernel import fro_norm, powers, transport
 from opball.matio import write_matrix
 from opball.sampling import (
     _at_random_margins,
@@ -259,11 +259,11 @@ TRANSPORTS = {
 ], ids=["3x5", "5x3", "4x4", "1x6", "6x1", "1x1", "zero-3x5"])
 def test_transported_factor_matches_a_fresh_solve(solves, site, shape, zero):
     rng = np.random.default_rng(27)
-    prepare, transport, cost = TRANSPORTS[site]
+    prepare, move, cost = TRANSPORTS[site]
     operand = prepare(np.zeros(shape) if zero else complex_draw(rng, *shape))
     getattr(operand, "factor", None)  # an operator solves its factor on first use
     before = solves()
-    out = transport(operand)
+    out = move(operand)
     assert solves() - before == cost  # the rescaled point solves its draw once
     held, fresh = out.factor, gram_factor(out.mat)
     assert held.mat is out.mat
@@ -275,8 +275,8 @@ def test_transported_factor_matches_a_fresh_solve(solves, site, shape, zero):
     for side in ("left", "right"):
         for sign in (1.0, -1.0):
             for power in (0.5, -0.5):
-                got = held.power(sign, power, side)
-                ref = fresh.power(sign, power, side)
+                got = powers((held,), sign, power, side)[0]
+                ref = powers((fresh,), sign, power, side)[0]
                 assert np.abs(got - ref).max() <= 64 * EPS * np.abs(ref).max()
 
 
@@ -398,8 +398,8 @@ def test_ball_point_factor_is_gram_power(shape):
     for side in ("left", "right"):
         for sign in (1.0, -1.0):
             for power in (0.5, -0.5):
-                got = point.factor.power(sign, power, side)
-                ref = gram_factor(point.mat).power(sign, power, side)
+                got = powers((point.factor,), sign, power, side)[0]
+                ref = powers((gram_factor(point.mat),), sign, power, side)[0]
                 assert np.array_equal(got, ref)
 
 
@@ -484,7 +484,7 @@ def test_stacked_powers_are_the_member_loop(power_stacks, key):
     assert computed[members[0]] == 1 and len(computed) == 3
     assert same_bytes(out[3], out[0])
     for got, f in zip(out, _power_members(), strict=True):
-        assert same_bytes(got, f.power(*key))
+        assert same_bytes(got, powers((f,), *key)[0])
 
 
 def test_a_floor_hit_in_a_stack_keeps_no_power(power_stacks):
@@ -494,15 +494,15 @@ def test_a_floor_hit_in_a_stack_keeps_no_power(power_stacks):
         [np.diag([0.5, 0.25]), np.diag([1.0 - 1e-15, 0.5]), np.diag([1.0 - 4e-15, 0.5])]
     )
     # a real diagonal M has M*M = MM*, so its factor may hold either side
-    edge = edge_left.transport(edge_left.mat, lambda x: x, flip=True)
+    edge = transport((edge_left,), edge_left.mat, lambda x: x, flip=True)[0]
     # the first hit in the list holds the other side than the first member
     # and a later hit: it raises, whatever the order the groups would be
     # computed in
     assert [f.side for f in (ok, edge, late)] == ["left", "right", "left"]
     with pytest.raises(EigenvalueBelowFloor) as alone:
-        gram_factor(edge.mat).power(-1.0, -0.5, "left")
+        powers((gram_factor(edge.mat),), -1.0, -0.5, "left")
     with pytest.raises(EigenvalueBelowFloor) as other:
-        gram_factor(late.mat).power(-1.0, -0.5, "left")
+        powers((gram_factor(late.mat),), -1.0, -0.5, "left")
     assert other.value.eigenvalue != alone.value.eigenvalue
     for _ in range(2):
         with pytest.raises(EigenvalueBelowFloor) as info:
@@ -513,7 +513,7 @@ def test_a_floor_hit_in_a_stack_keeps_no_power(power_stacks):
     points = [BallPoint(f) for f in (ok, fine, edge)]
     with pytest.warns(NearBoundaryWarning), pytest.raises(Singular):
         defects(points, -0.5, "left")
-    assert same_bytes(defects(points[:2], -0.5, "left")[1], fine.power(-1.0, -0.5, "left"))
+    assert same_bytes(defects(points[:2], -0.5, "left")[1], powers((fine,), -1.0, -0.5, "left")[0])
 
 
 def test_stacked_transport_re_sorts_a_reordered_spectrum():
@@ -530,9 +530,9 @@ def test_stacked_transport_re_sorts_a_reordered_spectrum():
         return (x - 2.0) ** 2
 
     factors = fresh()
-    out = matkernel.transport(factors, [f.mat for f in factors], shift, flip=False)
+    out = transport(factors, [f.mat for f in factors], shift, flip=False)
     for got, f in zip(out, fresh(), strict=True):
-        assert same_factor(got, f.transport(f.mat, shift, flip=False))
+        assert same_factor(got, transport((f,), f.mat, shift, flip=False)[0])
     assert same_bytes(out[0].basis, factors[0].basis)
     assert out[1].eigenvalues.tolist() == sorted(shift(factors[1].eigenvalues).tolist())
     for got, f in zip(out, factors, strict=True):
@@ -542,7 +542,7 @@ def test_stacked_transport_re_sorts_a_reordered_spectrum():
         np.testing.assert_allclose((got.basis * got.eigenvalues) @ adj(got.basis), want,
                                    atol=1e-12)
     # a map that reorders no member leaves every basis as it was, read-only
-    scaled = matkernel.transport(factors, [f.mat for f in factors], lambda x: 4.0 * x, False)
+    scaled = transport(factors, [f.mat for f in factors], lambda x: 4.0 * x, False)
     for got, f in zip(scaled, factors, strict=True):
         assert same_bytes(got.basis, f.basis) and same_bytes(got.eigenvalues, 4.0 * f.eigenvalues)
         assert not got.eigenvalues.flags.writeable and not got.basis.flags.writeable
