@@ -206,12 +206,16 @@ def ensemble_experiment(
     derived from spawned seed-sequence children in trial order and results
     are collected by index.  ``jobs`` > 1 runs trials in worker processes,
     at most one per trial and per CPU; threads would gain nothing, since
-    the Jacobi loop holds the GIL.
+    the Jacobi loop holds the GIL.  Dimensions outside 1 <= dim_k <= dim_h,
+    ``trials`` or ``jobs`` below 1 and a negative ``seed`` raise
+    :class:`BadDims` before any trial runs.
     """
     if dim_k > dim_h or min(dim_h, dim_k) < 1:
         raise BadDims(f"need 1 <= dim_k <= dim_h, got ({dim_h}, {dim_k})")
     if trials < 1:
         raise BadDims(f"need trials >= 1, got {trials}")
+    if jobs < 1:
+        raise BadDims(f"need jobs >= 1, got {jobs}")
     if seed < 0:
         raise BadDims("need seed >= 0")
     children = np.random.SeedSequence(seed).spawn(trials)

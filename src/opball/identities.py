@@ -308,8 +308,11 @@ def run_identities(
 ) -> list[IdentityReport]:
     """Run the identity table; each check gets its own spawned seed stream.
 
-    A negative ``trials`` or ``seed``, or a ``tol`` that is not a positive
-    finite number, raises :class:`BadDims` before any check runs."""
+    A dimension below 1, a negative ``trials`` or ``seed``, or a ``tol``
+    that is not a positive finite number, raises :class:`BadDims` before any
+    check runs."""
+    if min(dim_h, dim_k) < 1:
+        raise BadDims("need dim_h >= 1 and dim_k >= 1")
     if trials < 0 or not 0 < tol < math.inf:
         raise BadDims("need trials >= 0 and tol > 0")
     if seed < 0:

@@ -20,8 +20,8 @@ defect powers.
 
 Powers and transports are formed for a stack of factors at once, as the
 solves are, and a single factor is a stack of one, on ``[None]`` views of
-its arrays: :func:`powers` computes the powers of factors of one shape as
-one batched expression per held side, and :func:`transport` maps the
+its arrays: :func:`powers` computes the powers of factors of one shape and
+one held side as one batched expression, and :func:`transport` maps the
 stacked spectra of several factors at once.  Each member of a stack gives
 exactly the bytes it gives alone: a stacked matmul multiplies each member
 as the matrix product does, on operands laid out as a stack of one lays
@@ -122,6 +122,13 @@ def require_one_shape(shapes) -> None:
         raise ShapeMismatch(_EMPTY)
     if len(set(shapes)) > 1:
         raise _shapes_differ(shapes)
+
+
+def require_finite(x: np.ndarray) -> None:
+    """Raise :class:`ShapeMismatch` where an entry of ``x``, computed from
+    finite operands, is not finite: an intermediate left the float range."""
+    if not np.isfinite(x).all():
+        raise ShapeMismatch(_OUT_OF_RANGE)
 
 
 def stacked(arrays) -> np.ndarray:
@@ -450,30 +457,26 @@ def powers(factors, sign: float, power: float, side: str) -> np.ndarray:
     leaving an absolute error of order eps there.  A product g(M*M) M*
     is therefore best written M* g(MM*) when MM* is the held matrix.
 
-    The powers are computed as one stack per held side, a factor listed
-    twice only once.  The floor is checked on every member before any power
-    is computed: a hit raises :class:`EigenvalueBelowFloor` for the first
-    such member of ``factors``.  Members of different shapes raise
-    :class:`ShapeMismatch` naming them.  Each member's power is the bytes
-    it gives alone.
+    The powers of factors that hold one side are computed as one stack, in
+    which a factor listed twice is computed twice; a list that mixes held
+    sides (square matrices only) is computed member by member.  The floor
+    is checked on every member before any power is computed: a hit raises
+    :class:`EigenvalueBelowFloor` for the first such member of ``factors``.
+    Members of different shapes raise :class:`ShapeMismatch` naming them.
+    Each member's power is the bytes it gives alone.
     """
     if side not in _OTHER_SIDE or sign not in (1, -1) or power not in (0.5, -0.5):
         raise ValueError(f"unsupported Gram power sign={sign}, power={power}, side={side!r}")
     require_one_shape([f.mat.shape for f in factors])
     if sign < 0 and power < 0:
         for f in factors:
-            # min(1 - x) over the ascending spectrum, and 1 on the pushed side
+            # min(1 - x) over the ascending spectrum; the pushed side's 1 passes
             lo = 1.0 - float(f.eigenvalues[-1])
-            lo = min(lo, 1.0) if side != f.side else lo
             if lo < DEFAULT.defect_floor:
                 raise EigenvalueBelowFloor(lo, DEFAULT.defect_floor)
-    unique = list(dict.fromkeys(factors))
-    groups = [[f for f in unique if f.side == held] for held in _OTHER_SIDE]
-    stacks = [_power_stack(group, sign, power, side) for group in groups if group]
-    if len(stacks) == 1 and len(unique) == len(factors):
-        return stacks[0]
-    at = {f: i for i, f in enumerate(groups[0] + groups[1])}
-    return _freeze(np.concatenate(stacks)[[at[f] for f in factors]])
+    if all(f.side == factors[0].side for f in factors):
+        return _power_stack(factors, sign, power, side)
+    return _freeze(np.concatenate([_power_stack((f,), sign, power, side) for f in factors]))
 
 
 def _power_stack(factors, sign: float, power: float, side: str) -> np.ndarray:

@@ -40,6 +40,7 @@ from .matkernel import (
     fro_norm,
     gram_factor,
     op_norm,
+    require_finite,
     require_shape,
     stacked,
 )
@@ -186,10 +187,13 @@ def random_pair(dim_src: int, dim_dst: int, seed) -> ConjugationPair:
 
     A complex Gaussian frame is orthonormalized and becomes the isometry
     ``first``; the identity composition is placed on the smaller space.
-    Deterministic for a fixed seed (any ``numpy.random.default_rng`` seed).
+    Deterministic for a fixed seed (any ``numpy.random.default_rng`` seed;
+    a negative integer raises :class:`BadDims`).
     """
     if min(dim_src, dim_dst) < 1:
         raise BadDims(f"dimensions must be positive, got ({dim_src}, {dim_dst})")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise BadDims("need seed >= 0")
     rng = np.random.default_rng(seed)
     small, big = sorted((dim_src, dim_dst))
     g = rng.standard_normal((big, small)) + 1j * rng.standard_normal((big, small))
@@ -228,9 +232,13 @@ def _coordinates(first: np.ndarray, oriented: np.ndarray) -> tuple[np.ndarray, n
     """(B, B - transpose(B)) for the coordinates B = first* N of the
     oriented matrix N of M in the pair's frame ``first``, or of each member
     of a stack in the frame at the same place (or the one frame): square on
-    the identity-composition side, and symmetric iff M is pair-symmetric."""
-    b = adj(first) @ oriented
-    return b, b - b.mT
+    the identity-composition side, and symmetric iff M is pair-symmetric.
+    An entry beyond the float range raises :class:`ShapeMismatch`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = adj(first) @ oriented
+        gaps = b - b.mT
+    require_finite(gaps)
+    return b, gaps
 
 
 def symmetry_residual(t: OperatorHK, pair: ConjugationPair) -> float:

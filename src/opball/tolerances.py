@@ -1,7 +1,8 @@
 """Central tolerance record.
 
 All numerical guards used across the library live in one frozen dataclass so
-the test suite and the CLI share a single source of truth.  The defaults are
+the library and the test suite share a single source of truth (the CLI's
+``--tol`` defaults are its own literals).  The defaults are
 calibrated for double precision at desk scale (matrix sides up to 64).
 """
 

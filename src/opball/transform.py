@@ -39,6 +39,7 @@ from .matkernel import (
     inverse,
     op_norm,
     powers,
+    require_finite,
     require_shape,
     stacked,
     transport,
@@ -125,13 +126,17 @@ def left_defect(t: OperatorHK, x: OperatorHK) -> np.ndarray:
 def left_defects(pairs) -> np.ndarray:
     """:func:`left_defect` of each (t, x) of ``pairs``, all of one shape, as
     one stack, each power taken for all pairs at once
-    (:func:`~opball.matkernel.powers`)."""
+    (:func:`~opball.matkernel.powers`).  A product beyond the float range
+    raises :class:`ShapeMismatch`."""
     for t, x in pairs:
         require_shape(x.mat, t.mat.shape, "operator")
     left = powers([t.factor for t, _ in pairs], 1.0, 0.5, "right")
     right = powers([x.factor for _, x in pairs], 1.0, 0.5, "left")
     ts, xs = stacked([t.mat for t, _ in pairs]), stacked([x.mat for _, x in pairs])
-    return left @ adj(xs) - adj(ts) @ right
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = left @ adj(xs) - adj(ts) @ right
+    require_finite(out)
+    return out
 
 
 def right_defect(t: OperatorHK, x: OperatorHK) -> np.ndarray:

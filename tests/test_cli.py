@@ -54,21 +54,25 @@ def test_identities_zero_trials(capsys):
 
 
 @pytest.mark.parametrize(
-    "seed, trials, tol, message",
+    "seed, trials, dims, tol, message",
     [
-        (0, -3, 1e-8, "need trials >= 0 and tol > 0"),
-        (0, 1, 0.0, "need trials >= 0 and tol > 0"),
-        (0, 1, float("nan"), "need trials >= 0 and tol > 0"),
-        (0, 1, float("inf"), "need trials >= 0 and tol > 0"),
-        (-1, 1, 1e-8, "need seed >= 0"),
-        (-1, 0, 1e-8, "need seed >= 0"),
+        (0, -3, (8, 3), 1e-8, "need trials >= 0 and tol > 0"),
+        (0, 1, (8, 3), 0.0, "need trials >= 0 and tol > 0"),
+        (0, 1, (8, 3), float("nan"), "need trials >= 0 and tol > 0"),
+        (0, 1, (8, 3), float("inf"), "need trials >= 0 and tol > 0"),
+        (-1, 1, (8, 3), 1e-8, "need seed >= 0"),
+        (-1, 0, (8, 3), 1e-8, "need seed >= 0"),
+        (0, 1, (0, 3), 1e-8, "need dim_h >= 1 and dim_k >= 1"),
+        (0, 1, (3, 0), 1e-8, "need dim_h >= 1 and dim_k >= 1"),
     ],
-    ids=["negative-trials", "zero-tol", "nan-tol", "inf-tol", "negative-seed", "no-trials"],
+    ids=["negative-trials", "zero-tol", "nan-tol", "inf-tol", "negative-seed", "no-trials",
+         "zero-dim-h", "zero-dim-k"],
 )
-def test_run_identities_refuses_its_domain(seed, trials, tol, message):
-    # the library's refusal is the CLI's error line
+def test_run_identities_refuses_its_domain(seed, trials, dims, tol, message):
+    # the library's refusal is the CLI's error line, or its own where the
+    # CLI's range check refuses first
     with pytest.raises(BadDims) as info:
-        run_identities(seed, trials, 8, 3, tol)
+        run_identities(seed, trials, *dims, tol)
     assert str(info.value) == message
 
 
@@ -211,6 +215,21 @@ def test_metric_beyond_the_float_range_exits_two(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("metric: result exceeds the float range")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["metric", "symcheck"])
+def test_overflowing_intermediate_exits_two(tmp_path, capsys, command):
+    # finite entries whose left defect (metric) or whose coordinates'
+    # antisymmetric part (symcheck, canonical pair) leave the float range
+    if command == "metric":
+        args = [save(tmp_path, "t.json", np.full((2, 3), 1e150)),
+                save(tmp_path, "s.json", np.full((2, 3), 2e150))]
+    else:
+        args = [save(tmp_path, "m.json", [[0.0, 1.5e308], [-1.5e308, 0.0]])]
+    assert main([command, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{command}: result exceeds the float range (max 1.798e+308)\n"
 
 
 def test_metric_unreadable_file(tmp_path, capsys):

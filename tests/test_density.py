@@ -222,6 +222,9 @@ def test_ensemble_flag_guards():
         ensemble_experiment(4, 2, 0, seed=0)
     with pytest.raises(BadDims, match=r"^need seed >= 0$"):
         ensemble_experiment(4, 2, 1, seed=-1)
+    for jobs in (0, -3):
+        with pytest.raises(BadDims, match=rf"^need jobs >= 1, got {jobs}$"):
+            ensemble_experiment(3, 1, 1, seed=0, jobs=jobs)
 
 
 def test_profile_csv_format():

@@ -188,7 +188,7 @@ def test_herm_eig_in_range_up_to_the_float_maximum():
 
 
 def test_norm_beyond_the_float_range_raises_typed_error():
-    from opball import OperatorHK, operator_dist
+    from opball import OperatorHK, identity_pair, left_defect, operator_dist, symmetry_residual
 
     big = np.full((2, 2), 1e308)
     with warnings.catch_warnings():
@@ -200,6 +200,15 @@ def test_norm_beyond_the_float_range_raises_typed_error():
         t, s = OperatorHK(1e160 * np.eye(2)), OperatorHK(2e160 * np.eye(2))
         with pytest.raises(ShapeMismatch, match="float range"):
             operator_dist(t, s)
+        # the factors fit, the products of the left defect do not
+        t, s = OperatorHK(1e150 * np.ones((2, 3))), OperatorHK(2e150 * np.ones((2, 3)))
+        for call in (lambda: left_defect(t, s), lambda: operator_dist(t, s)):
+            with pytest.raises(ShapeMismatch, match="float range"):
+                call()
+        # finite coordinates, whose antisymmetric part is not
+        m = OperatorHK([[0.0, 1.5e308], [-1.5e308, 0.0]])
+        with pytest.raises(ShapeMismatch, match="float range"):
+            symmetry_residual(m, identity_pair(2))
 
 
 def test_no_convergence_names_sweeps_and_remaining_mass(monkeypatch):

@@ -219,18 +219,18 @@ def power_stacks(monkeypatch):
     return stacks
 
 
-def test_each_gram_power_is_computed_once_per_profile(power_stacks):
+def test_profile_gram_powers_are_six_stacks(power_stacks):
     rng = np.random.default_rng(113)
     t = OperatorHK(complex_draw(rng, 2, 8))
     profile = approximation_profile(t, random_pair(2, 8, rng))
     assert not profile.violations()
     computed = collections.Counter(member for stack in power_stacks for member in stack)
-    assert max(computed.values()) == 1
     # the transform's power, four per depth (the induced pair's two defects,
     # the inverse transform's and the distance's), and the full-depth
     # approximant's (I + X X*)^(1/2), which serves every depth's distance
-    assert len(computed) == 34
-    assert len(power_stacks) <= 6
+    # and is listed, and computed, once per depth
+    assert len(computed) == 34 and sum(computed.values()) == 41
+    assert [len(stack) for stack in power_stacks] == [1, 8, 8, 8, 8, 8]
 
 
 EPS = np.finfo(float).eps
@@ -478,13 +478,22 @@ def test_stacked_powers_are_the_member_loop(power_stacks, key):
     out = powers(members, *key)
     assert isinstance(out, np.ndarray) and out.shape == (4, 4, 4)
     assert not out.flags.writeable
-    # one stack per held side, the factor listed twice computed once
-    assert sorted(len(stack) for stack in power_stacks[before:]) == [1, 2]
+    # a list that mixes held sides is computed member by member, and the
+    # factor listed twice is computed twice
+    assert [len(stack) for stack in power_stacks[before:]] == [1, 1, 1, 1]
     computed = collections.Counter(f for stack in power_stacks[before:] for f, _ in stack)
-    assert computed[members[0]] == 1 and len(computed) == 3
+    assert computed[members[0]] == 2 and len(computed) == 3
     assert same_bytes(out[3], out[0])
     for got, f in zip(out, _power_members(), strict=True):
         assert same_bytes(got, powers((f,), *key)[0])
+    # factors that hold one side are one stack, repeats included
+    one_side = [members[i] for i in (0, 2, 3)]
+    before = len(power_stacks)
+    out = powers(one_side, *key)
+    assert [len(stack) for stack in power_stacks[before:]] == [3]
+    fresh = _power_members()
+    for got, i in zip(out, (0, 2, 3), strict=True):
+        assert same_bytes(got, powers((fresh[i],), *key)[0])
 
 
 def test_a_floor_hit_in_a_stack_keeps_no_power(power_stacks):

@@ -114,6 +114,18 @@ def test_random_pair_deterministic():
     assert np.array_equal(a.j_fwd, b.j_fwd)
 
 
+def test_random_pair_refuses_what_it_cannot_draw():
+    for dims in ((0, 3), (3, 0)):
+        with pytest.raises(BadDims, match=r"^dimensions must be positive"):
+            random_pair(*dims, seed=1)
+    for seed in (-1, np.int64(-1)):
+        with pytest.raises(BadDims, match=r"^need seed >= 0$"):
+            random_pair(2, 3, seed)
+    # a Generator or a SeedSequence is not an integer and is taken as is
+    rng, seq = np.random.default_rng(5), np.random.SeedSequence(5)
+    assert np.array_equal(random_pair(2, 3, rng).j_fwd, random_pair(2, 3, seq).j_fwd)
+
+
 def test_conj_apply():
     pair = identity_pair(2)
     out = conj_apply(pair, "fwd", np.array([1j, 1.0]))
