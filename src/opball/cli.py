@@ -4,7 +4,7 @@ Subcommands: ``identities`` (seeded invariant suites, JSON report),
 ``metric`` (distance between two operators given as matrix files),
 ``symcheck`` (complex-symmetry verdict for a matrix against a pair), and
 ``approx`` (symmetric-approximation experiments, CSV profiles plus a JSON
-ensemble report).
+ensemble report).  Run as ``opball`` or ``python -m opball``.
 
 Exit codes: 0 success, 1 identity/verdict/invariant failure, 2 usage or
 input errors; every :class:`OpballError` becomes one stderr line
@@ -173,7 +173,3 @@ def main(argv=None) -> int:
     except OpballError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,12 +11,15 @@ of its two Gram matrices M*M and MM* (MM* when M is square) into a
 :func:`powers` takes every defect power from.  Both Gram matrices share
 their nonzero spectrum, and the one not held follows from the push-through
 identity f(AB) A = A f(BA) (Higham, *Functions of Matrices*, SIAM 2008,
-ch. 1); for a square M that is the M*M side.  Ball points and operators keep their factor, so a defect never
-costs a second solve of the same operand.  The eigenvalue floor of a power
-is not a parameter: only the inverse square root of a defect, (I - G)^(-1/2),
-is checked against ``DEFAULT.defect_floor``, and ``ball.defects`` (with
-``BallPoint.defect`` its one-item case) is the one place that asks for
-defect powers.
+ch. 1); for a square M that is the M*M side.  Ball points and operators
+keep their factor, so a defect never costs a second solve of the same
+operand.  A held spectrum is nonnegative: :func:`gram_factor` clips the
+roundoff negatives of zero eigenvalues to 0 where it solves them, and no
+consumer clips or patches again.  The eigenvalue floor of a power is not a
+parameter: a defect (I - G)^(+-1/2) needs a contraction, so its square root
+refuses an eigenvalue of I - G below 0 and its inverse square root one
+below ``DEFAULT.defect_floor``; ``ball.defects`` (with ``BallPoint.defect``
+its one-item case) is the one place that asks for defect powers.
 
 Powers and transports are formed for a stack of factors at once, as the
 solves are, and a single factor is a stack of one, on ``[None]`` views of
@@ -248,7 +251,7 @@ def _unscaled(x: np.ndarray, exp: np.ndarray) -> np.ndarray:
 def _norms(vals: np.ndarray, exp: np.ndarray) -> np.ndarray:
     """sqrt(max vals) 2^exp for each member of a stack: its spectral norm
     from the eigenvalues (b, n) of its Gram matrix formed at 4^-exp."""
-    return _unscaled(np.sqrt(np.maximum(vals.max(axis=1), 0.0)), exp)
+    return _unscaled(np.sqrt(vals.max(axis=1)), exp)
 
 
 def _sorted_eig(vals: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -412,12 +415,12 @@ class GramFactor:
     :func:`powers` and :func:`transport` take.
 
     ``side`` names the Gram matrix held, "left" for MM* and "right" for M*M;
-    ``eigenvalues`` (ascending) and ``basis`` are its spectrum.  A solved
-    factor (:func:`gram_factor`) holds the smaller Gram matrix, MM* when M is
-    square, and its ``norm``, the spectral norm of M, is :func:`op_norm`'s by
-    construction: both take it from the same solve.  A factor built by
-    :func:`transport` may hold "right" for a square M, and its ``norm``
-    agrees with :func:`op_norm` to roundoff only.
+    ``eigenvalues`` (ascending and nonnegative) and ``basis`` are its
+    spectrum.  A solved factor (:func:`gram_factor`) holds the smaller Gram
+    matrix, MM* when M is square, and its ``norm``, the spectral norm of M,
+    is :func:`op_norm`'s by construction: both take it from the same solve.
+    A factor built by :func:`transport` may hold "right" for a square M, and
+    its ``norm`` agrees with :func:`op_norm` to roundoff only.
     """
 
     mat: np.ndarray
@@ -445,13 +448,13 @@ def powers(factors, sign: float, power: float, side: str) -> np.ndarray:
     cancellation-free forms h = sign / (1 + r) for power 1/2 and
     h = -sign / (r (1 + r)) for power -1/2.
 
-    The floor follows from sign and power.  Only the inverse square root
-    of a defect (sign -1, power -1/2) is singular at the boundary: an
-    eigenvalue of I - G below ``DEFAULT.defect_floor`` raises
-    :class:`EigenvalueBelowFloor`, checked on the held spectrum and on
-    1, the eigenvalue that only the pushed side has.  The square root of
-    a defect stays well conditioned there, so its roundoff negatives are
-    clipped to 0 as in :func:`herm_sqrt`; for sign +1, 1 + x >= 1.
+    The floor follows from sign and power.  A defect (sign -1) needs a
+    contraction: an eigenvalue of I - G below the floor raises
+    :class:`EigenvalueBelowFloor`, checked on the held spectrum and on 1,
+    the eigenvalue that only the pushed side has.  The floor is 0.0 for the
+    square root, and ``DEFAULT.defect_floor`` for the inverse square root,
+    which is singular at the boundary.  The held spectrum is nonnegative,
+    so for sign +1, 1 + x >= 1, and no power needs a clip.
 
     In the pushed form, an entry of size one cancels where g is small,
     leaving an absolute error of order eps there.  A product g(M*M) M*
@@ -468,12 +471,13 @@ def powers(factors, sign: float, power: float, side: str) -> np.ndarray:
     if side not in _OTHER_SIDE or sign not in (1, -1) or power not in (0.5, -0.5):
         raise ValueError(f"unsupported Gram power sign={sign}, power={power}, side={side!r}")
     require_one_shape([f.mat.shape for f in factors])
-    if sign < 0 and power < 0:
+    if sign < 0:
+        floor = DEFAULT.defect_floor if power < 0 else 0.0
         for f in factors:
             # min(1 - x) over the ascending spectrum; the pushed side's 1 passes
             lo = 1.0 - float(f.eigenvalues[-1])
-            if lo < DEFAULT.defect_floor:
-                raise EigenvalueBelowFloor(lo, DEFAULT.defect_floor)
+            if lo < floor:
+                raise EigenvalueBelowFloor(lo, floor)
     if all(f.side == factors[0].side for f in factors):
         return _power_stack(factors, sign, power, side)
     return _freeze(np.concatenate([_power_stack((f,), sign, power, side) for f in factors]))
@@ -485,15 +489,10 @@ def _power_stack(factors, sign: float, power: float, side: str) -> np.ndarray:
     read-only stack."""
     x = stacked([f.eigenvalues for f in factors])
     basis = stacked([f.basis for f in factors])
-    d = 1.0 + sign * x
-    r = np.sqrt(np.maximum(d, 0.0))
+    r = np.sqrt(1.0 + sign * x)
     if side == factors[0].side:
         return _spectral(basis, r if power > 0 else 1.0 / r)
-    if power > 0:
-        # where 1 + sign x was clipped, g = 0 and h = -1 / x with x >= 1
-        h = np.where(d > 0.0, sign / (1.0 + r), -1.0 / np.maximum(x, 1.0))
-    else:
-        h = -sign / (r * (1.0 + r))
+    h = sign / (1.0 + r) if power > 0 else -sign / (r * (1.0 + r))
     mats = stacked([f.mat for f in factors])
     n = mats if side == "right" else adj(mats)
     out = np.eye(n.shape[2]) + adj(n) @ (basis * h[:, None, :]) @ adj(basis) @ n
@@ -507,7 +506,8 @@ def transport(factors, mats, eigen_map, flip: bool) -> tuple[GramFactor, ...]:
     eigen_map(G) for the factor's G, so the basis is kept and the
     eigenvalues are mapped, for the stacked spectra at once.
 
-    ``eigen_map`` is monotone increasing on the spectrum.  Singular-value
+    ``eigen_map`` is monotone increasing on the spectrum and keeps it
+    nonnegative.  Singular-value
     functions of M are of this kind: the bounded transform and its inverse
     (x / (1 + x), x / (1 - x)) exchange the Gram sides, and a scalar
     multiple c M (c^2 x) keeps them.  Rounding in the map may reorder equal
@@ -532,8 +532,7 @@ def transport(factors, mats, eigen_map, flip: bool) -> tuple[GramFactor, ...]:
     _freeze(bases)
     out = []
     for i, top in enumerate(vals[:, -1].tolist()):
-        norm = math.sqrt(top) if top > 0.0 else 0.0
-        out.append(GramFactor(stack[i], sides[i], vals[i], bases[i], norm))
+        out.append(GramFactor(stack[i], sides[i], vals[i], bases[i], math.sqrt(top)))
     return tuple(out)
 
 
@@ -547,7 +546,8 @@ def gram_factor(m):
     vals, basis = _jacobi(gram)
     norms = _norms(vals, exp).tolist()
     vals, basis = _sorted_eig(vals, basis)
-    vals = _freeze(_unscaled(vals, 2 * exp))
+    # a Gram spectrum is nonnegative: roundoff negatives are clipped here, once
+    vals = _freeze(np.maximum(_unscaled(vals, 2 * exp), 0.0))
     factors = tuple(
         GramFactor(stack[i], side, vals[i], basis[i], norms[i]) for i in range(len(stack))
     )

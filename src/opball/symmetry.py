@@ -274,7 +274,8 @@ def symmetric_part(mat, pair: ConjugationPair) -> np.ndarray:
     residual zero up to roundoff, an admissible input of ``induced_pair``.
     """
     m = as_cmat(mat)
-    return 0.5 * (m + _flipped(m[None], pair)[0])
+    # halved first: two entries near the float maximum overflow when added
+    return 0.5 * m + 0.5 * _flipped(m[None], pair)[0]
 
 
 def swap_roles(pair: ConjugationPair) -> ConjugationPair:

@@ -1,6 +1,10 @@
 """Black-box CLI behavior: exit codes, formats, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -188,6 +192,12 @@ def test_metric_scalar_oracle(tmp_path, capsys):
 )
 def test_twelve_significant_digits(x, printed):
     assert _fmt12(x) == printed
+
+
+def test_metric_of_zero_operators_prints_zero(tmp_path, capsys):
+    zero = save(tmp_path, "zero.json", np.zeros((2, 3)))
+    assert main(["metric", zero, zero]) == 0
+    assert capsys.readouterr().out == "0.000000000000\n"
 
 
 def test_metric_shape_mismatch(tmp_path, capsys):
@@ -418,3 +428,41 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(tmp_path, *args):
+    """``python -m opball ARGS`` in a fresh interpreter, the package taken
+    from this checkout's ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "opball", *args],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+
+
+def test_module_run_prints_a_distance_and_exits_zero(tmp_path):
+    zero = save(tmp_path, "zero.json", [[0.0]])
+    one = save(tmp_path, "one.json", [[1.0]])
+    done = run_module(tmp_path, "metric", zero, one)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0.881373587020\n", "")
+
+
+def test_module_run_flags_an_asymmetric_matrix_and_exits_one(tmp_path):
+    path = save(tmp_path, "asym.json", [[1.0, 2.0], [3.0, 4.0], [0.0, 0.5]])
+    done = run_module(tmp_path, "symcheck", path)
+    assert done.returncode == 1
+    assert "NOT-SYMMETRIC" in done.stdout
+    assert done.stderr == ""
+
+
+def test_module_run_refuses_a_malformed_file_and_exits_two(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(MALFORMED["top-level-list"])
+    done = run_module(tmp_path, "symcheck", str(bad))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("symcheck: ")

@@ -22,6 +22,7 @@ from opball import (
     zero_operator,
 )
 from opball.density import (
+    EnsembleReport,
     approximation_profile,
     ensemble_experiment,
     profile_csv,
@@ -192,6 +193,7 @@ def test_ensemble_report_and_determinism():
     assert all(med[i + 1] <= med[i] + 1e-12 for i in range(len(med) - 1))
     different = ensemble_experiment(6, 2, 5, seed=12)
     assert report_json(different) != report_json(rep1)
+    assert EnsembleReport(6, 2, 0, 11, ()).median_dist() == []
 
 
 def test_ensemble_jobs_do_not_change_results():

@@ -546,9 +546,15 @@ def test_gram_power_matches_explicit_route(shape, side, sign, power):
     if sign > 0:
         norms += [10.0, 1e3]
     elif power > 0:
-        norms += [1.5]  # no floor: 1 - x < 0 is clipped to 0
+        norms += [1.5]  # not a contraction: floor 0.0 refuses 1 - x < 0
     for norm in norms:
         m = gram_operand(rng, shape, norm)
+        if norm > 1.0 and sign < 0:
+            with pytest.raises(EigenvalueBelowFloor) as hit:
+                powers((gram_factor(m),), sign, power, side)
+            assert hit.value.eigenvalue == pytest.approx(1.0 - norm**2)
+            assert hit.value.floor == 0.0
+            continue
         ref = gram_reference(m, sign, power, side)
         got = powers((gram_factor(m),), sign, power, side)[0]
         assert got.shape == ref.shape
@@ -557,6 +563,25 @@ def test_gram_power_matches_explicit_route(shape, side, sign, power):
         lowest = abs(1.0 - norm**2) if sign < 0 else 1.0
         bound = 1e2 * eps * (1.0 + norm**2) / lowest * max(1.0, op_norm(ref))
         assert op_norm(got - ref) <= bound
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e20, 1e150])
+def test_gram_spectrum_is_nonnegative_where_it_is_solved(scale):
+    # the zero eigenvalues of rank-deficient operands solve as roundoff of
+    # either sign (ones(2x3) at 1e150 gave -3.9e267); the factor holds them
+    # at 0, and its norm is still op_norm's
+    rng = np.random.default_rng(60)
+    u, v = rng.standard_normal((5, 1)), rng.standard_normal((1, 3))
+    for m in (np.ones((2, 3)), np.ones((3, 2)), np.ones((4, 4)), u @ v, (u @ v).T):
+        f = gram_factor(scale * m)
+        assert (f.eigenvalues >= 0.0).all()
+        assert f.norm == op_norm(scale * m)
+
+
+def test_transport_needs_one_matrix_per_factor():
+    f = gram_factor(np.eye(2))
+    with pytest.raises(ShapeMismatch, match="2 matrices for 1 factors"):
+        transport((f,), np.stack([np.eye(2)] * 2), lambda x: x, flip=False)
 
 
 def floor_outcome(fn):

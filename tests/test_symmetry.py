@@ -10,8 +10,10 @@ from opball import (
     ConjugationPair,
     NotSymmetric,
     OperatorHK,
+    OutOfBall,
     ShapeMismatch,
     Side,
+    Singular,
     adj,
     canonical_pair,
     conj_apply,
@@ -147,6 +149,12 @@ def test_conj_apply():
     )
     # bwd . fwd is the identity on the source for BWD_FWD pairs
     assert np.allclose(conj_apply(pair, "bwd", conj_apply(pair, "fwd", x)), x)
+    # an unknown direction or a vector of the wrong length is refused
+    rect = canonical_pair(2, 3)
+    with pytest.raises(ShapeMismatch, match="direction must be 'fwd' or 'bwd', got 'up'"):
+        conj_apply(rect, "up", [1, 2])
+    with pytest.raises(ShapeMismatch, match="vector length 3, expected 2"):
+        conj_apply(rect, "fwd", [1, 2, 3])
 
 
 def test_symmetry_residual_square_complex_symmetric():
@@ -185,6 +193,13 @@ def test_symmetric_part_projects():
     g = complex_gaussian(rng, 5, 3, 2.0)
     sym = symmetric_part(g, pair)
     assert symmetry_residual(OperatorHK(sym), pair) <= 1e-12
+
+
+def test_symmetric_part_of_entries_near_the_float_maximum(recwarn):
+    sym = symmetric_part(1.5e308 * np.ones((3, 2)), canonical_pair(2, 3))
+    assert np.isfinite(sym).all()
+    assert np.array_equal(sym[:2], sym[:2].T)
+    assert len(recwarn) == 0
 
 
 def test_symmetric_extension_scalar():
@@ -339,6 +354,19 @@ def test_induced_pair_refuses_asymmetric():
     a = BallPoint(0.5 * g / op_norm(g))
     with pytest.raises(NotSymmetric):
         induced_pair(a, pair)
+
+
+def test_induced_pair_coordinates_outside_the_ball_are_singular():
+    # a frame inside the pair gate (isometry gap 8e-11) stretches a point
+    # of norm 1 - 1e-11 to coordinates of norm 1 + 3e-11
+    frame = np.zeros((3, 2))
+    frame[0, 0], frame[1, 1] = 1.0 + 4e-11, 1.0
+    pair = ConjugationPair(frame, Side.BWD_FWD)
+    n = np.zeros((3, 2))
+    n[0, 0] = 1.0 - 1e-11
+    with pytest.raises(Singular, match="left the ball: operator norm 1.000000000030") as info:
+        induced_pair(BallPoint(n), pair)
+    assert isinstance(info.value.__cause__, OutOfBall)
 
 
 def test_induced_pair_rejects_mis_shaped_pair():

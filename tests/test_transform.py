@@ -10,6 +10,7 @@ from opball import (
     BallPoint,
     NearBoundaryWarning,
     OperatorHK,
+    OutOfBall,
     ShapeMismatch,
     Singular,
     adj,
@@ -166,6 +167,22 @@ def test_right_defect_inv_examples():
     assert right_defect_inv(scalar_op(1.0), scalar_op(1.0))[0, 0] == pytest.approx(
         1.0, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("scale", [1e20, 1e150])
+def test_large_rank_deficient_operators_give_typed_results(scale):
+    # the Gram eigenvalue of ones(2x3) that is 0 solves as a roundoff
+    # negative; held at 0, no defect divides by zero (numpy warnings fail
+    # the test), and the transform's norm, 1 - 1/(2 * 6 scale^2), rounds to 1
+    t = OperatorHK(scale * np.ones((2, 3)))
+    with pytest.raises(OutOfBall, match=r"operator norm 1\.000000000000 "):
+        bounded_transform(t)
+    s = OperatorHK(2.0 * scale * np.ones((2, 3)))
+    try:
+        assert np.isfinite(right_defect_inv(t, s)).all()
+    except Singular:
+        # at 1e150 the bracket's last pivot rounds to 0: typed, not a warning
+        assert scale > 1e100
 
 
 def test_right_defect_inv_matches_direct_inversion():
