@@ -384,9 +384,20 @@ def _spectral(basis: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def herm_sqrt(p) -> np.ndarray:
-    """Spectral square root; tiny negative eigenvalues are clipped to zero."""
+    """Spectral square root of a positive semidefinite matrix.
+
+    An eigenvalue below the roundoff floor -n eps max|lambda| raises
+    :class:`EigenvalueBelowFloor`: the input is indefinite and has no
+    Hermitian root.  The roundoff negatives above that floor, as a zero
+    eigenvalue solves, are clipped to zero.
+    """
     spectrum = herm_eig(p)
-    return _spectral(spectrum.basis, np.sqrt(np.maximum(spectrum.eigenvalues, 0.0)))
+    vals = spectrum.eigenvalues
+    lo = float(vals[0])
+    floor = -len(vals) * _EPS * max(-lo, float(vals[-1]))
+    if lo < floor:
+        raise EigenvalueBelowFloor(lo, floor)
+    return _spectral(spectrum.basis, np.sqrt(np.maximum(vals, 0.0)))
 
 
 def herm_inv_sqrt(p) -> np.ndarray:

@@ -24,22 +24,19 @@ def _at_random_margins(
     rng: np.random.Generator, draw, count: int, margin_min: float, margin_max: float
 ) -> list[BallPoint]:
     """``count`` matrices from ``draw()``, each followed by the draw of its
-    margin, uniform in [margin_min, margin_max], and rescaled to it (left as
-    is when it is zero, which draws no margin: a nonzero matrix has a
-    nonzero norm).  The draws are solved as one stack; each rescaled point's
-    factor is its draw's factor transported by c^2 x."""
+    margin, uniform in [margin_min, margin_max], and rescaled by c = (1 -
+    margin) / norm to it.  The draws are solved as one stack and rescaled as
+    one: each point's factor is its draw's factor transported by c^2 x."""
     draws, margins = [], []
     for _ in range(count):
-        g = draw()
-        draws.append(g)
-        margins.append(rng.uniform(margin_min, margin_max) if g.any() else None)
-    points = []
-    for f, margin in zip(gram_factor(draws), margins):
-        if margin is not None:
-            c = (1.0 - margin) / f.norm
-            f = transport((f,), f.mat * c, lambda x: c * c * x, flip=False)[0]
-        points.append(BallPoint(f))
-    return points
+        draws.append(draw())
+        margins.append(rng.uniform(margin_min, margin_max))
+    factors = gram_factor(draws)
+    c = (1.0 - np.array(margins)) / np.array([f.norm for f in factors])
+    rescaled = transport(
+        factors, np.array(draws) * c[:, None, None], lambda x: (c * c)[:, None] * x, flip=False
+    )
+    return [BallPoint(f) for f in rescaled]
 
 
 def random_ball_points(

@@ -89,6 +89,12 @@ def bounded_transform(t: OperatorHK) -> BallPoint:
     cancels where it is small.  The Gram matrices of the result are those of
     T under x / (1 + x), sides exchanged, so its factor is transported from
     ``t``'s.
+
+    The result has margin 1 - sqrt(x / (1 + x)), x = ||T||^2, with an
+    absolute error of about eps, so the margin of a large operator carries
+    few digits.  x / (1 + x) rounds to 1 once x passes 2^53: an operator of
+    norm above about 2^26.5 = 9.49e7 maps onto the sphere and raises
+    :class:`OutOfBall` (||T|| = 9.4e7 gives margin 1.1e-16, 9.5e7 raises).
     """
     f = t.factor
     g = powers((f,), 1.0, -0.5, f.side)[0]
@@ -150,8 +156,9 @@ def right_defect_inv(s: OperatorHK, t: OperatorHK) -> np.ndarray:
     """Closed-form inverse of ``right_defect(s, t)``.
 
     (I+SS*)^(-1/2) [I - T (I+T*T)^(-1/2) (I+S*S)^(-1/2) S*]^(-1) (I+TT*)^(-1/2);
-    the bracket is a strict perturbation of the identity, so a Singular error
-    here signals a transcription bug rather than admissible input.  Pushing
+    the bracket is invertible in exact arithmetic, but for aligned operands
+    of large norm it rounds to singular and raises :class:`Singular` (the
+    pair 1e150 and 2e150 times ones((2, 3)) does; at 1e20 it is finite).  Pushing
     T and S* through the inner factors turns the bracket into
     I - (I+TT*)^(-1/2) T S* (I+SS*)^(-1/2), so the two outer factors are all
     that is solved.

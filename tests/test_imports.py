@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in it, every private
-function or class it defines is referenced in the package, and the package
-re-exports the paper's objects, not the batched forms behind them.
+function or class it defines is referenced in the package, no module uses
+``numpy.linalg``, and the package re-exports the paper's objects, not the
+batched forms behind them.
 
 The package's ``__init__.py`` imports names only to re-export them, so it is
 not walked for unused imports.  A name counts as used when the module refers
@@ -40,6 +41,42 @@ def test_every_imported_name_is_used(module):
 def test_an_unused_import_is_found():
     tree = ast.parse("import math\nfrom os import path, sep\n\nprint(sep)\n")
     assert _unused_imports(tree) == ["math (line 1)", "path (line 2)"]
+
+
+def _linalg_uses(tree: ast.Module) -> list[str]:
+    """Each import of ``numpy.linalg`` or of a name from it, and each
+    ``<name>.linalg`` attribute, with its line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any("linalg" in name.split(".") for name in names):
+            found.append(f"{ast.unparse(node)} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_module_uses_numpy_linalg(module):
+    # numpy.linalg is the test suite's oracle; the package solves with its own kernel
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    assert _linalg_uses(tree) == []
+
+
+def test_a_numpy_linalg_use_is_found():
+    tree = ast.parse(
+        "import numpy as np\nimport numpy.linalg\nfrom numpy import linalg\n"
+        "from numpy.linalg import eigh\n\nnp.linalg.norm(np.eye(2))\nnp.abs(1)\n"
+    )
+    assert _linalg_uses(tree) == [
+        "import numpy.linalg (line 2)", "from numpy import linalg (line 3)",
+        "from numpy.linalg import eigh (line 4)", "np.linalg (line 6)",
+    ]
 
 
 def _unreferenced_private(trees) -> list[str]:

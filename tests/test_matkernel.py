@@ -483,6 +483,20 @@ def test_herm_fun_floor_reports_offender():
     assert info.value.floor == 1e-13
 
 
+def test_herm_sqrt_refuses_an_indefinite_input():
+    # the floor is -n eps max|lambda|: a real negative eigenvalue raises,
+    # the roundoff negative of a zero eigenvalue is clipped
+    with pytest.raises(EigenvalueBelowFloor) as info:
+        herm_sqrt(np.diag([-1.0, 4.0]))
+    assert info.value.eigenvalue == -1.0
+    assert info.value.floor == -2 * 4.0 * np.finfo(float).eps
+    assert str(info.value) == "eigenvalue -1.000000e+00 below floor -1.776357e-15"
+    ones = np.ones((3, 3))
+    root = herm_sqrt(ones)
+    assert fro_norm(root @ root - ones) <= 1e-14
+    assert np.array_equal(herm_sqrt(np.zeros((2, 2))), np.zeros((2, 2)))
+
+
 def test_op_norm_examples():
     assert op_norm(np.eye(4)) == pytest.approx(1.0)
     assert op_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) == pytest.approx(2.0)

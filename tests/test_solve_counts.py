@@ -10,6 +10,7 @@ is compared with a fresh solve of the matrix it produced.
 """
 
 import collections
+import copy
 import math
 
 import numpy as np
@@ -59,11 +60,17 @@ from opball.matkernel import fro_norm, powers, transport
 from opball.matio import write_matrix
 from opball.sampling import (
     _at_random_margins,
+    complex_gaussian,
     random_ball_point,
     random_ball_points,
     random_symmetric_ball_point,
 )
-from opball.symmetry import extension_blocks, induced_pairs, symmetry_residuals
+from opball.symmetry import (
+    extension_blocks,
+    induced_pairs,
+    symmetric_part,
+    symmetry_residuals,
+)
 from opball.transform import inverse_bounded_transforms, left_defects
 
 
@@ -252,11 +259,20 @@ TRANSPORTS = {
 }
 
 
-@pytest.mark.parametrize("site", sorted(TRANSPORTS))
-@pytest.mark.parametrize("shape, zero", [
-    ((3, 5), False), ((5, 3), False), ((4, 4), False), ((1, 6), False),
-    ((6, 1), False), ((1, 1), False), ((3, 5), True),
-], ids=["3x5", "5x3", "4x4", "1x6", "6x1", "1x1", "zero-3x5"])
+TRANSPORT_SHAPES = {
+    "3x5": ((3, 5), False), "5x3": ((5, 3), False), "4x4": ((4, 4), False),
+    "1x6": ((1, 6), False), "6x1": ((6, 1), False), "1x1": ((1, 1), False),
+    "zero-3x5": ((3, 5), True),
+}
+
+
+# a sampled draw has a nonzero norm, so the rescaled point has no zero case
+@pytest.mark.parametrize("site, shape, zero", [
+    pytest.param(site, shape, zero, id=f"{name}-{site}")
+    for name, (shape, zero) in TRANSPORT_SHAPES.items()
+    for site in sorted(TRANSPORTS)
+    if not (zero and site == "rescaled_point")
+])
 def test_transported_factor_matches_a_fresh_solve(solves, site, shape, zero):
     rng = np.random.default_rng(27)
     prepare, move, cost = TRANSPORTS[site]
@@ -426,6 +442,31 @@ def test_stacked_ball_points_are_the_member_loop(shape, count):
         assert same_bytes(x.mat, y.mat) and same_bytes(x.margin, y.margin)
         assert same_factor(x.factor, y.factor)
     assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def _rescaled_alone(rng, draw, margin_min, margin_max):
+    """The factor of one draw solved alone, then rescaled alone to the
+    margin drawn after it."""
+    f = gram_factor(draw)
+    c = (1.0 - rng.uniform(margin_min, margin_max)) / f.norm
+    return transport((f,), f.mat * c, lambda x: c * c * x, flip=False)[0]
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (3, 5), (1, 1)])
+def test_sampled_points_are_their_draws_rescaled_alone(shape):
+    rng = np.random.default_rng(46)
+    pair = random_pair(shape[1], shape[0], rng)
+    clone = copy.deepcopy(rng)
+    points = random_ball_points(rng, *shape, 3, margin_min=0.2)
+    points.append(random_symmetric_ball_point(rng, pair, margin_min=0.2))
+    alone = [
+        _rescaled_alone(clone, complex_gaussian(clone, *shape), 0.2, 0.95) for _ in range(3)
+    ]
+    draw = symmetric_part(complex_gaussian(clone, *shape), pair)
+    alone.append(_rescaled_alone(clone, draw, 0.2, 0.9))
+    for point, f in zip(points, alone, strict=True):
+        assert same_bytes(point.mat, f.mat) and same_factor(point.factor, f)
+    assert rng.bit_generator.state == clone.bit_generator.state
 
 
 @pytest.mark.parametrize("shape", [(8, 32), (5, 3), (4, 4), (1, 1)])

@@ -185,6 +185,13 @@ def test_large_rank_deficient_operators_give_typed_results(scale):
         assert scale > 1e100
 
 
+def test_the_transform_ceiling_is_near_norm_2_to_the_26_5():
+    # x / (1 + x) rounds to 1 once x = ||T||^2 passes 2^53, ||T|| ~ 9.49e7
+    assert bounded_transform(scalar_op(9.4e7)).margin == pytest.approx(1.1e-16, rel=0.01)
+    with pytest.raises(OutOfBall, match=r"operator norm 1\.000000000000 "):
+        bounded_transform(scalar_op(9.5e7))
+
+
 def test_right_defect_inv_matches_direct_inversion():
     rng = np.random.default_rng(26)
     for _ in range(40):
