@@ -39,10 +39,12 @@ from .errors import (
 from .matkernel import (
     GramFactor,
     adj,
+    as_cmat,
     gram_factor,
     inverse,
     op_norm,
     powers,
+    require_integers,
     require_shape,
     stacked,
 )
@@ -57,7 +59,8 @@ class BallPoint:
     margin and :meth:`defect` gives every defect of the point.  It is solved
     on construction, unless the point is built from a :class:`GramFactor`
     in place of its matrix: ``BallPoint(f)`` keeps ``f`` and takes ``mat``
-    from ``f.mat``.
+    from ``f.mat``.  A matrix is checked by :func:`~opball.matkernel.as_cmat`,
+    so a stack raises ``ShapeMismatch`` as a malformed matrix does.
     """
 
     mat: np.ndarray
@@ -65,7 +68,8 @@ class BallPoint:
     factor: GramFactor = field(init=False, repr=False)
 
     def __post_init__(self):
-        factor = self.mat if isinstance(self.mat, GramFactor) else gram_factor(self.mat)
+        mat = self.mat
+        factor = mat if isinstance(mat, GramFactor) else gram_factor(as_cmat(mat))
         if factor.norm >= 1.0:
             raise OutOfBall(f"operator norm {factor.norm:.12f} is not strictly below 1")
         object.__setattr__(self, "mat", factor.mat)
@@ -124,6 +128,7 @@ def _warn_near_boundary(margin: float) -> None:
 
 def zero_point(dim_h: int, dim_k: int) -> BallPoint:
     """The base point 0 of the ball."""
+    require_integers(dim_h=dim_h, dim_k=dim_k)
     return BallPoint(np.zeros((dim_h, dim_k), dtype=np.complex128))
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
-import operator
 import os
 from dataclasses import dataclass, fields
 from functools import partial
@@ -31,7 +30,7 @@ import numpy as np
 
 from .ball import BallPoint
 from .errors import BadDepth, BadDims
-from .matkernel import gram_factor, op_norm
+from .matkernel import gram_factor, op_norm, require_integers
 from .sampling import random_operator
 from .symmetry import (
     ConjugationPair,
@@ -50,21 +49,6 @@ from .transform import (
 )
 
 
-def _cuts(point: BallPoint, depths) -> np.ndarray:
-    """The matrix of ``point`` with every row past the depth zeroed, for
-    each of ``depths``, as one stack.  A depth must be an integer (numpy's
-    included) in 1..dim_h."""
-    for depth in depths:
-        try:
-            operator.index(depth)
-        except TypeError:
-            raise BadDepth(f"depth {depth!r} is not an integer") from None
-        if not 1 <= depth <= point.dim_h:
-            raise BadDepth(f"depth {depth} outside 1..{point.dim_h}")
-    rows = np.arange(point.dim_h)[None, :, None]
-    return np.where(rows < np.asarray(depths)[:, None, None], point.mat, 0.0)
-
-
 def _require_pair_dims(t: OperatorHK, pair: ConjugationPair) -> None:
     if (pair.dim_src, pair.dim_dst) != (t.dim_k, t.dim_h):
         raise BadDims(
@@ -75,17 +59,19 @@ def _require_pair_dims(t: OperatorHK, pair: ConjugationPair) -> None:
 
 def _approximants(
     that: BallPoint, pair: ConjugationPair, depths
-) -> list[tuple[OperatorHK, ConjugationPair, BallPoint]]:
-    """Steps 1-3 of the pipeline at each of ``depths``, for the ball point
-    ``that`` of an operator.  Each step runs as one stacked expression over
-    all depths: the cuts and their extension blocks, the doubled points'
-    factors, their induced pairs (:func:`induced_pairs`) and the inverse
-    transforms.  The cut is not factored on its own: the doubled point's
-    factor checks the norm of both blocks."""
-    blocks = extension_blocks(_cuts(that, depths), pair)
-    doubled = [BallPoint(f) for f in gram_factor(blocks)]
+) -> tuple[list[OperatorHK], list[ConjugationPair], list[BallPoint]]:
+    """Steps 1-3 of the pipeline at each of ``depths`` (checked by the
+    caller), for the ball point ``that`` of an operator: the approximants,
+    their pairs and their doubled points, as three lists.  Each step runs
+    as one stacked expression over all depths: the cuts (rows past the
+    depth zeroed) and their extension blocks, the doubled points' factors,
+    their induced pairs and the inverse transforms.  The cut is not
+    factored on its own: the doubled point's factor checks both blocks."""
+    rows = np.arange(that.dim_h)[None, :, None]
+    cuts = np.where(rows < np.asarray(depths)[:, None, None], that.mat, 0.0)
+    doubled = [BallPoint(f) for f in gram_factor(extension_blocks(cuts, pair))]
     out_pairs = induced_pairs(doubled, double_pair(pair))
-    return list(zip(inverse_bounded_transforms(doubled), out_pairs, doubled))
+    return inverse_bounded_transforms(doubled), out_pairs, doubled
 
 
 def symmetric_approximant(
@@ -96,10 +82,16 @@ def symmetric_approximant(
     ``pair`` runs from K to H (the contraction side).  Returns the doubled
     operator, the conjugation pair certifying its symmetry, and the doubled
     ball point it is the inverse transform of, whose ``margin`` and
-    ``factor.norm`` are those of the depth-n truncation.
+    ``factor.norm`` are those of the depth-n truncation.  A ``depth`` that
+    is not an integer (numpy's included) in 1..dimH raises :class:`BadDepth`
+    before any solve.
     """
     _require_pair_dims(t, pair)
-    return _approximants(bounded_transform(t), pair, [depth])[0]
+    require_integers(BadDepth, depth=depth)
+    if not 1 <= depth <= t.dim_h:
+        raise BadDepth(f"depth {depth} outside 1..{t.dim_h}")
+    approxes, out_pairs, doubled = _approximants(bounded_transform(t), pair, [depth])
+    return approxes[0], out_pairs[0], doubled[0]
 
 
 @dataclass(frozen=True)
@@ -152,7 +144,7 @@ def approximation_profile(t: OperatorHK, pair: ConjugationPair) -> ApproxProfile
     """
     _require_pair_dims(t, pair)
     depths = range(1, t.dim_h + 1)
-    approxes, out_pairs, doubled = zip(*_approximants(bounded_transform(t), pair, depths))
+    approxes, out_pairs, doubled = _approximants(bounded_transform(t), pair, depths)
     full = approxes[-1]
     rows = tuple(
         ProfileRow(n=depth, dist=dist, sym_residual=residual, margin=point.margin)
@@ -206,10 +198,11 @@ def ensemble_experiment(
     derived from spawned seed-sequence children in trial order and results
     are collected by index.  ``jobs`` > 1 runs trials in worker processes,
     at most one per trial and per CPU; threads would gain nothing, since
-    the Jacobi loop holds the GIL.  Dimensions outside 1 <= dim_k <= dim_h,
-    ``trials`` or ``jobs`` below 1 and a negative ``seed`` raise
-    :class:`BadDims` before any trial runs.
+    the Jacobi loop holds the GIL.  An argument that is not an integer,
+    dimensions outside 1 <= dim_k <= dim_h, ``trials`` or ``jobs`` below 1
+    and a negative ``seed`` raise :class:`BadDims` before any trial runs.
     """
+    require_integers(dim_h=dim_h, dim_k=dim_k, trials=trials, seed=seed, jobs=jobs)
     if dim_k > dim_h or min(dim_h, dim_k) < 1:
         raise BadDims(f"need 1 <= dim_k <= dim_h, got ({dim_h}, {dim_k})")
     if trials < 1:

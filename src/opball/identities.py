@@ -35,7 +35,7 @@ from .ball import (
     zero_point,
 )
 from .errors import BadDims
-from .matkernel import adj, fro_norm, herm_inv_sqrt, inverse, op_norm
+from .matkernel import adj, fro_norm, herm_inv_sqrt, inverse, op_norm, require_integers
 from .sampling import (
     complex_gaussian,
     random_ball_point,
@@ -308,9 +308,10 @@ def run_identities(
 ) -> list[IdentityReport]:
     """Run the identity table; each check gets its own spawned seed stream.
 
-    A dimension below 1, a negative ``trials`` or ``seed``, or a ``tol``
-    that is not a positive finite number, raises :class:`BadDims` before any
-    check runs."""
+    A dimension, ``trials`` or ``seed`` that is not an integer, a dimension
+    below 1, a negative ``trials`` or ``seed``, or a ``tol`` that is not a
+    positive finite number, raises :class:`BadDims` before any check runs."""
+    require_integers(seed=seed, trials=trials, dim_h=dim_h, dim_k=dim_k)
     if min(dim_h, dim_k) < 1:
         raise BadDims("need dim_h >= 1 and dim_k >= 1")
     if trials < 0 or not 0 < tol < math.inf:

@@ -73,12 +73,15 @@ def write_matrix(path, mat: np.ndarray) -> None:
     Path(path).write_text(json.dumps(matrix_to_obj(mat)) + "\n")
 
 
-def read_matrix(path) -> np.ndarray:
+def _load(path, what: str):
     try:
-        obj = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # bad JSON, or an integer past the digit limit
-        raise MatrixFileError(f"cannot read matrix file {path}: {exc}") from exc
-    return obj_to_matrix(obj)
+        raise MatrixFileError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def read_matrix(path) -> np.ndarray:
+    return obj_to_matrix(_load(path, "matrix"))
 
 
 def write_pair(path, pair: ConjugationPair) -> None:
@@ -87,10 +90,7 @@ def write_pair(path, pair: ConjugationPair) -> None:
 
 
 def read_pair(path) -> ConjugationPair:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # bad JSON, or an integer past the digit limit
-        raise MatrixFileError(f"cannot read pair file {path}: {exc}") from exc
+    obj = _load(path, "pair")
     if not isinstance(obj, dict) or "side" not in obj or "j_fwd" not in obj:
         raise MatrixFileError("pair file needs 'side' and 'j_fwd' fields")
     try:

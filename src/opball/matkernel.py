@@ -61,14 +61,17 @@ immutable and keeps no powers: each call computes the powers it returns.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    BadDims,
     EigenvalueBelowFloor,
     NoConvergence,
     NotHermitian,
+    OpballError,
     ShapeMismatch,
     Singular,
 )
@@ -97,8 +100,9 @@ def as_cmat(a) -> np.ndarray:
 def as_cstack(a) -> tuple[np.ndarray, bool]:
     """(S, single): a matrix, or a stack (sequence or 3-D array) of matrices
     of one shape, as a read-only complex128 stack S of shape (b, rows, cols),
-    checked as :func:`as_cmat` checks a matrix.  ``single`` when ``a`` is
-    one matrix, which is a stack of one.  Mixed shapes or no matrix raise
+    checked as :func:`as_cmat` checks a matrix, in the shape passed (a
+    matrix gains its stack axis after).  ``single`` when ``a`` is one
+    matrix, which is a stack of one.  Mixed shapes or no matrix raise
     :class:`ShapeMismatch`; a malformed member keeps numpy's error."""
     try:
         m = np.array(a, dtype=np.complex128, order="C")
@@ -110,7 +114,8 @@ def as_cstack(a) -> tuple[np.ndarray, bool]:
     if m.ndim != 2 and m.shape[:1] == (0,):
         raise ShapeMismatch(_EMPTY)
     single = m.ndim == 2
-    return _checked(m[None] if single else m, 3), single
+    m = _checked(m, 2 if single else 3)
+    return (m[None] if single else m), single
 
 
 def _shapes_differ(shapes) -> ShapeMismatch:
@@ -162,6 +167,16 @@ def require_shape(m: np.ndarray, shape: tuple[int, int], what: str) -> None:
     """Raise :class:`ShapeMismatch` unless ``m`` has the expected ``shape``."""
     if m.shape != shape:
         raise ShapeMismatch(f"{what} has shape {m.shape}, expected {shape}")
+
+
+def require_integers(error: type[OpballError] = BadDims, /, **values) -> None:
+    """Raise ``error`` naming the first of ``values`` that is not an integer.
+    Numpy integers and bools pass, as :func:`operator.index` takes them."""
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise error(f"{name} {value!r} is not an integer") from None
 
 
 def adj(a: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ from .matkernel import (
     gram_factor,
     op_norm,
     require_finite,
+    require_integers,
     require_shape,
     stacked,
 )
@@ -155,6 +156,7 @@ def canonical_pair(m: int, n: int) -> ConjugationPair:
     conjugate and keep the first m coordinates.  An n x m matrix is
     symmetric for this pair exactly when its top m x m block is symmetric.
     """
+    require_integers(m=m, n=n)
     if m < 1 or n < m:
         raise BadDims(f"need n >= m >= 1, got (m={m}, n={n})")
     fwd = np.zeros((n, m), dtype=np.complex128)
@@ -188,8 +190,10 @@ def random_pair(dim_src: int, dim_dst: int, seed) -> ConjugationPair:
     A complex Gaussian frame is orthonormalized and becomes the isometry
     ``first``; the identity composition is placed on the smaller space.
     Deterministic for a fixed seed (any ``numpy.random.default_rng`` seed;
-    a negative integer raises :class:`BadDims`).
+    a negative integer raises :class:`BadDims`, as does a dimension that is
+    not an integer).
     """
+    require_integers(dim_src=dim_src, dim_dst=dim_dst)
     if min(dim_src, dim_dst) < 1:
         raise BadDims(f"dimensions must be positive, got ({dim_src}, {dim_dst})")
     if isinstance(seed, (int, np.integer)) and seed < 0:
@@ -204,8 +208,13 @@ def random_pair(dim_src: int, dim_dst: int, seed) -> ConjugationPair:
 
 
 def conj_apply(pair: ConjugationPair, direction: str, x) -> np.ndarray:
-    """Apply C1 (``direction='fwd'``) or C2 (``'bwd'``) to a vector."""
-    vec = np.asarray(x, dtype=np.complex128).reshape(-1)
+    """Apply C1 (``direction='fwd'``) or C2 (``'bwd'``) to a vector, given
+    as a 1-D array or as an n x 1 column; any other shape, or an entry that
+    is not finite, raises :class:`ShapeMismatch`."""
+    vec = np.asarray(x, dtype=np.complex128)
+    if vec.ndim not in (1, 2) or vec.shape[1:] not in ((), (1,)):
+        raise ShapeMismatch(f"expected a vector or a column, got shape {vec.shape}")
+    vec = vec.reshape(-1)
     if not np.isfinite(vec).all():
         raise ShapeMismatch("vector entries must be finite")
     if direction not in ("fwd", "bwd"):

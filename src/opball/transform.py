@@ -40,6 +40,7 @@ from .matkernel import (
     op_norm,
     powers,
     require_finite,
+    require_integers,
     require_shape,
     stacked,
     transport,
@@ -78,6 +79,7 @@ class OperatorHK:
 
 
 def zero_operator(dim_h: int, dim_k: int) -> OperatorHK:
+    require_integers(dim_h=dim_h, dim_k=dim_k)
     return OperatorHK(np.zeros((dim_k, dim_h), dtype=np.complex128))
 
 

@@ -1,8 +1,10 @@
 """Black-box CLI behavior: exit codes, formats, determinism."""
 
+import argparse
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -466,3 +468,17 @@ def test_module_run_refuses_a_malformed_file_and_exits_two(tmp_path):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.count("\n") == 1 and done.stderr.startswith("symcheck: ")
+
+
+def test_readme_synopsis_lists_each_command_options():
+    # README's "opball <command>" synopsis lines against the parser
+    readme = (SRC.parent / "README.md").read_text().splitlines()
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    for name, sub in commands.items():
+        lines = [line for line in readme if line.startswith(f"opball {name} ")]
+        assert len(lines) == 1, name
+        documented = set(re.findall(r"--[a-z][a-z-]*", lines[0]))
+        parsed = {s for a in sub._actions for s in a.option_strings if s.startswith("--")}
+        assert documented == parsed - {"--help"}, name

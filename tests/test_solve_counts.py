@@ -22,6 +22,7 @@ import opball.symmetry
 import opball.transform
 from opball import (
     DEFAULT,
+    BadDepth,
     BallPoint,
     ConjugationPair,
     EigenvalueBelowFloor,
@@ -51,6 +52,7 @@ from opball import (
     pair_residual,
     random_pair,
     swap_roles,
+    symmetric_approximant,
     symmetry_residual,
 )
 from opball.ball import defects, lifts, mobius_images
@@ -140,6 +142,15 @@ def test_mobius_solves_only_for_its_result(solves):
 def test_pair_validation_at_roundoff_needs_no_solve(solves):
     random_pair(2, 8, 23)
     assert solves() == 0
+
+
+@pytest.mark.parametrize("depth", [0, 5, 1.5])
+def test_a_bad_depth_is_refused_before_any_solve(solves, depth):
+    t, pair = OperatorHK(np.ones((2, 4))), random_pair(2, 4, 0)
+    before = solves()
+    with pytest.raises(BadDepth):
+        symmetric_approximant(t, pair, depth)  # depths 1..4
+    assert solves() - before == 0
 
 
 def test_approx_trial_solve_budget(solves):

@@ -1,5 +1,7 @@
 """Conjugation pairs, symmetry residuals, extensions, induced pairs."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,12 @@ def test_conj_apply():
     for bad in ([np.nan, 1.0], [1.0, complex(0.0, np.inf)], [[np.nan], [1.0]]):
         with pytest.raises(ShapeMismatch, match="vector entries must be finite"):
             conj_apply(pair, "fwd", bad)
+    # a matrix is not read as the vector of its entries, nor is a row, a
+    # stack or a scalar
+    for bad in ([[1, 2], [3, 4]], [[1j, 1.0]], np.ones((2, 1, 1)), 1.0):
+        text = f"expected a vector or a column, got shape {np.shape(bad)}"
+        with pytest.raises(ShapeMismatch, match=re.escape(text)):
+            conj_apply(identity_pair(4), "fwd", bad)
     rect = canonical_pair(1, 2)
     assert np.allclose(conj_apply(rect, "fwd", [2.0 + 1j]), [2.0 - 1j, 0.0])
     # conjugate linearity
