@@ -40,11 +40,12 @@ from .matkernel import (
     GramFactor,
     adj,
     as_cmat,
+    as_integers,
     gram_factor,
     inverse,
     op_norm,
     powers,
-    require_integers,
+    require_positive,
     require_shape,
     stacked,
 )
@@ -127,9 +128,11 @@ def _warn_near_boundary(margin: float) -> None:
 
 
 def zero_point(dim_h: int, dim_k: int) -> BallPoint:
-    """The base point 0 of the ball."""
-    require_integers(dim_h=dim_h, dim_k=dim_k)
-    return BallPoint(np.zeros((dim_h, dim_k), dtype=np.complex128))
+    """The base point 0 of the ball, dim_h x dim_k.  A size that is not an
+    integer raises :class:`BadDims`, one below 1 :class:`ShapeMismatch`."""
+    shape = as_integers(dim_h=dim_h, dim_k=dim_k)
+    require_positive(shape)
+    return BallPoint(np.zeros(shape, dtype=np.complex128))
 
 
 def _mobius_images(a: BallPoint, points, sign: float) -> list[BallPoint]:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .ball import BallPoint
 from .errors import BadDepth, BadDims
-from .matkernel import gram_factor, op_norm, require_integers
+from .matkernel import as_integers, gram_factor, op_norm
 from .sampling import random_operator
 from .symmetry import (
     ConjugationPair,
@@ -82,12 +82,12 @@ def symmetric_approximant(
     ``pair`` runs from K to H (the contraction side).  Returns the doubled
     operator, the conjugation pair certifying its symmetry, and the doubled
     ball point it is the inverse transform of, whose ``margin`` and
-    ``factor.norm`` are those of the depth-n truncation.  A ``depth`` that
-    is not an integer (numpy's included) in 1..dimH raises :class:`BadDepth`
-    before any solve.
+    ``factor.norm`` are those of the depth-n truncation.  ``depth`` is
+    computed with as the Python int it parses to; one that is not an
+    integer in 1..dimH raises :class:`BadDepth` before any solve.
     """
     _require_pair_dims(t, pair)
-    require_integers(BadDepth, depth=depth)
+    (depth,) = as_integers(BadDepth, depth=depth)
     if not 1 <= depth <= t.dim_h:
         raise BadDepth(f"depth {depth} outside 1..{t.dim_h}")
     approxes, out_pairs, doubled = _approximants(bounded_transform(t), pair, [depth])
@@ -198,11 +198,15 @@ def ensemble_experiment(
     derived from spawned seed-sequence children in trial order and results
     are collected by index.  ``jobs`` > 1 runs trials in worker processes,
     at most one per trial and per CPU; threads would gain nothing, since
-    the Jacobi loop holds the GIL.  An argument that is not an integer,
-    dimensions outside 1 <= dim_k <= dim_h, ``trials`` or ``jobs`` below 1
-    and a negative ``seed`` raise :class:`BadDims` before any trial runs.
+    the Jacobi loop holds the GIL.  Each argument is computed with, and
+    recorded in the report, as the Python int it parses to.  One that is
+    not an integer, dimensions outside 1 <= dim_k <= dim_h, ``trials`` or
+    ``jobs`` below 1 and a negative ``seed`` raise :class:`BadDims` before
+    any trial runs.
     """
-    require_integers(dim_h=dim_h, dim_k=dim_k, trials=trials, seed=seed, jobs=jobs)
+    dim_h, dim_k, trials, seed, jobs = as_integers(
+        dim_h=dim_h, dim_k=dim_k, trials=trials, seed=seed, jobs=jobs
+    )
     if dim_k > dim_h or min(dim_h, dim_k) < 1:
         raise BadDims(f"need 1 <= dim_k <= dim_h, got ({dim_h}, {dim_k})")
     if trials < 1:

@@ -19,6 +19,7 @@ themselves are never loosened.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,7 +36,7 @@ from .ball import (
     zero_point,
 )
 from .errors import BadDims
-from .matkernel import adj, fro_norm, herm_inv_sqrt, inverse, op_norm, require_integers
+from .matkernel import adj, as_integers, fro_norm, herm_inv_sqrt, inverse, op_norm
 from .sampling import (
     complex_gaussian,
     random_ball_point,
@@ -308,12 +309,20 @@ def run_identities(
 ) -> list[IdentityReport]:
     """Run the identity table; each check gets its own spawned seed stream.
 
-    A dimension, ``trials`` or ``seed`` that is not an integer, a dimension
-    below 1, a negative ``trials`` or ``seed``, or a ``tol`` that is not a
-    positive finite number, raises :class:`BadDims` before any check runs."""
-    require_integers(seed=seed, trials=trials, dim_h=dim_h, dim_k=dim_k)
+    The integers are computed with as the Python ints they parse to, and
+    ``tol`` as a float.  A dimension, ``trials`` or ``seed`` that is not an
+    integer, a dimension below 1, a negative ``trials`` or ``seed``, or a
+    ``tol`` that is not a real number positive and finite as a float, raises
+    :class:`BadDims` before any check runs."""
+    seed, trials, dim_h, dim_k = as_integers(
+        seed=seed, trials=trials, dim_h=dim_h, dim_k=dim_k
+    )
     if min(dim_h, dim_k) < 1:
         raise BadDims("need dim_h >= 1 and dim_k >= 1")
+    try:
+        tol = float(tol) if isinstance(tol, numbers.Real) else math.nan
+    except OverflowError:  # an integer past the float range
+        tol = math.inf
     if trials < 0 or not 0 < tol < math.inf:
         raise BadDims("need trials >= 0 and tol > 0")
     if seed < 0:

@@ -156,8 +156,7 @@ def _checked(m: np.ndarray, ndim: int) -> np.ndarray:
     if m.ndim != ndim:
         what = "a 2-D matrix" if ndim == 2 else "a matrix or a stack of matrices"
         raise ShapeMismatch(f"expected {what}, got ndim={m.ndim}")
-    if 0 in m.shape:
-        raise ShapeMismatch(f"matrix dimensions must be positive, got {m.shape}")
+    require_positive(m.shape)
     if not np.isfinite(m).all():
         raise ShapeMismatch("matrix entries must be finite")
     return _freeze(m)
@@ -169,14 +168,24 @@ def require_shape(m: np.ndarray, shape: tuple[int, int], what: str) -> None:
         raise ShapeMismatch(f"{what} has shape {m.shape}, expected {shape}")
 
 
-def require_integers(error: type[OpballError] = BadDims, /, **values) -> None:
-    """Raise ``error`` naming the first of ``values`` that is not an integer.
-    Numpy integers and bools pass, as :func:`operator.index` takes them."""
+def require_positive(shape: tuple[int, ...]) -> None:
+    """Raise :class:`ShapeMismatch` quoting the matrix ``shape`` unless each
+    of its dimensions is at least 1."""
+    if min(shape) < 1:
+        raise ShapeMismatch(f"matrix dimensions must be positive, got {shape}")
+
+
+def as_integers(error: type[OpballError] = BadDims, /, **values) -> tuple[int, ...]:
+    """The ``values`` as Python ints, in keyword order, as
+    :func:`operator.index` parses them; raise ``error`` naming the first
+    that is not an integer.  Callers compute with the returned ints only."""
+    ints = []
     for name, value in values.items():
         try:
-            operator.index(value)
+            ints.append(operator.index(value))
         except TypeError:
             raise error(f"{name} {value!r} is not an integer") from None
+    return tuple(ints)
 
 
 def adj(a: np.ndarray) -> np.ndarray:

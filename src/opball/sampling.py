@@ -2,6 +2,11 @@
 
 All draws go through ``numpy.random.Generator`` so that a fixed seed gives a
 fixed ensemble; nothing here keeps global state.
+
+Sizes and counts are the caller's parsed Python ints: the module is not
+exported, and its callers (``identities``, ``density``, the tests) pass ints
+that an entry has already parsed through ``matkernel.as_integers`` or drawn
+itself, so no function here checks them again.
 """
 
 from __future__ import annotations

@@ -37,11 +37,11 @@ from .matkernel import (
     adj,
     as_cmat,
     as_cstack,
+    as_integers,
     fro_norm,
     gram_factor,
     op_norm,
     require_finite,
-    require_integers,
     require_shape,
     stacked,
 )
@@ -156,7 +156,7 @@ def canonical_pair(m: int, n: int) -> ConjugationPair:
     conjugate and keep the first m coordinates.  An n x m matrix is
     symmetric for this pair exactly when its top m x m block is symmetric.
     """
-    require_integers(m=m, n=n)
+    m, n = as_integers(m=m, n=n)
     if m < 1 or n < m:
         raise BadDims(f"need n >= m >= 1, got (m={m}, n={n})")
     fwd = np.zeros((n, m), dtype=np.complex128)
@@ -189,16 +189,19 @@ def random_pair(dim_src: int, dim_dst: int, seed) -> ConjugationPair:
 
     A complex Gaussian frame is orthonormalized and becomes the isometry
     ``first``; the identity composition is placed on the smaller space.
-    Deterministic for a fixed seed (any ``numpy.random.default_rng`` seed;
-    a negative integer raises :class:`BadDims`, as does a dimension that is
-    not an integer).
+    Deterministic for a fixed seed, which is any ``numpy.random.default_rng``
+    seed.  A seed it refuses raises :class:`BadDims` (a negative integer as
+    ``need seed >= 0``), as does a dimension that is not an integer.
     """
-    require_integers(dim_src=dim_src, dim_dst=dim_dst)
+    dim_src, dim_dst = as_integers(dim_src=dim_src, dim_dst=dim_dst)
     if min(dim_src, dim_dst) < 1:
         raise BadDims(f"dimensions must be positive, got ({dim_src}, {dim_dst})")
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise BadDims("need seed >= 0")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except ValueError:  # numpy's "expected non-negative integer"
+        raise BadDims("need seed >= 0") from None
+    except TypeError:
+        raise BadDims(f"seed {seed!r} is not a numpy.random seed") from None
     small, big = sorted((dim_src, dim_dst))
     g = rng.standard_normal((big, small)) + 1j * rng.standard_normal((big, small))
     q = _orthonormal_columns(g)

@@ -35,12 +35,13 @@ from .matkernel import (
     GramFactor,
     adj,
     as_cmat,
+    as_integers,
     gram_factor,
     inverse,
     op_norm,
     powers,
     require_finite,
-    require_integers,
+    require_positive,
     require_shape,
     stacked,
     transport,
@@ -79,7 +80,11 @@ class OperatorHK:
 
 
 def zero_operator(dim_h: int, dim_k: int) -> OperatorHK:
-    require_integers(dim_h=dim_h, dim_k=dim_k)
+    """The zero operator H -> K, a dim_k x dim_h matrix.  A size that is not
+    an integer raises :class:`BadDims`, one below 1 :class:`ShapeMismatch`
+    quoting the matrix shape."""
+    dim_h, dim_k = as_integers(dim_h=dim_h, dim_k=dim_k)
+    require_positive((dim_k, dim_h))
     return OperatorHK(np.zeros((dim_k, dim_h), dtype=np.complex128))
 
 

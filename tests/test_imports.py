@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used in it, every private
 function or class it defines is referenced in the package, no module uses
-``numpy.linalg``, and the package re-exports the paper's objects, not the
-batched forms behind them.
+``numpy.linalg`` or drops the ints ``as_integers`` returns, and the package
+re-exports the paper's objects, not the batched forms behind them.
 
 The package's ``__init__.py`` imports names only to re-export them, so it is
 not walked for unused imports.  A name counts as used when the module refers
@@ -41,6 +41,36 @@ def test_every_imported_name_is_used(module):
 def test_an_unused_import_is_found():
     tree = ast.parse("import math\nfrom os import path, sep\n\nprint(sep)\n")
     assert _unused_imports(tree) == ["math (line 1)", "path (line 2)"]
+
+
+def _dropped_parses(tree: ast.Module) -> list[str]:
+    """Each call of ``as_integers``, bare or as an attribute, made as an
+    expression statement, so that the ints it returns are dropped."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+            func = node.value.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "as_integers":
+                found.append(f"{ast.unparse(node)} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_module_drops_the_ints_it_parses(module):
+    # an entry computes with the ints as_integers returns, never the raw values
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    assert _dropped_parses(tree) == []
+
+
+def test_a_dropped_parse_is_found():
+    tree = ast.parse(
+        "def f(n, m):\n    as_integers(n=n)\n    (m,) = as_integers(m=m)\n"
+        "    matkernel.as_integers(BadDepth, depth=m)\n    return n + m\n"
+    )
+    assert _dropped_parses(tree) == [
+        "as_integers(n=n) (line 2)", "matkernel.as_integers(BadDepth, depth=m) (line 4)",
+    ]
 
 
 def _linalg_uses(tree: ast.Module) -> list[str]:

@@ -1,18 +1,23 @@
 """Records that hold arrays compare by identity (a field-wise ``==`` over
 arrays has no truth value), operands of the wrong shape are refused by one
-check, and each entry checks its input as the caller passed it."""
+check, each entry checks its input as the caller passed it, and an entry
+computes with the Python ints its integer arguments parse to."""
 
 import copy
+import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opball import (
     BadDims,
     BallPoint,
     ConjugationPair,
     OperatorHK,
+    OpballError,
     ShapeMismatch,
     Side,
     ball_dist,
@@ -29,11 +34,13 @@ from opball import (
     random_pair,
     right_defect,
     right_defect_inv,
+    symmetric_approximant,
     symmetric_part,
     symmetry_residual,
     zero_operator,
     zero_point,
 )
+from opball.density import report_json
 from opball.identities import run_identities
 from opball.symmetry import extension_blocks
 
@@ -128,3 +135,109 @@ def test_numpy_integer_sizes_pass():
     assert canonical_pair(np.int64(1), np.int64(2)).dim_dst == 2
     report = ensemble_experiment(np.int64(2), 1, np.int64(1), np.int64(0), jobs=np.int64(1))
     assert len(report.results) == 1
+
+
+def test_bool_sizes_are_the_ints_one_and_zero():
+    assert zero_point(2, True).shape == (2, 1)
+    assert zero_operator(True, 1).mat.shape == (1, 1)
+    for pair in (canonical_pair(True, 2), random_pair(True, 2, 0)):
+        assert (pair.dim_src, pair.dim_dst) == (1, 2)
+    with pytest.raises(ShapeMismatch, match=re.escape("got (2, 0)")):
+        zero_point(2, False)
+    with pytest.raises(BadDims, match=re.escape("got (m=0, n=2)")):
+        canonical_pair(False, 2)
+
+
+def test_numpy_integer_arguments_are_reported_as_python_ints():
+    report = ensemble_experiment(
+        np.int64(3), np.int64(2), np.int64(1), np.int64(0), jobs=np.int64(1)
+    )
+    fields = (report.dim_h, report.dim_k, report.trials, report.seed)
+    assert fields == (3, 2, 1, 0)
+    assert all(type(v) is int for v in fields)
+    text = report_json(report)
+    assert text == report_json(ensemble_experiment(3, 2, 1, 0))
+    assert json.loads(text)["dim_h"] == 3
+
+
+# call -> the matrix shape its message quotes; an operator H -> K is dim_k x dim_h
+SIZES_BELOW_ONE = {
+    "zero_point(-1, 2)": (lambda: zero_point(-1, 2), (-1, 2)),
+    "zero_operator(2, -1)": (lambda: zero_operator(2, -1), (-1, 2)),
+    "zero_operator(-2, 3)": (lambda: zero_operator(-2, 3), (3, -2)),
+    "zero_point(0, 3)": (lambda: zero_point(0, 3), (0, 3)),
+}
+
+
+@pytest.mark.parametrize("name", SIZES_BELOW_ONE)
+def test_a_size_below_one_is_refused_quoting_the_matrix_shape(name):
+    call, shape = SIZES_BELOW_ONE[name]
+    message = f"matrix dimensions must be positive, got {shape}"
+    with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+        call()
+
+
+REFUSED_TOLS = {
+    "str": "1e-8",
+    "None": None,
+    "numpy bool": np.bool_(True),
+    "complex": 1j,
+    "nan": float("nan"),
+    "int past the float range": 10**400,  # not finite as a float
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_TOLS)
+def test_a_tol_that_is_not_a_positive_finite_real_raises_bad_dims(name):
+    with pytest.raises(BadDims, match=r"^need trials >= 0 and tol > 0$"):
+        run_identities(0, 1, 3, 2, REFUSED_TOLS[name])
+
+
+def test_a_numpy_tol_gives_reports_of_python_values():
+    reports = run_identities(0, 1, 3, 2, np.float32(1e-8))
+    assert all(type(r.passed) is bool for r in reports)
+    assert reports == run_identities(0, 1, 3, 2, float(np.float32(1e-8)))
+    json.dumps([vars(r) for r in reports])
+
+
+_SMALL = list(range(-2, 4))
+_ARGUMENT = st.sampled_from(
+    _SMALL + [np.int8(v) for v in _SMALL] + [np.int64(v) for v in _SMALL]
+    + [True, False, np.bool_(True), np.bool_(False), 1.5, 2.0, "2", None]
+)
+_T = OperatorHK(np.arange(1.0, 7.0).reshape(2, 3) / 10)  # H = C^3 -> K = C^2
+
+# entry -> (its call on drawn arguments, how many it takes); the last
+# argument of run_identities is tol
+PARSING_ENTRIES = {
+    "zero_point": (zero_point, 2),
+    "zero_operator": (zero_operator, 2),
+    "canonical_pair": (canonical_pair, 2),
+    "random_pair": (random_pair, 3),
+    "symmetric_approximant": (
+        lambda depth: symmetric_approximant(_T, random_pair(2, 3, 0), depth), 1
+    ),
+    "ensemble_experiment": (ensemble_experiment, 5),
+    "run_identities": (run_identities, 5),
+}
+
+
+@given(
+    entry=st.sampled_from(list(PARSING_ENTRIES)),
+    args=st.lists(_ARGUMENT, min_size=5, max_size=5),
+)
+@example(entry="ensemble_experiment", args=[np.int8(2), True, np.int64(2), False, np.int64(2)])
+@example(entry="run_identities", args=[np.int64(1), True, np.int8(2), 1, np.int64(1)])
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_an_entry_returns_or_raises_a_typed_error(entry, args):
+    call, arity = PARSING_ENTRIES[entry]
+    try:
+        result = call(*args[:arity])
+    except OpballError:
+        return
+    if entry == "ensemble_experiment":
+        text = report_json(result)
+        assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
+    elif entry == "run_identities":
+        records = [vars(r) for r in result]
+        assert json.loads(json.dumps(records)) == records

@@ -130,6 +130,17 @@ def test_random_pair_refuses_what_it_cannot_draw():
     assert np.array_equal(random_pair(2, 3, rng).j_fwd, random_pair(2, 3, seq).j_fwd)
 
 
+@pytest.mark.parametrize("seed", [1.5, "2", np.bool_(True), [1.5]])
+def test_random_pair_refuses_a_seed_numpy_cannot_take(seed):
+    with pytest.raises(BadDims, match=r"is not a numpy\.random seed$"):
+        random_pair(2, 3, seed)
+
+
+def test_random_pair_refuses_a_negative_entry_of_a_seed_sequence():
+    with pytest.raises(BadDims, match=r"^need seed >= 0$"):
+        random_pair(2, 3, [1, -1])
+
+
 def test_conj_apply():
     pair = identity_pair(2)
     out = conj_apply(pair, "fwd", np.array([1j, 1.0]))
