@@ -53,6 +53,15 @@ is Gauss-Jordan elimination with partial pivoting on [A | I] and an
 explicit pivot floor, so near-singular systems fail loudly instead of
 returning garbage.
 
+The float range is decided here and nowhere else.  Every routine that
+scales, the eigensolver, :func:`fro_norm` and :func:`inverse`, scales by
+:func:`_pow2_scaled` (the largest real or imaginary part, never a modulus,
+which can overflow where the parts do not) and unscales by
+:func:`_unscaled`, which raises :class:`ShapeMismatch` for a result past
+the range.  A product formed from a caller's operands elsewhere in the
+package is declared :func:`in_float_range`, the one guard that silences
+numpy's warnings and raises the same error.
+
 All functions are pure: inputs are never mutated and returned arrays are
 read-only, so values are freely shareable across threads.  A factor is
 immutable and keeps no powers: each call computes the powers it returns.
@@ -60,6 +69,7 @@ immutable and keeps no powers: each call computes the powers it returns.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -81,6 +91,7 @@ _MAX_SWEEPS = 42
 _EPS = float(np.finfo(float).eps)
 _EMPTY = "stack is empty: need at least one member"
 _OUT_OF_RANGE = f"result exceeds the float range (max {np.finfo(float).max:.3e})"
+_MAX_BYTES = int(np.iinfo(np.intp).max)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -94,7 +105,7 @@ def as_cmat(a) -> np.ndarray:
     Accepts anything ``np.asarray`` does, requires a 2-D shape with positive
     dimensions and finite entries, and returns a read-only complex128 copy.
     """
-    return _checked(np.array(a, dtype=np.complex128, order="C"), 2)
+    return _checked(_complex_array(a), 2)
 
 
 def as_cstack(a) -> tuple[np.ndarray, bool]:
@@ -102,20 +113,30 @@ def as_cstack(a) -> tuple[np.ndarray, bool]:
     of one shape, as a read-only complex128 stack S of shape (b, rows, cols),
     checked as :func:`as_cmat` checks a matrix, in the shape passed (a
     matrix gains its stack axis after).  ``single`` when ``a`` is one
-    matrix, which is a stack of one.  Mixed shapes or no matrix raise
-    :class:`ShapeMismatch`; a malformed member keeps numpy's error."""
-    try:
-        m = np.array(a, dtype=np.complex128, order="C")
-    except ValueError:
-        shapes = [np.shape(x) for x in a]
-        if len(set(shapes)) < 2 or any(len(s) != 2 for s in shapes):
-            raise
-        raise _shapes_differ(shapes) from None
+    matrix, which is a stack of one.  Mixed shapes, no matrix or a
+    malformed member raise :class:`ShapeMismatch`."""
+    m = _complex_array(a)
     if m.ndim != 2 and m.shape[:1] == (0,):
         raise ShapeMismatch(_EMPTY)
     single = m.ndim == 2
     m = _checked(m, 2 if single else 3)
     return (m[None] if single else m), single
+
+
+def _complex_array(a) -> np.ndarray:
+    """``a`` as a C-ordered complex128 copy.  What numpy cannot read as a
+    regular complex array raises :class:`ShapeMismatch`: matrices of
+    different shapes naming their shapes, anything else quoting numpy."""
+    try:
+        return np.array(a, dtype=np.complex128, order="C")
+    except (ValueError, TypeError, OverflowError) as exc:
+        try:
+            shapes = [np.shape(x) for x in a]
+        except (ValueError, TypeError):
+            shapes = []
+        if len(set(shapes)) > 1 and all(len(s) == 2 for s in shapes):
+            raise _shapes_differ(shapes) from None
+        raise ShapeMismatch(f"not a complex matrix or stack of matrices: {exc}") from None
 
 
 def _shapes_differ(shapes) -> ShapeMismatch:
@@ -132,11 +153,17 @@ def require_one_shape(shapes) -> None:
         raise _shapes_differ(shapes)
 
 
-def require_finite(x: np.ndarray) -> None:
-    """Raise :class:`ShapeMismatch` where an entry of ``x``, computed from
-    finite operands, is not finite: an intermediate left the float range."""
-    if not np.isfinite(x).all():
-        raise ShapeMismatch(_OUT_OF_RANGE)
+def in_float_range(func):
+    """``func``, run with numpy's overflow and invalid-value warnings off; a result
+    entry that is not finite (in an array or a tuple of them) raises ShapeMismatch."""
+    @functools.wraps(func)
+    def guarded(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = func(*args, **kwargs)
+        if not np.isfinite(out).all():
+            raise ShapeMismatch(_OUT_OF_RANGE)
+        return out
+    return guarded
 
 
 def stacked(arrays) -> np.ndarray:
@@ -170,9 +197,12 @@ def require_shape(m: np.ndarray, shape: tuple[int, int], what: str) -> None:
 
 def require_positive(shape: tuple[int, ...]) -> None:
     """Raise :class:`ShapeMismatch` quoting the matrix ``shape`` unless each
-    of its dimensions is at least 1."""
+    of its dimensions is at least 1 and numpy can index its complex128
+    array."""
     if min(shape) < 1:
         raise ShapeMismatch(f"matrix dimensions must be positive, got {shape}")
+    if math.prod(shape) * 16 > _MAX_BYTES:
+        raise ShapeMismatch(f"matrix of shape {shape} exceeds numpy's index range")
 
 
 def as_integers(error: type[OpballError] = BadDims, /, **values) -> tuple[int, ...]:
@@ -196,13 +226,14 @@ def adj(a: np.ndarray) -> np.ndarray:
 
 def fro_norm(a: np.ndarray):
     """Frobenius norm of a matrix (cheap upper bound for the spectral norm),
-    summed at the power-of-two scale of max|a| so that no square overflows
-    or underflows.  A float for a matrix; for a stack (b, rows, cols), the
-    array of its members' norms, each the bytes it gives alone."""
-    s = np.abs(a)
-    _, exp = np.frexp(s.max(axis=(-2, -1), initial=0.0, keepdims=True))
-    norms = np.ldexp(np.sqrt((np.ldexp(s, -exp) ** 2).sum(axis=(-2, -1))), exp[..., 0, 0])
-    return float(norms) if a.ndim == 2 else norms
+    summed at :func:`_pow2_scaled`'s scale so that no square overflows; a
+    norm past the float range raises :class:`ShapeMismatch`.  A float for a
+    matrix; for a stack (b, rows, cols), the array of its members' norms,
+    each the bytes it gives alone."""
+    m = np.ascontiguousarray(a, dtype=np.complex128)
+    s, exp = _pow2_scaled(m if m.ndim == 3 else m[None])
+    norms = _unscaled(np.sqrt((np.abs(s) ** 2).sum(axis=(1, 2))), exp)
+    return float(norms[0]) if m.ndim == 2 else norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,17 +288,19 @@ def _plan(b: int, n: int) -> tuple:
 
 
 def _pow2_scaled(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M 2^-e, e) for each member M of a stack, with 2^-e max|M| in
-    [1/2, 1): exact in the normal range."""
-    _, exp = np.frexp(np.abs(m).max(axis=(1, 2)))
-    return np.ldexp(m.view(np.float64), -exp[:, None, None]).view(np.complex128), exp
+    """(M 2^-e, e) for each member M of a stack, 2^-e times its largest real or
+    imaginary part in [1/2, 1) (a modulus can overflow where they do not), so
+    every modulus is below sqrt(2): exact in the normal range."""
+    parts = m.view(np.float64)
+    _, exp = np.frexp(np.abs(parts).max(axis=(1, 2), initial=0.0))
+    return np.ldexp(parts, -exp[:, None, None]).view(np.complex128), exp
 
 
 def _unscaled(x: np.ndarray, exp: np.ndarray) -> np.ndarray:
     """x 2^exp for each member's entries in a stack of arrays, raising
     :class:`ShapeMismatch` where one leaves the float range."""
     shift = exp.reshape((-1,) + (1,) * (x.ndim - 1))
-    if max(exp.tolist()) > 0 and (np.frexp(x)[1] + shift).max() > 1024:
+    if max(exp.tolist(), default=0) > 0 and (np.frexp(x)[1] + shift).max() > 1024:
         raise ShapeMismatch(_OUT_OF_RANGE)
     return np.ldexp(x, shift)
 
@@ -390,9 +423,9 @@ def herm_eig(p) -> HermSpectrum:
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"eigendecomposition needs a square matrix, got {m.shape}")
     a, exp = _pow2_scaled(m[None])
-    asym = fro_norm(a[0] - adj(a[0]))
+    asym, size = fro_norm(np.concatenate((a - adj(a), a))).tolist()
     # 1 at this scale; capped where 2^-e overflows, far above any asymmetry
-    bound = max(math.ldexp(1.0, min(-int(exp[0]), 1023)), fro_norm(a[0]))
+    bound = max(math.ldexp(1.0, min(-int(exp[0]), 1023)), size)
     if asym > DEFAULT.herm_asym * bound:
         relative = asym / bound
         raise NotHermitian(f"relative asymmetry {relative:.3e} above {DEFAULT.herm_asym:.1e}")
@@ -609,23 +642,27 @@ def inverse(a) -> np.ndarray:
     the augmented matrix [A | I], whose right half ends as the inverse.
 
     Raises :class:`Singular` when a pivot falls below
-    ``pivot_floor * max|A|``, rather than dividing through by noise.
+    ``pivot_floor * max|A|``, rather than dividing through by noise.  It runs
+    at :func:`_pow2_scaled`'s scale; an inverse past the float range raises.
     """
     m = as_cmat(a)
     n = m.shape[0]
     if n != m.shape[1]:
         raise ShapeMismatch(f"inverse needs a square matrix, got {m.shape}")
-    threshold = DEFAULT.pivot_floor * float(np.abs(m).max())
-    work = np.concatenate((m, np.eye(n, dtype=np.complex128)), axis=1)
+    s, exp = _pow2_scaled(m[None])
+    threshold = DEFAULT.pivot_floor * float(np.abs(s).max())
+    work = np.concatenate((s[0], np.eye(n, dtype=np.complex128)), axis=1)
     for k in range(n):
         pivot_row = k + int(np.argmax(np.abs(work[k:, k])))
         pivot = work[pivot_row, k]
         if abs(pivot) <= threshold:
-            raise Singular(f"pivot {abs(pivot):.3e} at column {k} below threshold")
+            unscaled = np.ldexp(abs(pivot), exp[0])
+            raise Singular(f"pivot {unscaled:.3e} at column {k} below threshold")
         if pivot_row != k:
             work[[k, pivot_row]] = work[[pivot_row, k]]
         work[k] *= 1.0 / pivot
         factors = work[:, k].copy()
         factors[k] = 0.0
         work -= np.outer(factors, work[k])
-    return _freeze(work[:, n:].copy())
+    # the right half, (M 2^-e)^-1 = 2^e M^-1, unscaled in its real and imaginary parts
+    return _freeze(_unscaled(work.view(np.float64)[None, :, 2 * n :], -exp).view(np.complex128)[0])

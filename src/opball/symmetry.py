@@ -40,8 +40,9 @@ from .matkernel import (
     as_integers,
     fro_norm,
     gram_factor,
+    in_float_range,
     op_norm,
-    require_finite,
+    require_positive,
     require_shape,
     stacked,
 )
@@ -114,6 +115,7 @@ def _first(j_fwd: np.ndarray, side: Side) -> np.ndarray:
     return j_fwd if side is Side.BWD_FWD else j_fwd.mT
 
 
+@in_float_range
 def _isometry_gaps(first: np.ndarray) -> np.ndarray:
     """first* first - I for a frame, or for each member of a stack."""
     return adj(first) @ first - np.eye(first.shape[-1])
@@ -159,6 +161,7 @@ def canonical_pair(m: int, n: int) -> ConjugationPair:
     m, n = as_integers(m=m, n=n)
     if m < 1 or n < m:
         raise BadDims(f"need n >= m >= 1, got (m={m}, n={n})")
+    require_positive((n, m))
     fwd = np.zeros((n, m), dtype=np.complex128)
     fwd[:m, :m] = np.eye(m)
     return ConjugationPair(fwd, Side.BWD_FWD)
@@ -203,6 +206,7 @@ def random_pair(dim_src: int, dim_dst: int, seed) -> ConjugationPair:
     except TypeError:
         raise BadDims(f"seed {seed!r} is not a numpy.random seed") from None
     small, big = sorted((dim_src, dim_dst))
+    require_positive((big, small))
     g = rng.standard_normal((big, small)) + 1j * rng.standard_normal((big, small))
     q = _orthonormal_columns(g)
     if dim_src <= dim_dst:
@@ -228,6 +232,7 @@ def conj_apply(pair: ConjugationPair, direction: str, x) -> np.ndarray:
     return j @ np.conj(vec)
 
 
+@in_float_range
 def _flipped(mats: np.ndarray, pair: ConjugationPair) -> np.ndarray:
     """C1 M* C1 as a linear matrix, for each dst x src matrix M of a stack:
     j_fwd transpose(M) conj(j_fwd)."""
@@ -240,17 +245,14 @@ def _oriented(mats: np.ndarray, side: Side) -> np.ndarray:
     return mats if side is Side.BWD_FWD else adj(mats)
 
 
+@in_float_range
 def _coordinates(first: np.ndarray, oriented: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(B, B - transpose(B)) for the coordinates B = first* N of the
     oriented matrix N of M in the pair's frame ``first``, or of each member
     of a stack in the frame at the same place (or the one frame): square on
-    the identity-composition side, and symmetric iff M is pair-symmetric.
-    An entry beyond the float range raises :class:`ShapeMismatch`."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = adj(first) @ oriented
-        gaps = b - b.mT
-    require_finite(gaps)
-    return b, gaps
+    the identity-composition side, and symmetric iff M is pair-symmetric."""
+    b = adj(first) @ oriented
+    return b, b - b.mT
 
 
 def symmetry_residual(t: OperatorHK, pair: ConjugationPair) -> float:

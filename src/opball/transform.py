@@ -37,10 +37,10 @@ from .matkernel import (
     as_cmat,
     as_integers,
     gram_factor,
+    in_float_range,
     inverse,
     op_norm,
     powers,
-    require_finite,
     require_positive,
     require_shape,
     stacked,
@@ -136,20 +136,17 @@ def left_defect(t: OperatorHK, x: OperatorHK) -> np.ndarray:
     return left_defects([(t, x)])[0]
 
 
+@in_float_range
 def left_defects(pairs) -> np.ndarray:
     """:func:`left_defect` of each (t, x) of ``pairs``, all of one shape, as
     one stack, each power taken for all pairs at once
-    (:func:`~opball.matkernel.powers`).  A product beyond the float range
-    raises :class:`ShapeMismatch`."""
+    (:func:`~opball.matkernel.powers`)."""
     for t, x in pairs:
         require_shape(x.mat, t.mat.shape, "operator")
     left = powers([t.factor for t, _ in pairs], 1.0, 0.5, "right")
     right = powers([x.factor for _, x in pairs], 1.0, 0.5, "left")
     ts, xs = stacked([t.mat for t, _ in pairs]), stacked([x.mat for _, x in pairs])
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = left @ adj(xs) - adj(ts) @ right
-    require_finite(out)
-    return out
+    return left @ adj(xs) - adj(ts) @ right
 
 
 def right_defect(t: OperatorHK, x: OperatorHK) -> np.ndarray:

@@ -244,6 +244,19 @@ def test_overflowing_intermediate_exits_two(tmp_path, capsys, command):
     assert captured.err == f"{command}: result exceeds the float range (max 1.798e+308)\n"
 
 
+def test_pair_file_whose_gap_leaves_the_float_range_exits_two(tmp_path, capsys):
+    # j_fwd = [[1e200]] is finite, its isometry gap 1e400 - 1 is not
+    bad = tmp_path / "pair.json"
+    bad.write_text('{"side": "bwd_fwd", "j_fwd": {"rows": 1, "cols": 1, "data": [[1e200, 0]]}}')
+    mat = save(tmp_path, "m.json", [[1.0]])
+    assert main(["symcheck", mat, "--pair", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "symcheck: pair invariants fail: result exceeds the float range (max 1.798e+308)\n"
+    )
+
+
 def test_metric_unreadable_file(tmp_path, capsys):
     a = save(tmp_path, "a.json", [[0.0]])
     assert main(["metric", a, str(tmp_path / "missing.json")]) == 2

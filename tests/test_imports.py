@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in it, every private
 function or class it defines is referenced in the package, no module uses
-``numpy.linalg`` or drops the ints ``as_integers`` returns, and the package
-re-exports the paper's objects, not the batched forms behind them.
+``numpy.linalg`` or drops the ints ``as_integers`` returns, no module but
+``matkernel`` scales by powers of two or silences numpy's float warnings,
+and the package re-exports the paper's objects, not the batched forms behind them.
 
 The package's ``__init__.py`` imports names only to re-export them, so it is
 not walked for unused imports.  A name counts as used when the module refers
@@ -106,6 +107,46 @@ def test_a_numpy_linalg_use_is_found():
     assert _linalg_uses(tree) == [
         "import numpy.linalg (line 2)", "from numpy import linalg (line 3)",
         "from numpy.linalg import eigh (line 4)", "np.linalg (line 6)",
+    ]
+
+
+FLOAT_RANGE_NAMES = ("errstate", "frexp", "ldexp")
+
+
+def _float_range_uses(tree: ast.Module) -> list[str]:
+    """Each import of ``errstate``, ``frexp`` or ``ldexp`` from numpy, and
+    each ``np.<name>`` or ``numpy.<name>`` attribute of them, with its line,
+    in line order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [node.attr] if node.value.id in ("np", "numpy") else []
+        else:
+            continue
+        if any(name in FLOAT_RANGE_NAMES for name in names):
+            found.append((node.lineno, f"{ast.unparse(node)} (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "matkernel.py"] + ["__init__.py"])
+def test_only_the_kernel_scales_or_silences_float_warnings(module):
+    # matkernel owns the float range: _pow2_scaled / _unscaled scale, and
+    # in_float_range is the one guard on a product of a caller's operands
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    assert _float_range_uses(tree) == []
+
+
+def test_a_float_range_use_is_found():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy import errstate, ldexp\n\n"
+        "with np.errstate(over='ignore'):\n    x = np.frexp(2.0)\nmath.ldexp(1.0, 3)\n"
+        "np.exp(1.0)\n"
+    )
+    assert _float_range_uses(tree) == [
+        "from numpy import errstate, ldexp (line 2)", "np.errstate (line 4)",
+        "np.frexp (line 5)",
     ]
 
 

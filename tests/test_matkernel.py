@@ -396,10 +396,30 @@ def test_an_empty_stack_is_refused(entry):
     assert str(info.value) == "stack is empty: need at least one member"
 
 
-def test_a_malformed_stack_member_keeps_numpys_error():
+def test_a_malformed_stack_member_is_a_shape_mismatch():
     for stack in ([np.eye(2), "ab"], [[[1.0, "a"]], [[1.0, 2.0]]], [[1.0, 2.0], [3.0]]):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatch, match="not a complex matrix or stack of matrices"):
             op_norm(stack)
+
+
+MALFORMED_MATRICES = {
+    "ragged-rows": [[1, 2], [3]],
+    "ragged-member": [np.eye(2), [[1, 2], [3]]],
+    "string-entry": [["a"]],
+    "dict": {"a": 1},
+    "object-entry": [[object()]],
+    "stack-of-shapes": [[[1, 2]], [[1, 2], [3, 4]]],
+    "integer-past-float-range": [[10**400]],
+    "none": None,
+}
+
+
+@pytest.mark.parametrize("entry", [as_cmat, op_norm, BallPoint, OperatorHK])
+@pytest.mark.parametrize("value", MALFORMED_MATRICES.values(), ids=MALFORMED_MATRICES)
+def test_malformed_matrix_input_is_a_shape_mismatch(entry, value):
+    # every entry reads a matrix through as_cmat / as_cstack, the one converter
+    with pytest.raises(ShapeMismatch):
+        entry(value)
 
 
 def test_no_convergence_names_the_member_left(monkeypatch):

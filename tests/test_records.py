@@ -177,6 +177,23 @@ def test_a_size_below_one_is_refused_quoting_the_matrix_shape(name):
         call()
 
 
+# calls whose matrix numpy cannot index, refused before any allocation
+SIZES_PAST_THE_INDEX_RANGE = {
+    "zero_point(10**20, 2)": (lambda: zero_point(10**20, 2), (10**20, 2)),
+    "canonical_pair(1, 10**20)": (lambda: canonical_pair(1, 10**20), (10**20, 1)),
+    "random_pair(10**20, 1, 0)": (lambda: random_pair(10**20, 1, 0), (10**20, 1)),
+    "zero_operator(10**10, 10**10)": (lambda: zero_operator(10**10, 10**10), (10**10, 10**10)),
+}
+
+
+@pytest.mark.parametrize("name", SIZES_PAST_THE_INDEX_RANGE)
+def test_a_size_past_numpys_index_range_is_refused_quoting_the_shape(name):
+    call, shape = SIZES_PAST_THE_INDEX_RANGE[name]
+    message = f"matrix of shape {shape} exceeds numpy's index range"
+    with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+        call()
+
+
 REFUSED_TOLS = {
     "str": "1e-8",
     "None": None,
