@@ -38,14 +38,23 @@ both form the scaled, symmetrized Gram matrix (:func:`_scaled_gram`),
 iterate on it and take the norm from its top eigenvalue (:func:`_norms`),
 so a factor's norm is :func:`op_norm` by construction.  Those two take a
 matrix or a stack, a single matrix being a stack of one, and a stack costs
-one iteration.  :func:`herm_eig` takes one general Hermitian matrix and
-gates its asymmetry before the same iteration.  Each round rotates the
-active pairs of every member at once by the overflow-free hypot angle, from
-one cached plan per stack length and size; a member that has converged is
-masked out of every later round.  A member with no active pair in a round
-takes an identity rotation, which can flip the sign of a zero but changes
-no nonzero entry, and every zero is returned as +0.0, so each member's
-eigenvalues and vectors are exactly the bytes it gives alone.
+one call.  :func:`herm_eig` takes one general Hermitian matrix and gates
+its asymmetry before the same iteration.  Every sweep visits the pairs of
+one round-robin schedule and rotates each pair above the skip threshold by
+the overflow-free hypot angle, and a member stops once its off-diagonal
+mass is below the stop threshold, in one of two loops picked by the side
+alone, never by the stack length.  Side 4 and up runs the stacked loop:
+each round rotates the active pairs of every member at once from one cached
+plan per stack length and size, a converged member is masked out of later
+rounds, and a member with no active pair takes an identity rotation, which
+can flip the sign of a zero but changes no nonzero entry.  Sides 2 and 3,
+where a round holds one pair, run the scalar loop, one member at a time on
+Python complex numbers: a stacked round costs about 30 numpy dispatches
+however little it rotates, so the scalar loop wins there until a stack
+holds about 7 (side 2) or 15 (side 3) members, more than the package stacks
+but in ``approx --dim-k 1`` (dim_h members of side 2).  Every zero is
+returned as +0.0, so either way each member's eigenvalues and vectors are
+exactly the bytes it gives alone.
 At desk sizes (side <= 64) it converges in a handful of sweeps and keeps the
 eigenbasis unitary and the reconstruction residual at roundoff level.
 Solves are counted in matrices, the stack length, not in calls.  Inversion
@@ -88,6 +97,11 @@ from .errors import (
 from .tolerances import DEFAULT
 
 _MAX_SWEEPS = 42
+# sides up to this rotate one member at a time on Python complex numbers: at
+# side 2 or 3 every round rotates one pair per member, and a stacked round
+# costs about 30 numpy dispatches (15-20 us) however little it rotates
+_SCALAR_SIDE = 3
+
 _EPS = float(np.finfo(float).eps)
 _EMPTY = "stack is empty: need at least one member"
 _OUT_OF_RANGE = f"result exceeds the float range (max {np.finfo(float).max:.3e})"
@@ -251,32 +265,41 @@ class HermSpectrum:
 _PLANS: dict[tuple[int, int], tuple] = {}
 
 
-def _plan(b: int, n: int) -> tuple:
-    """Jacobi constants for a stack of ``b`` matrices of side ``n``, as flat
-    indices into the stack: per round of the tournament schedule (each sweep
-    visits every index pair once, in rounds of mutually disjoint pairs) the
-    entries (p, q), (q, p), (p, p) and (q, q) of each of its pairs in every
-    member; the identity stack; the diagonal entries; the off-diagonal entries
-    per member; and the offsets that sort each member's eigenpairs."""
-    cached = _PLANS.get((b, n))
-    if cached is not None:
-        return cached
+@functools.cache
+def _schedule(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The round-robin tournament schedule of side ``n``: rounds of mutually
+    disjoint index pairs (p, q), p < q, that visit every pair once per sweep
+    (with a bye at odd ``n``)."""
     players = list(range(n)) + ([-1] if n % 2 else [])
     m = len(players)
-    start = np.arange(b)[:, None] * (n * n)
     rounds = []
     for _ in range(m - 1):
-        ps, qs = [], []
+        pairs = []
         for i in range(m // 2):
             x, y = players[i], players[m - 1 - i]
             if x >= 0 and y >= 0:
-                ps.append(min(x, y))
-                qs.append(max(x, y))
-        p, q = np.array(ps), np.array(qs)
+                pairs.append((min(x, y), max(x, y)))
+        rounds.append(tuple(pairs))
+        players = [players[0], players[-1], *players[1:-1]]
+    return tuple(rounds)
+
+
+def _plan(b: int, n: int) -> tuple:
+    """Jacobi constants for a stack of ``b`` matrices of side ``n``, as flat
+    indices into the stack: per round of :func:`_schedule` the entries
+    (p, q), (q, p), (p, p) and (q, q) of each of its pairs in every member;
+    the identity stack; the diagonal entries; the off-diagonal entries per
+    member; and the offsets that sort each member's eigenpairs."""
+    cached = _PLANS.get((b, n))
+    if cached is not None:
+        return cached
+    start = np.arange(b)[:, None] * (n * n)
+    rounds = []
+    for pairs in _schedule(n):
+        p, q = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
         rounds.append(tuple(
             (start + entry).ravel() for entry in (p * n + q, q * n + p, p * (n + 1), q * (n + 1))
         ))
-        players = [players[0], players[-1], *players[1:-1]]
     diag = (start + np.arange(n) * (n + 1)).ravel()
     ident = np.zeros((b, n, n), dtype=np.complex128)
     ident.reshape(-1)[diag] = 1.0
@@ -326,36 +349,67 @@ def _jacobi(h: np.ndarray, want_vectors: bool = True) -> tuple[np.ndarray, np.nd
 
     ``h`` has shape (b, n, n), each member at the power-of-two scale of
     :func:`_pow2_scaled` (or a Gram matrix formed there), so no square
-    overflows or underflows.  In each round-robin round the active pairs
-    (|a_pq| > ``skip`` of their member) of all members rotate together as
-    one unitary per member by the overflow-free angle tan = sign(d) 2|a_pq|
+    overflows or underflows.  Each sweep visits the pairs of
+    :func:`_schedule` in order and rotates every active pair (|a_pq| >
+    ``skip`` of its member) by the overflow-free angle tan = sign(d) 2|a_pq|
     / (|d| + hypot(d, 2|a_pq|)), d = a_qq - a_pp (Golub & Van Loan, *Matrix
-    Computations*, 4th ed., sec. 8.5); a round with no active pair is
-    skipped.  A member whose off-diagonal mass has fallen below its ``stop``
-    is masked out of every later round.  A member with no active pair in a
-    round is multiplied by an identity block, which can flip the sign of a
-    zero and changes nothing else; every zero is returned as +0.0, so each
-    member's eigenvalues and vectors are exactly the bytes it gives as a
-    stack of one.  Returns (eigenvalues (b, n), accumulated unitaries
-    (b, n, n) or None); the caller sorts.  After ``_MAX_SWEEPS`` sweeps it
-    raises :class:`NoConvergence`, naming the first member left, the sweeps
-    and the off-diagonal Frobenius mass left, relative to that of the whole
-    member.
+    Computations*, 4th ed., sec. 8.5).  A member whose off-diagonal mass
+    has fallen below its ``stop`` takes no further rotation.
+
+    The side alone picks the loop, never the stack length: a side up to
+    ``_SCALAR_SIDE`` (where every round holds one pair) goes to
+    :func:`_jacobi_scalar`, a larger one to :func:`_jacobi_stacked`, and a
+    1x1 member is its own eigenvalue.  Either way each member's eigenvalues
+    and vectors are exactly the bytes it gives as a stack of one, and every
+    zero is returned as +0.0.  Returns (eigenvalues (b, n), accumulated
+    unitaries (b, n, n) or None); the caller sorts.  After ``_MAX_SWEEPS``
+    sweeps it raises :class:`NoConvergence`, naming the first member left,
+    the sweeps and the off-diagonal Frobenius mass left, relative to that of
+    the whole member.
+    """
+    b, n, _ = h.shape
+    if n == 1:
+        return h.real.reshape(b, 1) + 0.0, _plan(b, 1)[1] if want_vectors else None
+    loop = _jacobi_scalar if n <= _SCALAR_SIDE else _jacobi_stacked
+    return loop(h, want_vectors)
+
+
+def _thresholds(scale, n: int) -> tuple:
+    """(skip, stop) for members of side ``n`` and Frobenius norm ``scale``
+    (a float or an array of them): the entry size below which a pair is not
+    rotated, and the off-diagonal mass at which a member has converged."""
+    tiny = _EPS * scale
+    # entries below `skip` cannot lift the off-diagonal mass above `stop`
+    return tiny / (4.0 * n), 0.5 * n * (n - 1) * tiny**2
+
+
+def _no_convergence(sweeps: int, mass: float, scale: float, i: int, b: int) -> NoConvergence:
+    """The error of either loop for member ``i`` of ``b`` left with
+    off-diagonal ``mass`` after ``sweeps`` sweeps, relative to ``scale``."""
+    return NoConvergence(
+        f"Jacobi iteration did not converge in {sweeps} sweeps: off-diagonal "
+        f"mass {math.sqrt(mass) / scale:.3e} of the matrix norm remains"
+        + (f" (stack member {i} of {b})" if b > 1 else "")
+    )
+
+
+def _jacobi_stacked(h: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`_jacobi` on numpy stacks, for sides above ``_SCALAR_SIDE``.
+
+    In each round the active pairs of all members rotate together, as one
+    unitary per member from the cached :func:`_plan`; a round with no
+    active pair is skipped, and a converged member is masked out of every
+    later round.  A member with no active pair in a round is multiplied by
+    an identity block, which can flip the sign of a zero and changes
+    nothing else, so the returns add +0.0.
     """
     b, n, _ = h.shape
     rounds, ident, diag, off, _ = _plan(b, n)
-    # an identity rotation can flip a zero's sign but not change a nonzero
-    # entry, so the returns add +0.0: every zero comes out as +0.0
-    if n == 1:
-        return h.real.reshape(b, 1) + 0.0, ident if want_vectors else None
     a = h.reshape(-1)
     flat = a.reshape(b, -1)
     scale = np.sqrt(np.vecdot(flat, flat).real)
+    skip, stop = _thresholds(scale, n)
     v = ident.copy() if want_vectors else None
-    tiny = _EPS * scale
-    stop = 0.5 * n * (n - 1) * tiny**2
-    # entries this small cannot lift the off-diagonal mass above `stop`
-    skip = tiny / (4.0 * n)
     pairs = len(rounds[0][0]) // b
     skip_at = np.repeat(skip, pairs)
     # how many members have converged; skip_at masks them out
@@ -374,11 +428,7 @@ def _jacobi(h: np.ndarray, want_vectors: bool = True) -> tuple[np.ndarray, np.nd
             skip_at = np.repeat(np.where(done, np.inf, skip), pairs)
         if sweeps == _MAX_SWEEPS:
             i = int(np.flatnonzero(~done)[0])
-            raise NoConvergence(
-                f"Jacobi iteration did not converge in {sweeps} sweeps: off-diagonal "
-                f"mass {math.sqrt(mass[i]) / scale[i]:.3e} of the matrix norm remains"
-                + (f" (stack member {i} of {b})" if b > 1 else "")
-            )
+            raise _no_convergence(sweeps, mass[i], scale[i], i, b)
         sweeps += 1
         for pq, qp, pp, qq in rounds:
             apq = a[pq]
@@ -407,6 +457,71 @@ def _jacobi(h: np.ndarray, want_vectors: bool = True) -> tuple[np.ndarray, np.nd
             a.imag[diag] = 0.0
             if v is not None:
                 v = v @ u
+
+
+def _jacobi_scalar(h: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`_jacobi` on Python complex numbers, one member at a time, for
+    sides up to ``_SCALAR_SIDE``.
+
+    The same sweeps as :func:`_jacobi_stacked`, one pair at a time: with the
+    rotation u (u_pp = c e^(i phi), u_pq = s e^(i phi), u_qp = -s, u_qq = c,
+    e^(i phi) = a_pq / |a_pq|), u* A u has diagonal a_pp - t|a_pq| and
+    a_qq + t|a_pq| and a zero (p, q) entry (Golub & Van Loan, sec. 8.5), and
+    its rows and columns off the pair are A u's, kept Hermitian.
+    """
+    b, n, _ = h.shape
+    pairs = [pq for rnd in _schedule(n) for pq in rnd]
+    others = [[k for k in range(n) if k != p and k != q] for p, q in pairs]
+    eye = [[complex(j == k) for k in range(n)] for j in range(n)]
+    vals, vecs = [], []
+    for i, a in enumerate(h.tolist()):
+        d = [a[k][k].real for k in range(n)]
+        v = [row[:] for row in eye] if want_vectors else None
+        scale = math.sqrt(sum(x.real * x.real + x.imag * x.imag for row in a for x in row))
+        skip, stop = _thresholds(scale, n)
+        sweeps = 0
+        while True:
+            # the upper triangle's, doubled: A is kept Hermitian
+            mass = 0.0
+            for p, q in pairs:
+                apq = a[p][q]
+                mass += apq.real * apq.real + apq.imag * apq.imag
+            mass *= 2.0
+            if mass <= stop:
+                break
+            if sweeps == _MAX_SWEEPS:
+                raise _no_convergence(sweeps, mass, scale, i, b)
+            sweeps += 1
+            for (p, q), ks in zip(pairs, others):
+                apq = a[p][q]
+                r = abs(apq)
+                if not r > skip:
+                    continue
+                delta, r2 = d[q] - d[p], 2.0 * r
+                t = math.copysign(r2, delta) / (abs(delta) + math.hypot(delta, r2))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                phase = apq / r
+                cp, sp = c * phase, s * phase
+                d[p] -= t * r
+                d[q] += t * r
+                a[p][q] = a[q][p] = 0j
+                for k in ks:
+                    row = a[k]
+                    akp, akq = row[p], row[q]
+                    row[p] = x = akp * cp - akq * s
+                    row[q] = y = akp * sp + akq * c
+                    a[p][k], a[q][k] = x.conjugate(), y.conjugate()
+                if v is not None:
+                    for row in v:
+                        vp, vq = row[p], row[q]
+                        row[p] = vp * cp - vq * s
+                        row[q] = vp * sp + vq * c
+        vals.append(d)
+        vecs.append(v)
+    # every zero comes out as +0.0, as from the stacked loop
+    vecs = np.array(vecs, dtype=np.complex128) + 0.0 if want_vectors else None
+    return np.array(vals) + 0.0, vecs
 
 
 def herm_eig(p) -> HermSpectrum:

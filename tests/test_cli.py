@@ -229,15 +229,21 @@ def test_metric_beyond_the_float_range_exits_two(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["metric", "symcheck"])
-def test_overflowing_intermediate_exits_two(tmp_path, capsys, command):
-    # finite entries whose left defect (metric) or whose coordinates'
-    # antisymmetric part (symcheck, canonical pair) leave the float range
-    if command == "metric":
-        args = [save(tmp_path, "t.json", np.full((2, 3), 1e150)),
-                save(tmp_path, "s.json", np.full((2, 3), 2e150))]
-    else:
-        args = [save(tmp_path, "m.json", [[0.0, 1.5e308], [-1.5e308, 0.0]])]
+# case -> finite files whose left defect (metric), whose held Gram spectrum
+# (metric-factor: the norm 1e160 fits, its square does not; a factor's
+# ceiling is sqrt(float max) = 1.34e154) or whose coordinates' antisymmetric
+# part (symcheck, canonical pair) leave the float range
+OVERFLOWING = {
+    "metric": [np.full((2, 3), 1e150), np.full((2, 3), 2e150)],
+    "metric-factor": [[[1e160]], [[1.0]]],
+    "symcheck": [[[0.0, 1.5e308], [-1.5e308, 0.0]]],
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWING))
+def test_overflowing_intermediate_exits_two(tmp_path, capsys, case):
+    command = case.split("-")[0]
+    args = [save(tmp_path, f"{i}.json", mat) for i, mat in enumerate(OVERFLOWING[case])]
     assert main([command, *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -212,15 +212,17 @@ def test_norm_beyond_the_float_range_raises_typed_error():
 
 
 def test_no_convergence_names_sweeps_and_remaining_mass(monkeypatch):
+    # side 3 runs the scalar loop, side 6 the stacked one: one text
     monkeypatch.setattr(opball.matkernel, "_MAX_SWEEPS", 1)
-    h = rand_herm(np.random.default_rng(31), 6)
-    with pytest.raises(NoConvergence) as info:
-        herm_eig(h)
-    match = re.fullmatch(
-        r"Jacobi iteration did not converge in 1 sweeps: off-diagonal mass "
-        r"(\S+) of the matrix norm remains", str(info.value))
-    assert match is not None
-    assert 0.0 < float(match.group(1)) < 1.0
+    rng = np.random.default_rng(31)
+    for n in (3, 6):
+        with pytest.raises(NoConvergence) as info:
+            herm_eig(rand_herm(rng, n))
+        match = re.fullmatch(
+            r"Jacobi iteration did not converge in 1 sweeps: off-diagonal mass "
+            r"(\S+) of the matrix norm remains", str(info.value))
+        assert match is not None, n
+        assert 0.0 < float(match.group(1)) < 1.0
 
 
 def same_bytes(x, y) -> bool:
@@ -254,7 +256,7 @@ def herm_members(rng, n):
     return [m.astype(complex) for m in members]
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
 def test_stacked_jacobi_is_the_member_loop(n):
     from opball.matkernel import _jacobi, _pow2_scaled
 
@@ -270,6 +272,30 @@ def test_stacked_jacobi_is_the_member_loop(n):
                 assert same_bytes(vecs[i], alone_vecs[0]), (n, i)
             else:
                 assert vecs is None and alone_vecs is None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_scalar_and_stacked_jacobi_agree(n):
+    # the scalar loop serves sides 2 and 3; the stacked loop runs any side
+    from opball.matkernel import _jacobi_scalar, _jacobi_stacked, _pow2_scaled
+
+    eps = float(np.finfo(float).eps)
+    rng = np.random.default_rng(36)
+    scaled, _ = _pow2_scaled(np.stack(herm_members(rng, n)))
+    stack = 0.5 * (scaled + scaled.conj().swapaxes(1, 2))
+    solved = [loop(stack, True) for loop in (_jacobi_scalar, _jacobi_stacked)]
+    for i, member in enumerate(stack):
+        bound = 8 * n * eps * np.linalg.norm(member)
+        ref = np.linalg.eigvalsh(member)
+        ascending = []
+        for vals, bases in solved:
+            basis = bases[i]
+            assert np.linalg.norm(basis.conj().T @ basis - np.eye(n)) <= 8 * n * eps, (n, i)
+            recon = (basis * vals[i]) @ basis.conj().T
+            assert np.linalg.norm(recon - member) <= bound, (n, i)
+            ascending.append(np.sort(vals[i]))
+            assert np.abs(ascending[-1] - ref).max() <= bound, (n, i)
+        assert np.abs(ascending[0] - ascending[1]).max() <= bound, (n, i)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (3, 5), (4, 4)])
@@ -424,28 +450,30 @@ def test_malformed_matrix_input_is_a_shape_mismatch(entry, value):
 
 def test_no_convergence_names_the_member_left(monkeypatch):
     # a Hermitian M has the Gram matrix M M* = M^2, of the same pattern:
-    # diagonal, one active pair, dense
+    # diagonal, one active pair, dense; side 3 runs the scalar loop, side 4
+    # the stacked one
     monkeypatch.setattr(opball.matkernel, "_MAX_SWEEPS", 1)
     rng = np.random.default_rng(35)
-    diagonal = np.diag([0.5, -0.25, 0.75, 0.125]).astype(complex)
-    one_pair = one_pair_herm(rng, 4)
-    dense = rand_herm(rng, 4)
-    messages = []
-    for solve in (gram_factor, op_norm):
-        solve(np.stack([diagonal, one_pair]))  # converged in 0 and 1 sweeps
-        with pytest.raises(NoConvergence) as alone:
-            solve(dense)
-        messages.append(str(alone.value))
-        for members, where in (([diagonal, one_pair, dense], 2), ([dense, diagonal], 0)):
-            with pytest.raises(NoConvergence) as info:
-                solve(np.stack(members))
-            member = f" (stack member {where} of {len(members)})"
-            assert str(info.value) == str(alone.value) + member
-    assert messages[0] == messages[1]  # one solve route, one message
-    match = re.fullmatch(
-        r"Jacobi iteration did not converge in 1 sweeps: off-diagonal mass "
-        r"(\S+) of the matrix norm remains", str(alone.value))
-    assert match is not None and 0.0 < float(match.group(1)) < 1.0
+    for n in (3, 4):
+        diagonal = np.diag([0.5, -0.25, 0.75, 0.125][:n]).astype(complex)
+        one_pair = one_pair_herm(rng, n)
+        dense = rand_herm(rng, n)
+        messages = []
+        for solve in (gram_factor, op_norm):
+            solve(np.stack([diagonal, one_pair]))  # converged in 0 and 1 sweeps
+            with pytest.raises(NoConvergence) as alone:
+                solve(dense)
+            messages.append(str(alone.value))
+            for members, where in (([diagonal, one_pair, dense], 2), ([dense, diagonal], 0)):
+                with pytest.raises(NoConvergence) as info:
+                    solve(np.stack(members))
+                member = f" (stack member {where} of {len(members)})"
+                assert str(info.value) == str(alone.value) + member
+        assert messages[0] == messages[1]  # one solve route, one message
+        match = re.fullmatch(
+            r"Jacobi iteration did not converge in 1 sweeps: off-diagonal mass "
+            r"(\S+) of the matrix norm remains", str(alone.value))
+        assert match is not None and 0.0 < float(match.group(1)) < 1.0, n
 
 
 def test_gram_power_repeats_its_bytes_and_a_floor_hit_raises_every_time():
