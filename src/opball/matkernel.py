@@ -44,15 +44,18 @@ one round-robin schedule and rotates each pair above the skip threshold by
 the overflow-free hypot angle, and a member stops once its off-diagonal
 mass is below the stop threshold, in one of two loops picked by the side
 alone, never by the stack length.  Side 4 and up runs the stacked loop:
-each round rotates the active pairs of every member at once from one cached
-plan per stack length and size, a converged member is masked out of later
-rounds, and a member with no active pair takes an identity rotation, which
-can flip the sign of a zero but changes no nonzero entry.  Sides 2 and 3,
-where a round holds one pair, run the scalar loop, one member at a time on
-Python complex numbers: a stacked round costs about 30 numpy dispatches
-however little it rotates, so the scalar loop wins there until a stack
-holds about 7 (side 2) or 15 (side 3) members, more than the package stacks
-but in ``approx --dim-k 1`` (dim_h members of side 2).  Every zero is
+each round rotates the active pairs of every member at once, from indices
+cached per stack length, size and workspace, a converged member is masked
+out of later rounds, and a member with no active pair takes an identity
+rotation, which can flip the sign of a zero but changes no nonzero entry.
+Each member's matrix and its accumulated vectors share one workspace, so a
+round is two complex products, one for the columns of both and one for the
+rows of the matrix, among about 25 numpy calls (about 18 us a round at side
+8).  Sides 2 and 3, where a round holds one pair, run the scalar loop, one
+member at a time on Python complex numbers: a stacked round costs those
+calls however little it rotates, so the scalar loop wins there until a
+stack holds about 7 (side 2) or 14 (side 3) members, more than the package
+stacks but in ``approx --dim-k 1`` (dim_h members of side 2).  Every zero is
 returned as +0.0, so either way each member's eigenvalues and vectors are
 exactly the bytes it gives alone.
 At desk sizes (side <= 64) it converges in a handful of sweeps and keeps the
@@ -99,11 +102,13 @@ from .tolerances import DEFAULT
 _MAX_SWEEPS = 42
 # sides up to this rotate one member at a time on Python complex numbers: at
 # side 2 or 3 every round rotates one pair per member, and a stacked round
-# costs about 30 numpy dispatches (15-20 us) however little it rotates
+# costs about 25 numpy calls, two of them products (about 18 us at side 8),
+# however little it rotates
 _SCALAR_SIDE = 3
 
 _EPS = float(np.finfo(float).eps)
 _EMPTY = "stack is empty: need at least one member"
+_NOT_FINITE = "matrix entries must be finite"
 _OUT_OF_RANGE = f"result exceeds the float range (max {np.finfo(float).max:.3e})"
 _MAX_BYTES = int(np.iinfo(np.intp).max)
 
@@ -199,7 +204,7 @@ def _checked(m: np.ndarray, ndim: int) -> np.ndarray:
         raise ShapeMismatch(f"expected {what}, got ndim={m.ndim}")
     require_positive(m.shape)
     if not np.isfinite(m).all():
-        raise ShapeMismatch("matrix entries must be finite")
+        raise ShapeMismatch(_NOT_FINITE)
     return _freeze(m)
 
 
@@ -240,11 +245,13 @@ def adj(a: np.ndarray) -> np.ndarray:
 
 def fro_norm(a: np.ndarray):
     """Frobenius norm of a matrix (cheap upper bound for the spectral norm),
-    summed at :func:`_pow2_scaled`'s scale so that no square overflows; a
-    norm past the float range raises :class:`ShapeMismatch`.  A float for a
-    matrix; for a stack (b, rows, cols), the array of its members' norms,
-    each the bytes it gives alone."""
+    summed at :func:`_pow2_scaled`'s scale so that no square overflows; an
+    entry that is not finite, or a norm past the float range, raises
+    :class:`ShapeMismatch`.  A float for a matrix; for a stack (b, rows,
+    cols), the array of its members' norms, each the bytes it gives alone."""
     m = np.ascontiguousarray(a, dtype=np.complex128)
+    if not np.isfinite(m).all():
+        raise ShapeMismatch(_NOT_FINITE)
     s, exp = _pow2_scaled(m if m.ndim == 3 else m[None])
     norms = _unscaled(np.sqrt((np.abs(s) ** 2).sum(axis=(1, 2))), exp)
     return float(norms[0]) if m.ndim == 2 else norms
@@ -260,9 +267,6 @@ class HermSpectrum:
 
     eigenvalues: np.ndarray
     basis: np.ndarray
-
-
-_PLANS: dict[tuple[int, int], tuple] = {}
 
 
 @functools.cache
@@ -284,30 +288,51 @@ def _schedule(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rounds)
 
 
+@functools.cache
+def _pair_plan(n: int) -> tuple:
+    """For :func:`_jacobi_scalar` at side ``n``: the pairs of
+    :func:`_schedule` in sweep order, for each pair the other indices, and
+    the rows of the identity."""
+    pairs = tuple(pq for rnd in _schedule(n) for pq in rnd)
+    others = tuple(tuple(k for k in range(n) if k != p and k != q) for p, q in pairs)
+    return pairs, others, tuple(tuple(complex(j == k) for k in range(n)) for j in range(n))
+
+
+@functools.cache
 def _plan(b: int, n: int) -> tuple:
-    """Jacobi constants for a stack of ``b`` matrices of side ``n``, as flat
-    indices into the stack: per round of :func:`_schedule` the entries
-    (p, q), (q, p), (p, p) and (q, q) of each of its pairs in every member;
-    the identity stack; the diagonal entries; the off-diagonal entries per
-    member; and the offsets that sort each member's eigenpairs."""
-    cached = _PLANS.get((b, n))
-    if cached is not None:
-        return cached
-    start = np.arange(b)[:, None] * (n * n)
+    """Constants for a stack of ``b`` matrices of side ``n``: the identity
+    stack, and the offsets that sort each member's eigenpairs."""
+    ident = np.zeros((b, n, n), dtype=np.complex128)
+    ident.reshape(b, -1)[:, :: n + 1] = 1.0
+    sort = (np.arange(b)[:, None, None] * (n * n) + np.arange(n)[:, None] * n, np.arange(b)[:, None] * n)
+    return _freeze(ident), sort
+
+
+@functools.cache
+def _rounds(b: int, n: int, rows: int) -> tuple:
+    """Flat indices of the stacked Jacobi loop into a workspace of ``b``
+    members of shape (rows, n), each member's matrix in its first ``n``
+    rows.  Per round of :func:`_schedule`, for its pairs (p, q) in every
+    member: the entries (p, q); the diagonal entries (p, p) and (q, q), two
+    rows; the entries (p, q) and (q, p), two rows; and the entries (p, p),
+    (p, q), (q, p) and (q, q) of the rotation, four rows into a stack of
+    (n, n).  Then the diagonal entries, and the off-diagonal entries per
+    member."""
+    start = np.arange(b)[:, None] * (rows * n)
+    at = np.arange(b)[:, None] * (n * n)
     rounds = []
     for pairs in _schedule(n):
         p, q = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        rounds.append(tuple(
-            (start + entry).ravel() for entry in (p * n + q, q * n + p, p * (n + 1), q * (n + 1))
+        pq, qp, pp, qq = p * n + q, q * n + p, p * (n + 1), q * (n + 1)
+        rounds.append((
+            (start + pq).ravel(),
+            np.stack([(start + e).ravel() for e in (pp, qq)]),
+            np.stack([(start + e).ravel() for e in (pq, qp)]),
+            np.stack([(at + e).ravel() for e in (pp, pq, qp, qq)]),
         ))
     diag = (start + np.arange(n) * (n + 1)).ravel()
-    ident = np.zeros((b, n, n), dtype=np.complex128)
-    ident.reshape(-1)[diag] = 1.0
     off = start + np.flatnonzero(~np.eye(n, dtype=bool))
-    sort = (start[:, :, None] + np.arange(n)[:, None] * n, np.arange(b)[:, None] * n)
-    plan = rounds, _freeze(ident), diag, off, sort
-    _PLANS[(b, n)] = plan
-    return plan
+    return rounds, diag, off
 
 
 def _pow2_scaled(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,7 +364,7 @@ def _sorted_eig(vals: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.nda
     result or a transported spectrum, with each member's eigenvalues
     ascending (stable) and its basis columns (read-only) in the same order."""
     order = np.argsort(vals, axis=1, kind="stable")
-    cols_at, vals_at = _plan(*vals.shape)[4]
+    cols_at, vals_at = _plan(*vals.shape)[1]
     basis = basis.reshape(-1)[order[:, None, :] + cols_at]
     return vals.reshape(-1)[order + vals_at], _freeze(basis)
 
@@ -369,7 +394,7 @@ def _jacobi(h: np.ndarray, want_vectors: bool = True) -> tuple[np.ndarray, np.nd
     """
     b, n, _ = h.shape
     if n == 1:
-        return h.real.reshape(b, 1) + 0.0, _plan(b, 1)[1] if want_vectors else None
+        return h.real.reshape(b, 1) + 0.0, _plan(b, 1)[0] if want_vectors else None
     loop = _jacobi_scalar if n <= _SCALAR_SIDE else _jacobi_stacked
     return loop(h, want_vectors)
 
@@ -396,20 +421,29 @@ def _no_convergence(sweeps: int, mass: float, scale: float, i: int, b: int) -> N
 def _jacobi_stacked(h: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """:func:`_jacobi` on numpy stacks, for sides above ``_SCALAR_SIDE``.
 
-    In each round the active pairs of all members rotate together, as one
-    unitary per member from the cached :func:`_plan`; a round with no
-    active pair is skipped, and a converged member is masked out of every
-    later round.  A member with no active pair in a round is multiplied by
-    an identity block, which can flip the sign of a zero and changes
-    nothing else, so the returns add +0.0.
+    Each member's matrix A sits in one workspace W, with its accumulated
+    vectors V below it when they are wanted.  In each round the active
+    pairs of all members rotate together, as one unitary U per member from
+    the cached :func:`_rounds`: W U rotates the columns of A and of V in one
+    product, and U* (A U) the rows of A in a second.  U is built by one
+    scatter, the rotated (p, q) and (q, p) entries are zeroed by one, and
+    both diagonals are read by one gather, about 25 numpy calls a round in
+    all.  The angle is taken as t = 2|a_pq| / (d + copysign(hypot(d,
+    2|a_pq|), d)), the bits of the form in :func:`_jacobi` with one call
+    fewer.  A round with no active pair is skipped, and a
+    converged member is masked out of every later round.  A member with no
+    active pair in a round is multiplied by an identity block, which can
+    flip the sign of a zero and changes nothing else, so the returns add
+    +0.0.
     """
     b, n, _ = h.shape
-    rounds, ident, diag, off, _ = _plan(b, n)
-    a = h.reshape(-1)
-    flat = a.reshape(b, -1)
+    ident, _ = _plan(b, n)
+    rounds, diag, off = _rounds(b, n, 2 * n if want_vectors else n)
+    flat = h.reshape(b, -1)
     scale = np.sqrt(np.vecdot(flat, flat).real)
     skip, stop = _thresholds(scale, n)
-    v = ident.copy() if want_vectors else None
+    w = np.concatenate((h, ident), axis=1) if want_vectors else h
+    a = w.reshape(-1)
     pairs = len(rounds[0][0]) // b
     skip_at = np.repeat(skip, pairs)
     # how many members have converged; skip_at masks them out
@@ -422,7 +456,7 @@ def _jacobi_stacked(h: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.n
         done = mass <= stop
         count = np.count_nonzero(done)
         if count == b:
-            return a.real[diag].reshape(b, n) + 0.0, None if v is None else v + 0.0
+            return a.real[diag].reshape(b, n) + 0.0, w[:, n:] + 0.0 if want_vectors else None
         if count > settled:
             settled = count
             skip_at = np.repeat(np.where(done, np.inf, skip), pairs)
@@ -430,7 +464,7 @@ def _jacobi_stacked(h: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.n
             i = int(np.flatnonzero(~done)[0])
             raise _no_convergence(sweeps, mass[i], scale[i], i, b)
         sweeps += 1
-        for pq, qp, pp, qq in rounds:
+        for pq, pp_qq, pq_qp, at in rounds:
             apq = a[pq]
             r = np.abs(apq)
             act = r > skip_at
@@ -438,25 +472,23 @@ def _jacobi_stacked(h: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.n
             if not count:
                 continue
             if count < act.size:
-                pq, qp, pp, qq, apq, r = pq[act], qp[act], pp[act], qq[act], apq[act], r[act]
-            d = a.real
-            delta, r2 = d[qq] - d[pp], 2.0 * r
-            t = np.copysign(r2, delta) / (np.abs(delta) + np.hypot(delta, r2))
+                apq, r, pp_qq, pq_qp, at = apq[act], r[act], pp_qq[:, act], pq_qp[:, act], at[:, act]
+            d = a.real[pp_qq]
+            delta, r2 = d[1] - d[0], r + r
+            t = r2 / (delta + np.copysign(np.hypot(delta, r2), delta))
             c = 1.0 / np.hypot(1.0, t)
             s = t * c
             phase = apq / r
             u = ident.copy()
-            flat_u = u.reshape(-1)
-            flat_u[pp] = c * phase
-            flat_u[pq] = s * phase
-            flat_u[qp] = -s
-            flat_u[qq] = c
-            a = (adj(u) @ a.reshape(b, n, n) @ u).reshape(-1)
-            a[pq] = 0.0
-            a[qp] = 0.0
+            u.reshape(-1)[at] = np.concatenate((c * phase, s * phase, -s, c)).reshape(4, -1)
+            w = w @ u
+            if want_vectors:
+                w[:, :n] = adj(u) @ w[:, :n]
+            else:
+                w = adj(u) @ w
+            a = w.reshape(-1)
+            a[pq_qp] = 0.0
             a.imag[diag] = 0.0
-            if v is not None:
-                v = v @ u
 
 
 def _jacobi_scalar(h: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
@@ -470,13 +502,11 @@ def _jacobi_scalar(h: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.nd
     its rows and columns off the pair are A u's, kept Hermitian.
     """
     b, n, _ = h.shape
-    pairs = [pq for rnd in _schedule(n) for pq in rnd]
-    others = [[k for k in range(n) if k != p and k != q] for p, q in pairs]
-    eye = [[complex(j == k) for k in range(n)] for j in range(n)]
+    pairs, others, eye = _pair_plan(n)
     vals, vecs = [], []
     for i, a in enumerate(h.tolist()):
         d = [a[k][k].real for k in range(n)]
-        v = [row[:] for row in eye] if want_vectors else None
+        v = [list(row) for row in eye] if want_vectors else None
         scale = math.sqrt(sum(x.real * x.real + x.imag * x.imag for row in a for x in row))
         skip, stop = _thresholds(scale, n)
         sweeps = 0

@@ -72,6 +72,14 @@ def test_an_empty_matrix_has_frobenius_norm_zero():
     assert fro_norm(np.zeros((2, 0, 3))).tolist() == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+def test_fro_norm_refuses_an_entry_that_is_not_finite_as_op_norm_does(entry):
+    for call in (fro_norm, op_norm):
+        for m in ([[entry]], [[[1.0, 0.0]], [[0.0, entry]]]):
+            with pytest.raises(ShapeMismatch, match="^matrix entries must be finite$"):
+                call(np.array(m, dtype=complex))
+
+
 # a real or imaginary part: 0 or +-2^k over the whole float range,
 # subnormals included
 _PART = st.one_of(

@@ -256,8 +256,10 @@ def herm_members(rng, n):
     return [m.astype(complex) for m in members]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 16])
 def test_stacked_jacobi_is_the_member_loop(n):
+    # at even n every index is paired in every round: the rotation of an
+    # active member has no identity entry
     from opball.matkernel import _jacobi, _pow2_scaled
 
     rng = np.random.default_rng(32)
@@ -274,9 +276,12 @@ def test_stacked_jacobi_is_the_member_loop(n):
                 assert vecs is None and alone_vecs is None
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16])
 def test_scalar_and_stacked_jacobi_agree(n):
-    # the scalar loop serves sides 2 and 3; the stacked loop runs any side
+    # the scalar loop serves sides 2 and 3, the stacked loop 4 and up; both
+    # run any side.  The diagonal member never rotates, so every active
+    # stacked round rotates part of the stack; the members converge after 0
+    # (diagonal, zero), 1 (one pair) or several sweeps (dense, block)
     from opball.matkernel import _jacobi_scalar, _jacobi_stacked, _pow2_scaled
 
     eps = float(np.finfo(float).eps)
@@ -284,6 +289,8 @@ def test_scalar_and_stacked_jacobi_agree(n):
     scaled, _ = _pow2_scaled(np.stack(herm_members(rng, n)))
     stack = 0.5 * (scaled + scaled.conj().swapaxes(1, 2))
     solved = [loop(stack, True) for loop in (_jacobi_scalar, _jacobi_stacked)]
+    # the eigenvalues do not depend on whether the vectors are kept
+    assert same_bytes(_jacobi_stacked(stack, False)[0], solved[1][0])
     for i, member in enumerate(stack):
         bound = 8 * n * eps * np.linalg.norm(member)
         ref = np.linalg.eigvalsh(member)
