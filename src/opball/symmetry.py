@@ -22,6 +22,11 @@ through its coordinates B = first* N in the frame.  T is symmetric exactly
 when B = transpose(B), its matrix in the conjugation's frame being symmetric
 (Garcia & Putinar, Trans. AMS 358, 2006); ``symmetry_residual`` returns
 ||B - transpose(B)||.  For the canonical pair B is the leading square block.
+
+A pair is gated where its frame is received (the constructor, hence
+``read_pair``) or computed (``random_pair`` through the constructor, and
+``induced_pairs`` at 1e-8); an exact or derived frame is built without a
+second gate.
 """
 
 from __future__ import annotations
@@ -68,9 +73,12 @@ class ConjugationPair:
     Only ``j_fwd`` is stored; ``j_bwd`` is its transpose, so the pairing
     axiom holds by construction.  Construction checks the one invariant,
     first* first = I, against ``DEFAULT.pair_residual``; the partner is then
-    contractive.  The pairs of :func:`induced_pairs` are checked as one
-    stack before they are built, against ``DEFAULT.induced_pair_residual``,
-    and skip this per-pair check.
+    contractive.  A pair is gated where its frame is received (this
+    constructor, hence ``read_pair``) or computed (``random_pair`` through
+    this constructor, and :func:`induced_pairs` at
+    ``DEFAULT.induced_pair_residual``); an exact or derived frame
+    (:func:`canonical_pair`, :func:`swap_roles`, :func:`double_pair`) is
+    built by :func:`_built` without a second gate.
     """
 
     j_fwd: np.ndarray
@@ -129,20 +137,25 @@ def _gate_isometry(firsts: np.ndarray, tol: float) -> None:
         raise ShapeMismatch(f"conjugation pair isometry gap {beyond:.3e} exceeds {tol:.1e}")
 
 
+def _built(j_fwd: np.ndarray, side: Side) -> ConjugationPair:
+    """The pair (j_fwd, side), storing what the constructor stores, a
+    read-only C-ordered complex128 ``j_fwd``, without its isometry gate: the
+    one place a pair is made without its constructor, for a frame gated as
+    a stack, built exactly, or derived from a gated pair."""
+    j_fwd = np.ascontiguousarray(j_fwd, dtype=np.complex128)
+    j_fwd.setflags(write=False)
+    pair = object.__new__(ConjugationPair)
+    object.__setattr__(pair, "j_fwd", j_fwd)
+    object.__setattr__(pair, "side", side)
+    return pair
+
+
 def _checked_pairs(frames: np.ndarray, side: Side) -> list[ConjugationPair]:
-    """The pairs (j_fwd, side) of each ``j_fwd`` of a read-only C-ordered
-    stack, after their isometry gaps are gated as one stack against
-    ``DEFAULT.induced_pair_residual``: each pair is what
-    ``ConjugationPair(j_fwd, side)`` builds, without its per-pair check at
-    ``DEFAULT.pair_residual``.  The one place a pair skips that check."""
+    """The pairs (j_fwd, side) of each ``j_fwd`` of a stack of computed
+    frames, built by :func:`_built` after their isometry gaps are gated as
+    one stack against ``DEFAULT.induced_pair_residual``."""
     _gate_isometry(_first(frames, side), DEFAULT.induced_pair_residual)
-    pairs = []
-    for j_fwd in frames:
-        pair = object.__new__(ConjugationPair)
-        object.__setattr__(pair, "j_fwd", j_fwd)
-        object.__setattr__(pair, "side", side)
-        pairs.append(pair)
-    return pairs
+    return [_built(j_fwd, side) for j_fwd in frames]
 
 
 def pair_residual(pair: ConjugationPair) -> float:
@@ -164,7 +177,7 @@ def canonical_pair(m: int, n: int) -> ConjugationPair:
     require_positive((n, m))
     fwd = np.zeros((n, m), dtype=np.complex128)
     fwd[:m, :m] = np.eye(m)
-    return ConjugationPair(fwd, Side.BWD_FWD)
+    return _built(fwd, Side.BWD_FWD)
 
 
 def identity_pair(n: int) -> ConjugationPair:
@@ -296,7 +309,7 @@ def swap_roles(pair: ConjugationPair) -> ConjugationPair:
     """The same two conjugate-linear maps viewed as a pair in the opposite
     direction; the identity composition stays on the same space, so the side
     flag flips."""
-    return ConjugationPair(pair.j_bwd, _other_side(pair.side))
+    return _built(pair.j_bwd, _other_side(pair.side))
 
 
 def double_pair(pair: ConjugationPair) -> ConjugationPair:
@@ -309,7 +322,7 @@ def double_pair(pair: ConjugationPair) -> ConjugationPair:
     fwd = np.zeros((2 * d, 2 * s), dtype=np.complex128)
     fwd[:d, s:] = pair.j_fwd
     fwd[d:, :s] = pair.j_fwd
-    return ConjugationPair(fwd, pair.side)
+    return _built(fwd, pair.side)
 
 
 def extension_blocks(mat, pair: ConjugationPair) -> np.ndarray:

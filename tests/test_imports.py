@@ -2,7 +2,8 @@
 function or class it defines is referenced in the package, no module uses
 ``numpy.linalg`` or drops the ints ``as_integers`` returns, no module but
 ``matkernel`` scales by powers of two or silences numpy's float warnings,
-and the package re-exports the paper's objects, not the batched forms behind them.
+no object is made without its constructor but in ``symmetry._built``, and
+the package re-exports the paper's objects, not the batched forms behind them.
 
 The package's ``__init__.py`` imports names only to re-export them, so it is
 not walked for unused imports.  A name counts as used when the module refers
@@ -148,6 +149,46 @@ def test_a_float_range_use_is_found():
         "from numpy import errstate, ldexp (line 2)", "np.errstate (line 4)",
         "np.frexp (line 5)",
     ]
+
+
+def _stray_constructions(tree: ast.Module, allowed: str) -> list[str]:
+    """Each ``object.__new__`` attribute outside the top-level function
+    ``allowed``, with its line, in line order."""
+    inside = {
+        id(node)
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and top.name == allowed
+        for node in ast.walk(top)
+    }
+    found = [
+        (node.lineno, f"{ast.unparse(node)} (line {node.lineno})")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+        and id(node) not in inside
+    ]
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_a_pair_skips_its_constructor_only_in_built(module):
+    # symmetry._built is the one place an object is made without its
+    # constructor: the pairs of exact, derived and stack-gated frames
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    assert _stray_constructions(tree, "_built" if module == "symmetry.py" else "") == []
+
+
+def test_a_stray_construction_is_found():
+    tree = ast.parse(
+        "def _built(j):\n    return object.__new__(Pair)\n\n\n"
+        "def pairs(frames):\n    new = object.__new__\n"
+        "    return [object.__new__(Pair) for _ in frames]\n\n\n"
+        "class Pair:\n    def __new__(cls):\n        return super().__new__(cls)\n"
+    )
+    assert _stray_constructions(tree, "_built") == [
+        "object.__new__ (line 6)", "object.__new__ (line 7)",
+    ]
+    assert len(_stray_constructions(tree, "")) == 3
 
 
 def _unreferenced_private(trees) -> list[str]:

@@ -305,6 +305,40 @@ def test_scalar_and_stacked_jacobi_agree(n):
         assert np.abs(ascending[0] - ascending[1]).max() <= bound, (n, i)
 
 
+def _sweeps(monkeypatch, member, want_vectors):
+    """The sweeps the stacked loop takes on one member: the fewest
+    ``_MAX_SWEEPS`` it converges within."""
+    from opball.matkernel import _jacobi_stacked
+
+    for limit in range(1, 43):
+        monkeypatch.setattr(opball.matkernel, "_MAX_SWEEPS", limit)
+        try:
+            _jacobi_stacked(member[None], want_vectors)
+            return limit
+        except NoConvergence:
+            pass
+    raise AssertionError("no convergence in 42 sweeps")
+
+
+def test_stacked_jacobi_sweeps_on_a_repeated_eigenvalue(monkeypatch):
+    # I - c G for the Gram matrix G = M M* of a rank-k M: the eigenvalue 1 is
+    # repeated n - k times, as in the defect of a rectangular ball point.
+    # Zeroing the rotated (p, q) and (q, p) entries each round keeps their
+    # roundoff out of the off-diagonal mass: these 288 members take 1079
+    # sweeps, and 1151 on a copy of the loop without that zeroing
+    rng = np.random.default_rng(60)
+    total = 0
+    for n in (5, 6, 7, 8):
+        for k in (1, 2, 3):
+            for want_vectors in (True, False):
+                for _ in range(12):
+                    m = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+                    g = m @ m.conj().T
+                    h = np.eye(n) - (0.9 / np.abs(g).sum()) * g
+                    total += _sweeps(monkeypatch, 0.5 * (h + h.conj().T), want_vectors)
+    assert total <= 1110
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (3, 5), (4, 4)])
 def test_stacked_gram_factor_and_op_norm_are_the_member_loop(shape):
     rng = np.random.default_rng(34)
@@ -444,10 +478,13 @@ MALFORMED_MATRICES = {
     "stack-of-shapes": [[[1, 2]], [[1, 2], [3, 4]]],
     "integer-past-float-range": [[10**400]],
     "none": None,
+    "vector": [1.0, 2.0],
+    "scalar": 3.0,
+    "4-d": np.zeros((1, 1, 2, 2)),
 }
 
 
-@pytest.mark.parametrize("entry", [as_cmat, op_norm, BallPoint, OperatorHK])
+@pytest.mark.parametrize("entry", [as_cmat, op_norm, fro_norm, BallPoint, OperatorHK])
 @pytest.mark.parametrize("value", MALFORMED_MATRICES.values(), ids=MALFORMED_MATRICES)
 def test_malformed_matrix_input_is_a_shape_mismatch(entry, value):
     # every entry reads a matrix through as_cmat / as_cstack, the one converter
@@ -677,10 +714,17 @@ def test_gram_power_floor_matches_explicit_route(shape, side):
 
 def test_gram_power_rejects_unsupported_arguments():
     factor = gram_factor(np.eye(2))
-    with pytest.raises(ValueError):
-        powers((factor,), 1.0, 1.0, "left")
-    with pytest.raises(ValueError):
-        powers((factor,), 1.0, 0.5, "up")
+    point = BallPoint(0.5 * np.eye(2))
+    calls = {
+        "sign=1.0, power=1.0, side='left'": lambda: powers((factor,), 1.0, 1.0, "left"),
+        "sign=1.0, power=0.5, side='up'": lambda: powers((factor,), 1.0, 0.5, "up"),
+        "sign=-1.0, power=0.3, side='left'": lambda: point.defect(0.3, "left"),
+        "sign=-1.0, power=0.5, side='up'": lambda: point.defect(0.5, "up"),
+    }
+    for args, call in calls.items():
+        with pytest.raises(ShapeMismatch) as info:
+            call()
+        assert str(info.value) == f"unsupported Gram power {args}"
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (4, 2), (2, 4)])

@@ -38,6 +38,8 @@ from opball import (
     ball_dist,
     ball_dists,
     bounded_transform,
+    canonical_pair,
+    double_pair,
     ensemble_experiment,
     gram_factor,
     identity_pair,
@@ -210,15 +212,39 @@ def gate_stacks(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 113])
 def test_profile_gate_calls(gate_stacks, seed):
-    # the random pair, the doubled pair, the induced pairs' symmetry
-    # pre-gate, and the isometry gaps of all 8 induced pairs as one stack
+    # the random pair, the induced pairs' symmetry pre-gate, and the isometry
+    # gaps of all 8 induced pairs as one stack; the doubled pair is derived
+    # from the gated random pair, so it is built without a gate
     ensemble_experiment(8, 2, 1, seed)
-    assert gate_stacks == [1, 1, 8, 8]
+    assert gate_stacks == [1, 8, 8]
 
 
 def test_identities_trial_gate_calls(gate_stacks):
+    # the canonical pair is exact and the doubled pair derived: no gate
     run_identities(0, 1, 8, 3, 1e-8)
-    assert len(gate_stacks) == 7
+    assert len(gate_stacks) == 5
+
+
+@pytest.mark.parametrize("side", [Side.BWD_FWD, Side.FWD_BWD])
+def test_exact_and_derived_pairs_decide_no_gate(gate_stacks, side):
+    p = random_pair(*((3, 5) if side is Side.BWD_FWD else (5, 3)), 53)
+    assert p.side is side and gate_stacks == [1]
+    other = Side.FWD_BWD if side is Side.BWD_FWD else Side.BWD_FWD
+    zero = np.zeros_like(p.j_fwd)
+    built = {
+        "canonical": (canonical_pair(3, 5), np.eye(5, 3), Side.BWD_FWD),
+        "identity": (identity_pair(4), np.eye(4), Side.BWD_FWD),
+        "swapped": (swap_roles(p), p.j_bwd, other),
+        "doubled": (double_pair(p), np.block([[zero, p.j_fwd], [p.j_fwd, zero]]), side),
+    }
+    assert gate_stacks == [1]
+    # each stores what the constructor stores for the same frame and side
+    for name, (pair, frame, frame_side) in built.items():
+        direct = ConjugationPair(frame, frame_side)
+        assert pair.side is direct.side, name
+        assert same_bytes(pair.j_fwd, direct.j_fwd), name
+        for flags in (pair.j_fwd.flags, direct.j_fwd.flags):
+            assert not flags.writeable and flags.c_contiguous, name
 
 
 @pytest.fixture
