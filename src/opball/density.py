@@ -30,7 +30,7 @@ import numpy as np
 
 from .ball import BallPoint
 from .errors import BadDepth, BadDims
-from .matkernel import as_integers, gram_factor, op_norm
+from .matkernel import as_integers, gram_factor, op_norm, require_positive
 from .sampling import random_operator
 from .symmetry import (
     ConjugationPair,
@@ -201,8 +201,9 @@ def ensemble_experiment(
     the Jacobi loop holds the GIL.  Each argument is computed with, and
     recorded in the report, as the Python int it parses to.  One that is
     not an integer, dimensions outside 1 <= dim_k <= dim_h, ``trials`` or
-    ``jobs`` below 1 and a negative ``seed`` raise :class:`BadDims` before
-    any trial runs.
+    ``jobs`` below 1 and a negative ``seed`` raise :class:`BadDims`, and
+    dimensions whose operator numpy cannot index :class:`ShapeMismatch`,
+    before any trial runs.
     """
     dim_h, dim_k, trials, seed, jobs = as_integers(
         dim_h=dim_h, dim_k=dim_k, trials=trials, seed=seed, jobs=jobs
@@ -215,6 +216,7 @@ def ensemble_experiment(
         raise BadDims(f"need jobs >= 1, got {jobs}")
     if seed < 0:
         raise BadDims("need seed >= 0")
+    require_positive((dim_k, dim_h))
     children = np.random.SeedSequence(seed).spawn(trials)
     run = partial(_run_trial, dim_h, dim_k)
     workers = min(jobs, trials, os.cpu_count() or 1)

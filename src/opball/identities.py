@@ -36,7 +36,15 @@ from .ball import (
     zero_point,
 )
 from .errors import BadDims
-from .matkernel import adj, as_integers, fro_norm, herm_inv_sqrt, inverse, op_norm
+from .matkernel import (
+    adj,
+    as_integers,
+    fro_norm,
+    herm_inv_sqrt,
+    inverse,
+    op_norm,
+    require_positive,
+)
 from .sampling import (
     complex_gaussian,
     random_ball_point,
@@ -313,7 +321,8 @@ def run_identities(
     ``tol`` as a float.  A dimension, ``trials`` or ``seed`` that is not an
     integer, a dimension below 1, a negative ``trials`` or ``seed``, or a
     ``tol`` that is not a real number positive and finite as a float, raises
-    :class:`BadDims` before any check runs."""
+    :class:`BadDims`, and dimensions whose operator numpy cannot index
+    :class:`ShapeMismatch`, before any check runs."""
     seed, trials, dim_h, dim_k = as_integers(
         seed=seed, trials=trials, dim_h=dim_h, dim_k=dim_k
     )
@@ -327,6 +336,7 @@ def run_identities(
         raise BadDims("need trials >= 0 and tol > 0")
     if seed < 0:
         raise BadDims("need seed >= 0")
+    require_positive((dim_k, dim_h))
     if trials == 0:
         return []
     reports = []

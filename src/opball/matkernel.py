@@ -125,7 +125,7 @@ def as_cmat(a) -> np.ndarray:
     Accepts anything ``np.asarray`` does, requires a 2-D shape with positive
     dimensions and finite entries, and returns a read-only complex128 copy.
     """
-    return _checked(_complex_array(a), 2)
+    return _checked(complex_array(a), 2)
 
 
 def as_cstack(a) -> tuple[np.ndarray, bool]:
@@ -135,7 +135,7 @@ def as_cstack(a) -> tuple[np.ndarray, bool]:
     matrix gains its stack axis after).  ``single`` when ``a`` is one
     matrix, which is a stack of one.  Mixed shapes, no matrix or a
     malformed member raise :class:`ShapeMismatch`."""
-    m = _complex_array(a)
+    m = complex_array(a)
     if m.ndim != 2 and m.shape[:1] == (0,):
         raise ShapeMismatch(_EMPTY)
     single = m.ndim == 2
@@ -143,10 +143,11 @@ def as_cstack(a) -> tuple[np.ndarray, bool]:
     return (m[None] if single else m), single
 
 
-def _complex_array(a) -> np.ndarray:
-    """``a`` as a C-ordered complex128 copy.  What numpy cannot read as a
-    regular complex array raises :class:`ShapeMismatch`: matrices of
-    different shapes naming their shapes, anything else quoting numpy."""
+def complex_array(a, what: str = "a complex matrix or stack of matrices") -> np.ndarray:
+    """``a`` as a C-ordered complex128 copy, of any shape.  What numpy
+    cannot read as a regular complex array raises :class:`ShapeMismatch`:
+    matrices of different shapes naming their shapes, anything else saying
+    it is not ``what`` and quoting numpy."""
     try:
         return np.array(a, dtype=np.complex128, order="C")
     except (ValueError, TypeError, OverflowError) as exc:
@@ -156,7 +157,7 @@ def _complex_array(a) -> np.ndarray:
             shapes = []
         if len(set(shapes)) > 1 and all(len(s) == 2 for s in shapes):
             raise _shapes_differ(shapes) from None
-        raise ShapeMismatch(f"not a complex matrix or stack of matrices: {exc}") from None
+        raise ShapeMismatch(f"not {what}: {exc}") from None
 
 
 def _shapes_differ(shapes) -> ShapeMismatch:
@@ -252,7 +253,7 @@ def fro_norm(a):
     entry that is not finite, or a norm past the float range raises
     :class:`ShapeMismatch`.  A float for a matrix; for a stack (b, rows,
     cols), the array of its members' norms, each the bytes it gives alone."""
-    m = _complex_array(a)
+    m = complex_array(a)
     if m.ndim not in (2, 3):
         raise ShapeMismatch(f"expected {_MATRIX_OR_STACK}, got ndim={m.ndim}")
     if not np.isfinite(m).all():

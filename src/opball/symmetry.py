@@ -43,6 +43,7 @@ from .matkernel import (
     as_cmat,
     as_cstack,
     as_integers,
+    complex_array,
     fro_norm,
     gram_factor,
     in_float_range,
@@ -150,14 +151,6 @@ def _built(j_fwd: np.ndarray, side: Side) -> ConjugationPair:
     return pair
 
 
-def _checked_pairs(frames: np.ndarray, side: Side) -> list[ConjugationPair]:
-    """The pairs (j_fwd, side) of each ``j_fwd`` of a stack of computed
-    frames, built by :func:`_built` after their isometry gaps are gated as
-    one stack against ``DEFAULT.induced_pair_residual``."""
-    _gate_isometry(_first(frames, side), DEFAULT.induced_pair_residual)
-    return [_built(j_fwd, side) for j_fwd in frames]
-
-
 def pair_residual(pair: ConjugationPair) -> float:
     """Spectral norm of the pair's one invariant gap, first* first - I (the
     identity composition's gap is its conjugate)."""
@@ -230,8 +223,9 @@ def random_pair(dim_src: int, dim_dst: int, seed) -> ConjugationPair:
 def conj_apply(pair: ConjugationPair, direction: str, x) -> np.ndarray:
     """Apply C1 (``direction='fwd'``) or C2 (``'bwd'``) to a vector, given
     as a 1-D array or as an n x 1 column; any other shape, or an entry that
-    is not finite, raises :class:`ShapeMismatch`."""
-    vec = np.asarray(x, dtype=np.complex128)
+    is not finite, or one numpy cannot read as a complex number, raises
+    :class:`ShapeMismatch`."""
+    vec = complex_array(x, "a complex vector")
     if vec.ndim not in (1, 2) or vec.shape[1:] not in ((), (1,)):
         raise ShapeMismatch(f"expected a vector or a column, got shape {vec.shape}")
     vec = vec.reshape(-1)
@@ -362,10 +356,12 @@ def induced_pair(a: BallPoint, pair: ConjugationPair) -> ConjugationPair:
     With B = first* N the coordinates of the oriented contraction and
     D = (I - N N*)^(1/2), the Gram matrix I - N* first first* N of the
     construction is I - B* B, the left defect of the ball point B*.  The
-    result's one free part is X = (I - B* B)^(-1/2) transpose(first) conj(D):
-    j_fwd = X for ``BWD_FWD``, and transpose(X) for ``FWD_BWD``, whose first
-    map and N are those of the exchanged spaces.  A margin collapsed below
-    the defect floor raises :class:`Singular`, as every inverse defect does.
+    result's one free part is X = (I - B* B)^(-1/2) transpose(first) conj(D),
+    and its frame is transpose(X) for either side: a ``BWD_FWD`` input gives
+    j_fwd = X on side ``FWD_BWD``, a ``FWD_BWD`` input, whose first map and
+    N are those of the exchanged spaces, j_fwd = transpose(X) on side
+    ``BWD_FWD``.  A margin collapsed below the defect floor raises
+    :class:`Singular`, as every inverse defect does.
     """
     return induced_pairs([a], pair)[0]
 
@@ -375,9 +371,10 @@ def induced_pairs(points, pair: ConjugationPair) -> list[ConjugationPair]:
     ``pair``, after every point's symmetry is checked: the coordinates, the
     symmetry gates, the factors of the coordinates B*, the defects, the free
     parts and the isometry gates of the new pairs each formed or solved as
-    one stack.  A new pair whose isometry gap exceeds
-    ``DEFAULT.induced_pair_residual`` raises, for the first such point, the
-    :class:`ShapeMismatch` of the constructor's gate at that tolerance."""
+    one stack.  A new pair whose frame transpose(X) has an isometry gap
+    beyond ``DEFAULT.induced_pair_residual`` raises, for the first such
+    point, the :class:`ShapeMismatch` of the constructor's gate at that
+    tolerance."""
     for a in points:
         require_shape(a.mat, (pair.dim_dst, pair.dim_src), "matrix for the pair")
     first = _first(pair.j_fwd, pair.side)
@@ -395,7 +392,9 @@ def induced_pairs(points, pair: ConjugationPair) -> list[ConjugationPair]:
     # (I - N N*)^(1/2): the left defect of M for BWD_FWD, the right for FWD_BWD
     defect_sqrt = defects(points, 0.5, "left" if primary else "right")
     x = defects(coords, -0.5, "left") @ first.T @ np.conj(defect_sqrt)
-    return _checked_pairs(as_cstack(x if primary else x.mT)[0], _other_side(pair.side))
+    _gate_isometry(x.mT, DEFAULT.induced_pair_residual)
+    side = _other_side(pair.side)
+    return [_built(j_fwd, side) for j_fwd in _first(x.mT, side)]
 
 
 def induced_operator(

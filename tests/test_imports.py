@@ -2,8 +2,9 @@
 function or class it defines is referenced in the package, no module uses
 ``numpy.linalg`` or drops the ints ``as_integers`` returns, no module but
 ``matkernel`` scales by powers of two or silences numpy's float warnings,
-no object is made without its constructor but in ``symmetry._built``, and
-the package re-exports the paper's objects, not the batched forms behind them.
+no object is made without its constructor but in ``symmetry._built``, no
+module imports another module's private name, and the package re-exports
+the paper's objects, not the batched forms behind them.
 
 The package's ``__init__.py`` imports names only to re-export them, so it is
 not walked for unused imports.  A name counts as used when the module refers
@@ -189,6 +190,58 @@ def test_a_stray_construction_is_found():
         "object.__new__ (line 6)", "object.__new__ (line 7)",
     ]
     assert len(_stray_constructions(tree, "")) == 3
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _foreign_private_names(tree: ast.Module) -> list[str]:
+    """Each single-underscore name taken from another module of the package,
+    imported (``from .x import _y``, or ``from opball.x import _y``) or read
+    as an attribute of a module of the package bound by an import
+    (``x._y``), with its line, in line order."""
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "opball"
+        ):
+            for alias in node.names:
+                if node.module is None or node.module == "opball":
+                    modules.add(alias.asname or alias.name)
+                if _private(alias.name):
+                    found.append((node.lineno, f"{alias.name} (line {node.lineno})"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "opball":
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr) and (
+            ast.unparse(node.value) in modules
+        ):
+            found.append((node.lineno, f"{ast.unparse(node)} (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_module_imports_another_modules_private_name(module):
+    # a private name is used only in the module that defines it; another
+    # module goes through a public name
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    assert _foreign_private_names(tree) == []
+
+
+def test_a_foreign_private_name_is_found():
+    tree = ast.parse(
+        "from . import matkernel\nfrom .ball import defects, _lift\n"
+        "from .matkernel import _freeze as freeze, __all__\nimport opball.symmetry as sym\n"
+        "import opball.ball\n\n\ndef f(self):\n    self._x = matkernel._jacobi(matkernel.adj)\n"
+        "    return sym._built(opball.ball._lift, matkernel.__name__)\n"
+    )
+    assert _foreign_private_names(tree) == [
+        "_lift (line 2)", "_freeze (line 3)", "matkernel._jacobi (line 9)",
+        "opball.ball._lift (line 10)", "sym._built (line 10)",
+    ]
 
 
 def _unreferenced_private(trees) -> list[str]:

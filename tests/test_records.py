@@ -183,6 +183,10 @@ SIZES_PAST_THE_INDEX_RANGE = {
     "canonical_pair(1, 10**20)": (lambda: canonical_pair(1, 10**20), (10**20, 1)),
     "random_pair(10**20, 1, 0)": (lambda: random_pair(10**20, 1, 0), (10**20, 1)),
     "zero_operator(10**10, 10**10)": (lambda: zero_operator(10**10, 10**10), (10**10, 10**10)),
+    "ensemble_experiment(10**20, 1, 1, 0)": (
+        lambda: ensemble_experiment(10**20, 1, 1, 0), (1, 10**20)),
+    "run_identities(0, 1, 10**20, 1, 1e-8)": (
+        lambda: run_identities(0, 1, 10**20, 1, 1e-8), (1, 10**20)),
 }
 
 

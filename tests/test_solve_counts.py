@@ -363,8 +363,9 @@ def test_pair_gate_accepts_spectral_residual_below_tolerance():
 def test_pair_gate_rejects_spectral_residual_above_tolerance():
     frame = _near_identity_frame(0.75e-10)
     opball.symmetry._gate_isometry(frame[None], 1.0)  # passes at a loose tolerance
-    # the stacked gate of the induced pairs (1e-8) builds the pair
-    (pair,) = opball.symmetry._checked_pairs(matkernel.as_cstack(frame)[0], Side.BWD_FWD)
+    # the stacked gate of the induced pairs (1e-8) passes it, and the pair is built
+    opball.symmetry._gate_isometry(frame[None], DEFAULT.induced_pair_residual)
+    pair = opball.symmetry._built(frame, Side.BWD_FWD)
     res = pair_residual(pair)
     assert res > 1e-10
     expected = f"conjugation pair isometry gap {res:.3e} exceeds 1.0e-10"
@@ -390,14 +391,15 @@ def _near_isometry_frames(deltas, side):
 def test_stacked_pair_gate_raises_for_the_first_member_beyond(side):
     tol = DEFAULT.induced_pair_residual
     frames = _near_isometry_frames([0.3e-8, 0.75e-8, 1e-8], side)
+    firsts = opball.symmetry._first(frames, side)
     # the first member passes on its spectral norm only; the other two fail
-    (first,) = opball.symmetry._checked_pairs(frames[:1], side)
-    isometry = frames[0] if side is Side.BWD_FWD else frames[0].T
-    assert pair_residual(first) < tol < fro_norm(adj(isometry) @ isometry - np.eye(3))
+    opball.symmetry._gate_isometry(firsts[:1], tol)
+    first = opball.symmetry._built(frames[0], side)
+    assert pair_residual(first) < tol < fro_norm(adj(firsts[0]) @ firsts[0] - np.eye(3))
     errors = []
-    for frame in frames[1:]:
+    for frame, isometry in zip(frames[1:], firsts[1:]):
         with pytest.raises(ShapeMismatch) as alone:
-            opball.symmetry._checked_pairs(frame[None], side)
+            opball.symmetry._gate_isometry(isometry[None], tol)
         errors.append(str(alone.value))
         # the constructor's message for the same gap, at its own tolerance
         with pytest.raises(ShapeMismatch) as direct:
@@ -406,7 +408,7 @@ def test_stacked_pair_gate_raises_for_the_first_member_beyond(side):
             f"{tol:.1e}", f"{DEFAULT.pair_residual:.1e}")
     assert errors[0] != errors[1]
     with pytest.raises(ShapeMismatch) as info:
-        opball.symmetry._checked_pairs(frames, side)
+        opball.symmetry._gate_isometry(firsts, tol)
     assert str(info.value) == errors[0]
     assert first.side is side and same_bytes(first.j_fwd, matkernel.as_cmat(frames[0]))
 
@@ -734,3 +736,7 @@ def test_stacked_induced_pairs_are_the_member_loop(jacobi_stacks, side):
     assert len(jacobi_stacks) - before == 1
     for out, a in zip(stacked, points, strict=True):
         assert same_bytes(out.j_fwd, induced_pair(a, pair).j_fwd)
+        # stored as the constructor stores the same frame and side
+        assert out.j_fwd.dtype == np.complex128
+        assert not out.j_fwd.flags.writeable and out.j_fwd.flags.c_contiguous
+        assert same_bytes(out.j_fwd, ConjugationPair(out.j_fwd, out.side).j_fwd)

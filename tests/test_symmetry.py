@@ -176,6 +176,25 @@ def test_conj_apply():
         conj_apply(rect, "fwd", [1, 2, 3])
 
 
+# vector -> the exception numpy raises reading it as a complex array
+UNREADABLE_VECTORS = {
+    "a string": ("ab", "complex() arg is a malformed string"),
+    "a string entry": (["1", "x"], "complex() arg is a malformed string"),
+    "an int past the float range": ([10**400, 1], "int too large to convert to float"),
+    "ragged rows": ([[1], [2, 3]], "inhomogeneous shape"),
+    "a dict": ({"a": 1}, "not dict"),
+    "an object entry": ([object(), 1], "not object"),
+}
+
+
+@pytest.mark.parametrize("name", UNREADABLE_VECTORS)
+def test_conj_apply_refuses_what_numpy_cannot_read_quoting_numpy(name):
+    vec, reason = UNREADABLE_VECTORS[name]
+    with pytest.raises(ShapeMismatch, match=r"^not a complex vector: ") as info:
+        conj_apply(random_pair(2, 3, 0), "fwd", vec)
+    assert reason in str(info.value)
+
+
 def test_symmetry_residual_square_complex_symmetric():
     t = OperatorHK(np.array([[1.0, 2.0j], [2.0j, 3.0]]))
     assert symmetry_residual(t, identity_pair(2)) <= 1e-15
