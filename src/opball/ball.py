@@ -139,10 +139,9 @@ def zero_point(dim_h: int, dim_k: int) -> BallPoint:
 def _mobius_images(a: BallPoint, points, sign: float) -> list[BallPoint]:
     """Shared core of the Moebius map (sign=+1) and its inverse (sign=-1) at
     each of ``points``, the images factored as one stack."""
-    for point in points:
-        require_shape(point.mat, a.shape, "ball point")
     m = a.mat
     z = stacked([point.mat for point in points])
+    require_shape(z[0], a.shape, "ball point")
     middle = z + sign * m
     bracket = np.eye(m.shape[1]) + sign * adj(m) @ z
     try:
@@ -214,8 +213,7 @@ def lifts(pairs) -> np.ndarray:
     """The lift (I - X X*)^(-1/2) (Y - X) (I - Y* Y)^(-1/2) of each (x, y)
     of ``pairs``, all of one shape, as one stack: the off-diagonal block of
     g_X^(-1) g_Y, whose norm is sinh of :func:`ball_dist`."""
-    for x, y in pairs:
-        require_shape(y.mat, x.shape, "ball point")
-    diff = stacked([y.mat - x.mat for x, y in pairs])
+    xs, ys = stacked([x.mat for x, _ in pairs]), stacked([y.mat for _, y in pairs])
+    require_shape(ys[0], xs[0].shape, "ball point")
     left = defects([x for x, _ in pairs], -0.5, "left")
-    return left @ diff @ defects([y for _, y in pairs], -0.5, "right")
+    return left @ (ys - xs) @ defects([y for _, y in pairs], -0.5, "right")

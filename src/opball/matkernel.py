@@ -108,8 +108,6 @@ _SCALAR_SIDE = 3
 
 _EPS = float(np.finfo(float).eps)
 _EMPTY = "stack is empty: need at least one member"
-_NOT_FINITE = "matrix entries must be finite"
-_MATRIX_OR_STACK = "a matrix or a stack of matrices"
 _OUT_OF_RANGE = f"result exceeds the float range (max {np.finfo(float).max:.3e})"
 _MAX_BYTES = int(np.iinfo(np.intp).max)
 
@@ -202,11 +200,11 @@ def _checked(m: np.ndarray, ndim: int) -> np.ndarray:
     """``m``, read-only, after the checks of :func:`as_cmat` for ``ndim``
     dimensions."""
     if m.ndim != ndim:
-        what = "a 2-D matrix" if ndim == 2 else _MATRIX_OR_STACK
+        what = "a 2-D matrix" if ndim == 2 else "a matrix or a stack of matrices"
         raise ShapeMismatch(f"expected {what}, got ndim={m.ndim}")
     require_positive(m.shape)
     if not np.isfinite(m).all():
-        raise ShapeMismatch(_NOT_FINITE)
+        raise ShapeMismatch("matrix entries must be finite")
     return _freeze(m)
 
 
@@ -248,19 +246,14 @@ def adj(a: np.ndarray) -> np.ndarray:
 def fro_norm(a):
     """Frobenius norm of a matrix (cheap upper bound for the spectral norm),
     summed at :func:`_pow2_scaled`'s scale so that no square overflows.  The
-    input is read as :func:`as_cstack` reads it, empty dimensions allowed:
-    what numpy cannot read as a complex array, an ndim other than 2 or 3, an
-    entry that is not finite, or a norm past the float range raises
-    :class:`ShapeMismatch`.  A float for a matrix; for a stack (b, rows,
-    cols), the array of its members' norms, each the bytes it gives alone."""
-    m = complex_array(a)
-    if m.ndim not in (2, 3):
-        raise ShapeMismatch(f"expected {_MATRIX_OR_STACK}, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
-        raise ShapeMismatch(_NOT_FINITE)
-    s, exp = _pow2_scaled(m if m.ndim == 3 else m[None])
+    input is read through :func:`as_cstack`, as :func:`op_norm` reads it, and
+    a norm past the float range raises :class:`ShapeMismatch`.  A float for
+    a matrix; for a stack (b, rows, cols), the array of its members' norms,
+    each the bytes it gives alone."""
+    m, single = as_cstack(a)
+    s, exp = _pow2_scaled(m)
     norms = _unscaled(np.sqrt((np.abs(s) ** 2).sum(axis=(1, 2))), exp)
-    return float(norms[0]) if m.ndim == 2 else norms
+    return float(norms[0]) if single else norms
 
 
 @dataclass(frozen=True, eq=False)

@@ -375,10 +375,10 @@ def induced_pairs(points, pair: ConjugationPair) -> list[ConjugationPair]:
     beyond ``DEFAULT.induced_pair_residual`` raises, for the first such
     point, the :class:`ShapeMismatch` of the constructor's gate at that
     tolerance."""
-    for a in points:
-        require_shape(a.mat, (pair.dim_dst, pair.dim_src), "matrix for the pair")
+    mats = stacked([a.mat for a in points])
+    require_shape(mats[0], (pair.dim_dst, pair.dim_src), "matrix for the pair")
     first = _first(pair.j_fwd, pair.side)
-    b, gaps = _coordinates(first, _oriented(stacked([a.mat for a in points]), pair.side))
+    b, gaps = _coordinates(first, _oriented(mats, pair.side))
     beyond = _first_beyond(gaps, DEFAULT.symmetry_pre)
     if beyond is not None:
         raise NotSymmetric(f"contraction has symmetry residual {beyond:.3e} for the given pair")

@@ -141,11 +141,10 @@ def left_defects(pairs) -> np.ndarray:
     """:func:`left_defect` of each (t, x) of ``pairs``, all of one shape, as
     one stack, each power taken for all pairs at once
     (:func:`~opball.matkernel.powers`)."""
-    for t, x in pairs:
-        require_shape(x.mat, t.mat.shape, "operator")
+    ts, xs = stacked([t.mat for t, _ in pairs]), stacked([x.mat for _, x in pairs])
+    require_shape(xs[0], ts[0].shape, "operator")
     left = powers([t.factor for t, _ in pairs], 1.0, 0.5, "right")
     right = powers([x.factor for _, x in pairs], 1.0, 0.5, "left")
-    ts, xs = stacked([t.mat for t, _ in pairs]), stacked([x.mat for _, x in pairs])
     return left @ adj(xs) - adj(ts) @ right
 
 

@@ -67,9 +67,12 @@ def test_the_inverse_of_an_entry_whose_modulus_overflows():
     assert abs(complex(out[0, 0]) * Z - 1) < 1e-14
 
 
-def test_an_empty_matrix_has_frobenius_norm_zero():
-    assert fro_norm(np.zeros((0, 3))) == 0.0
-    assert fro_norm(np.zeros((2, 0, 3))).tolist() == [0.0, 0.0]
+def test_fro_norm_refuses_an_empty_dimension_as_op_norm_does():
+    for shape in ((0, 3), (2, 0, 3)):
+        text = f"matrix dimensions must be positive, got {shape}"
+        for call in (fro_norm, op_norm):
+            with pytest.raises(ShapeMismatch, match=f"^{re.escape(text)}$"):
+                call(np.zeros(shape))
 
 
 @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])

@@ -3,8 +3,11 @@ function or class it defines is referenced in the package, no module uses
 ``numpy.linalg`` or drops the ints ``as_integers`` returns, no module but
 ``matkernel`` scales by powers of two or silences numpy's float warnings,
 no object is made without its constructor but in ``symmetry._built``, no
-module imports another module's private name, and the package re-exports
-the paper's objects, not the batched forms behind them.
+input is read with ``complex_array`` but by the readers of a matrix, a stack
+and a vector, no module imports another module's private name, every module
+parses with the grammar of the oldest Python that ``pyproject.toml``
+declares, and the package re-exports the paper's objects, not the batched
+forms behind them.
 
 The package's ``__init__.py`` imports names only to re-export them, so it is
 not walked for unused imports.  A name counts as used when the module refers
@@ -15,6 +18,7 @@ when some module of the package names it, as a name or as an attribute.
 import ast
 import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -152,15 +156,20 @@ def test_a_float_range_use_is_found():
     ]
 
 
+def _inside(tree: ast.Module, allowed: tuple[str, ...]) -> set[int]:
+    """The ids of the nodes of the top-level functions named in ``allowed``."""
+    return {
+        id(node)
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and top.name in allowed
+        for node in ast.walk(top)
+    }
+
+
 def _stray_constructions(tree: ast.Module, allowed: str) -> list[str]:
     """Each ``object.__new__`` attribute outside the top-level function
     ``allowed``, with its line, in line order."""
-    inside = {
-        id(node)
-        for top in tree.body
-        if isinstance(top, ast.FunctionDef) and top.name == allowed
-        for node in ast.walk(top)
-    }
+    inside = _inside(tree, (allowed,))
     found = [
         (node.lineno, f"{ast.unparse(node)} (line {node.lineno})")
         for node in ast.walk(tree)
@@ -190,6 +199,66 @@ def test_a_stray_construction_is_found():
         "object.__new__ (line 6)", "object.__new__ (line 7)",
     ]
     assert len(_stray_constructions(tree, "")) == 3
+
+
+def _reader_calls(tree: ast.Module, allowed: tuple[str, ...]) -> list[str]:
+    """Each call of ``complex_array``, bare or as an attribute, outside the
+    top-level functions ``allowed``, with its line, in line order."""
+    inside = _inside(tree, allowed)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "complex_array":
+                found.append((node.lineno, f"{ast.unparse(node)} (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
+# module -> the readers that may call complex_array: one per input kind
+READERS = {"matkernel.py": ("as_cmat", "as_cstack"), "symmetry.py": ("conj_apply",)}
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_an_input_is_read_only_by_its_kinds_reader(module):
+    # a matrix is read by as_cmat, a stack by as_cstack, a vector by
+    # symmetry.conj_apply; every other entry goes through one of them
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    assert _reader_calls(tree, READERS.get(module, ())) == []
+
+
+def test_a_stray_reader_is_found():
+    tree = ast.parse(
+        "def as_cmat(a):\n    return complex_array(a)\n\n\n"
+        "def fro_norm(a):\n    m = complex_array(a)\n"
+        "    return [matkernel.complex_array(x, 'a vector') for x in m]\n"
+    )
+    assert _reader_calls(tree, ("as_cmat",)) == [
+        "complex_array(a) (line 6)", "matkernel.complex_array(x, 'a vector') (line 7)",
+    ]
+    assert len(_reader_calls(tree, ())) == 3
+
+
+# the oldest Python that pyproject.toml's requires-python admits
+OLDEST_PYTHON = (3, 10)
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_every_module_parses_on_the_oldest_python(module):
+    ast.parse((SRC / module).read_text(), filename=module, feature_version=OLDEST_PYTHON)
+
+
+def test_newer_grammar_is_refused_on_the_oldest_python():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(source)
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=OLDEST_PYTHON)
+
+
+def test_the_oldest_python_is_the_declared_one():
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text()
+    declared = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.MULTILINE)
+    assert tuple(map(int, declared.groups())) == OLDEST_PYTHON
 
 
 def _private(name: str) -> bool:

@@ -449,6 +449,7 @@ EMPTY_STACKS = {
     "mobius_images": lambda: mobius_images(BallPoint(np.zeros((2, 2))), []),
     "gram_factor": lambda: gram_factor([]),
     "op_norm": lambda: op_norm([]),
+    "fro_norm": lambda: fro_norm([]),
     "operators": lambda: operators([]),
     "transport": lambda: transport([], [], lambda x: x, flip=False),
     "extension_blocks": lambda: extension_blocks([], identity_pair(2)),

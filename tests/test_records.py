@@ -21,16 +21,20 @@ from opball import (
     ShapeMismatch,
     Side,
     ball_dist,
+    ball_dists,
     canonical_pair,
     ensemble_experiment,
     gram_factor,
     herm_eig,
     identity_pair,
+    induced_pair,
     inverse,
     left_defect,
     mobius,
     mobius_inv,
     op_norm,
+    operator_dist,
+    operator_dists,
     random_pair,
     right_defect,
     right_defect_inv,
@@ -40,9 +44,10 @@ from opball import (
     zero_operator,
     zero_point,
 )
+from opball.ball import mobius_images
 from opball.density import report_json
 from opball.identities import run_identities
-from opball.symmetry import extension_blocks
+from opball.symmetry import extension_blocks, induced_pairs
 
 ARRAY_RECORDS = {
     "BallPoint": lambda: BallPoint(np.full((3, 2), 0.1)),
@@ -84,6 +89,39 @@ SHAPE_CHECKED = {
 def test_shape_mismatch_goes_through_one_check(name):
     with pytest.raises(ShapeMismatch, match=r"has shape \(\d+, \d+\), expected"):
         SHAPE_CHECKED[name]()
+
+
+# batched form -> (a batch of two members that share a wrong shape, the
+# one-item form on one of them)
+BATCH_SHAPE_CHECKED = {
+    "mobius_images": (
+        lambda: mobius_images(zero_point(2, 2), [zero_point(3, 2)] * 2),
+        lambda: mobius(zero_point(2, 2), zero_point(3, 2)),
+    ),
+    "ball_dists": (
+        lambda: ball_dists([(zero_point(3, 2), zero_point(2, 3))] * 2),
+        lambda: ball_dist(zero_point(3, 2), zero_point(2, 3)),
+    ),
+    "operator_dists": (
+        lambda: operator_dists([(_operator(2, 3), _operator(3, 2))] * 2),
+        lambda: operator_dist(_operator(2, 3), _operator(3, 2)),
+    ),
+    "induced_pairs": (
+        lambda: induced_pairs([BallPoint(np.zeros((3, 3)))] * 2, canonical_pair(2, 3)),
+        lambda: induced_pair(BallPoint(np.zeros((3, 3))), canonical_pair(2, 3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BATCH_SHAPE_CHECKED)
+def test_a_batch_of_the_wrong_shape_is_refused_as_one_item_is(name):
+    # a batch is checked once, on the stack it forms, with its one-item text
+    batch, one_item = BATCH_SHAPE_CHECKED[name]
+    with pytest.raises(ShapeMismatch, match=r"has shape \(\d+, \d+\), expected") as alone:
+        one_item()
+    with pytest.raises(ShapeMismatch) as info:
+        batch()
+    assert str(info.value) == str(alone.value)
 
 
 # entry -> (its call on a matrix, whether it takes one matrix and no stack)
