@@ -151,7 +151,7 @@ def approximation_profile(t: OperatorHK, pair: ConjugationPair) -> ApproxProfile
         for depth, dist, residual, point in zip(
             depths,
             operator_dists([(a, full) for a in approxes]),
-            symmetry_residuals(approxes, out_pairs),
+            symmetry_residuals(list(zip(approxes, out_pairs))),
             doubled,
         )
     )

@@ -248,12 +248,12 @@ def fro_norm(a):
     summed at :func:`_pow2_scaled`'s scale so that no square overflows.  The
     input is read through :func:`as_cstack`, as :func:`op_norm` reads it, and
     a norm past the float range raises :class:`ShapeMismatch`.  A float for
-    a matrix; for a stack (b, rows, cols), the array of its members' norms,
-    each the bytes it gives alone."""
+    a matrix; for a stack (b, rows, cols), the read-only array of its
+    members' norms, each the bytes it gives alone."""
     m, single = as_cstack(a)
     s, exp = _pow2_scaled(m)
     norms = _unscaled(np.sqrt((np.abs(s) ** 2).sum(axis=(1, 2))), exp)
-    return float(norms[0]) if single else norms
+    return float(norms[0]) if single else _freeze(norms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -684,7 +684,7 @@ def powers(factors, sign: float, power: float, side: str) -> np.ndarray:
     Members of different shapes raise :class:`ShapeMismatch` naming them.
     Each member's power is the bytes it gives alone.
     """
-    if side not in _OTHER_SIDE or sign not in (1, -1) or power not in (0.5, -0.5):
+    if side not in ("left", "right") or sign not in (1, -1) or power not in (0.5, -0.5):
         raise ShapeMismatch(f"unsupported Gram power sign={sign}, power={power}, side={side!r}")
     require_one_shape([f.mat.shape for f in factors])
     if sign < 0:

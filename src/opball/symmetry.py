@@ -179,17 +179,15 @@ def identity_pair(n: int) -> ConjugationPair:
 
 
 def _orthonormal_columns(g: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass."""
+    """Modified Gram-Schmidt with one re-orthogonalization pass.  It holds
+    no tolerance: the pair's constructor is the frame's one gate."""
     q = g.astype(np.complex128).copy()
     cols = q.shape[1]
     for _ in range(2):
         for j in range(cols):
             for i in range(j):
                 q[:, j] -= (adj(q[:, i : i + 1]) @ q[:, j : j + 1])[0, 0] * q[:, i]
-            norm = np.sqrt((np.abs(q[:, j]) ** 2).sum())
-            if norm < 1e-12:
-                raise BadDims("random draw produced a rank-deficient frame")
-            q[:, j] /= norm
+            q[:, j] /= np.sqrt((np.abs(q[:, j]) ** 2).sum())
     return q
 
 
@@ -220,11 +218,12 @@ def random_pair(dim_src: int, dim_dst: int, seed) -> ConjugationPair:
     return ConjugationPair(q.T, Side.FWD_BWD)
 
 
+@in_float_range
 def conj_apply(pair: ConjugationPair, direction: str, x) -> np.ndarray:
     """Apply C1 (``direction='fwd'``) or C2 (``'bwd'``) to a vector, given
-    as a 1-D array or as an n x 1 column; any other shape, or an entry that
-    is not finite, or one numpy cannot read as a complex number, raises
-    :class:`ShapeMismatch`."""
+    as a 1-D array or as an n x 1 column; any other shape, an entry that is
+    not finite or one numpy cannot read as a complex number, or an image
+    past the float range raises :class:`ShapeMismatch`."""
     vec = complex_array(x, "a complex vector")
     if vec.ndim not in (1, 2) or vec.shape[1:] not in ((), (1,)):
         raise ShapeMismatch(f"expected a vector or a column, got shape {vec.shape}")
@@ -272,19 +271,18 @@ def symmetry_residual(t: OperatorHK, pair: ConjugationPair) -> float:
     and lies at distance ||B - transpose(B)||/2 from T.  No symmetric S is
     closer, since transposition preserves the norm and B_S is symmetric:
     ||B - B^T|| <= ||B - B_S|| + ||B_S^T - B^T|| <= 2 ||T - S||."""
-    return symmetry_residuals([t], [pair])[0]
+    return symmetry_residuals([(t, pair)])[0]
 
 
-def symmetry_residuals(ts, pairs) -> list[float]:
-    """:func:`symmetry_residual` of each operator of ``ts`` for the pair at
-    the same place in ``pairs``: frames, oriented matrices, coordinates and
-    norms each one stack.  Unequal lengths or shapes raise ShapeMismatch."""
-    if len(ts) != len(pairs):
-        raise ShapeMismatch(f"{len(ts)} operators for {len(pairs)} pairs")
-    for t, pair in zip(ts, pairs):
+def symmetry_residuals(items) -> list[float]:
+    """:func:`symmetry_residual` of each (operator, pair) of ``items``:
+    frames, oriented matrices, coordinates and norms each one stack.  Each
+    operator is checked against its own pair, since one batch may mix pairs
+    of opposite sides; a shape that does not match raises ShapeMismatch."""
+    for t, pair in items:
         require_shape(t.mat, (pair.dim_dst, pair.dim_src), "matrix for the pair")
-    firsts = stacked([_first(pair.j_fwd, pair.side) for pair in pairs])
-    oriented = stacked([_oriented(t.mat, pair.side) for t, pair in zip(ts, pairs)])
+    firsts = stacked([_first(pair.j_fwd, pair.side) for _, pair in items])
+    oriented = stacked([_oriented(t.mat, pair.side) for t, pair in items])
     return op_norm(_coordinates(firsts, oriented)[1]).tolist()
 
 

@@ -4,10 +4,6 @@ All numerical guards used across the library live in one frozen dataclass so
 the library and the test suite share a single source of truth (the CLI's
 ``--tol`` defaults are its own literals).  The defaults are
 calibrated for double precision at desk scale (matrix sides up to 64).
-
-One guard lives outside the record: ``symmetry._orthonormal_columns``
-refuses a random frame with a column norm below ``1e-12`` after
-orthogonalization, a rank check on a Gaussian draw, not on a caller's input.
 """
 
 from __future__ import annotations

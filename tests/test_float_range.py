@@ -23,6 +23,7 @@ from opball import (
     ShapeMismatch,
     Side,
     adj,
+    conj_apply,
     fro_norm,
     gram_factor,
     herm_eig,
@@ -51,6 +52,7 @@ PAST_THE_RANGE = {
     "symmetric_part": lambda: symmetric_part(HUGE, PAIR),
     "symmetric_extension": lambda: symmetric_extension(OperatorHK(HUGE), PAIR),
     "ConjugationPair": lambda: ConjugationPair([[1e200]], Side.BWD_FWD),
+    "conj_apply": lambda: conj_apply(PAIR, "fwd", [1.7e308, -1.7e308]),
 }
 
 

@@ -239,6 +239,46 @@ def test_a_stray_reader_is_found():
     assert len(_reader_calls(tree, ())) == 3
 
 
+def _stray_guards(tree: ast.Module, defaults: bool) -> list[str]:
+    """Each float literal between 0 and 1e-6, a guard threshold's size, with
+    its line, in line order; with ``defaults``, one given as the
+    ``default=`` of an ``add_argument`` call is not counted."""
+    options = {
+        id(keyword.value)
+        for node in ast.walk(tree)
+        if defaults and isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "add_argument"
+        for keyword in node.keywords
+        if keyword.arg == "default"
+    }
+    found = [
+        (node.lineno, f"{ast.unparse(node)} (line {node.lineno})")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and 0.0 < node.value < 1e-6 and id(node) not in options
+    ]
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES + ["__init__.py"] if m != "tolerances.py"])
+def test_a_guard_threshold_lives_in_the_record(module):
+    # every guard is a field of tolerances.DEFAULT; the CLI's --tol defaults
+    # are its own options
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    assert _stray_guards(tree, defaults=module == "cli.py") == []
+
+
+def test_a_stray_guard_is_found():
+    tree = ast.parse(
+        "def gate(x):\n    if abs(x) < 1e-12:\n        raise ValueError\n"
+        "    return x * 0.0 + 1e-3\n\n\n"
+        "parser.add_argument('--tol', type=float, default=1e-10)\n"
+        "parser.add_argument('--eps', type=float, help=str(-1e-9))\n"
+    )
+    assert _stray_guards(tree, defaults=True) == ["1e-12 (line 2)", "1e-09 (line 8)"]
+    assert len(_stray_guards(tree, defaults=False)) == 3
+
+
 # the oldest Python that pyproject.toml's requires-python admits
 OLDEST_PYTHON = (3, 10)
 

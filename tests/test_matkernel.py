@@ -362,6 +362,7 @@ def test_stacked_gram_factor_and_op_norm_are_the_member_loop(shape):
     for stack in (np.stack(normed), np.stack(normed).mT):
         for member, fro in zip(stack, fro_norm(stack), strict=True):
             assert same_bytes(fro, fro_norm(member))
+        assert not fro_norm(stack).flags.writeable
     norms = op_norm(normed)
     assert not norms.flags.writeable
     for member, norm in zip(normed, norms):
@@ -419,10 +420,10 @@ MIXED_STACKS = {
     ),
     # two BWD_FWD frames of different shapes whose 3x3 coordinates would stack
     "symmetry_residuals": (
-        lambda: symmetry_residuals(
-            [OperatorHK(np.ones((5, 3))), OperatorHK(np.ones((4, 3)))],
-            [random_pair(3, 5, 1), random_pair(3, 4, 2)],
-        ),
+        lambda: symmetry_residuals([
+            (OperatorHK(np.ones((5, 3))), random_pair(3, 5, 1)),
+            (OperatorHK(np.ones((4, 3))), random_pair(3, 4, 2)),
+        ]),
         "(5, 3), (4, 3)",
     ),
 }
@@ -453,7 +454,7 @@ EMPTY_STACKS = {
     "operators": lambda: operators([]),
     "transport": lambda: transport([], [], lambda x: x, flip=False),
     "extension_blocks": lambda: extension_blocks([], identity_pair(2)),
-    "symmetry_residuals": lambda: symmetry_residuals([], []),
+    "symmetry_residuals": lambda: symmetry_residuals([]),
 }
 
 
@@ -721,6 +722,7 @@ def test_gram_power_rejects_unsupported_arguments():
         "sign=1.0, power=0.5, side='up'": lambda: powers((factor,), 1.0, 0.5, "up"),
         "sign=-1.0, power=0.3, side='left'": lambda: point.defect(0.3, "left"),
         "sign=-1.0, power=0.5, side='up'": lambda: point.defect(0.5, "up"),
+        "sign=-1.0, power=0.5, side=['left']": lambda: point.defect(0.5, ["left"]),
     }
     for args, call in calls.items():
         with pytest.raises(ShapeMismatch) as info:

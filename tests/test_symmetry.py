@@ -34,7 +34,7 @@ from opball import (
     swap_roles,
 )
 from opball.sampling import complex_gaussian, random_operator, random_symmetric_ball_point
-from opball.symmetry import induced_pairs
+from opball.symmetry import _orthonormal_columns, induced_pairs
 
 
 def test_canonical_pair_examples():
@@ -139,6 +139,17 @@ def test_random_pair_refuses_a_seed_numpy_cannot_take(seed):
 def test_random_pair_refuses_a_negative_entry_of_a_seed_sequence():
     with pytest.raises(BadDims, match=r"^need seed >= 0$"):
         random_pair(2, 3, [1, -1])
+
+
+def test_a_near_dependent_draw_gives_a_frame_the_constructor_accepts():
+    # the second Gram-Schmidt pass recovers a column that repeats another up
+    # to roundoff, or exactly; the pair's constructor is the frame's one gate
+    rng = np.random.default_rng(35)
+    g = complex_gaussian(rng, 5, 3)
+    for noise in (1e-14, 0.0):
+        g[:, 2] = g[:, 0] + noise * complex_gaussian(rng, 5, 1)[:, 0]
+        pair = ConjugationPair(_orthonormal_columns(g), Side.BWD_FWD)
+        assert pair_residual(pair) <= 1e-14
 
 
 def test_conj_apply():
