@@ -37,13 +37,11 @@ from .errors import (
     NotSymmetric,
     OpballError,
     OutOfBall,
-    OutOfDisc,
     ShapeMismatch,
     Singular,
 )
 from .matkernel import (
     GramFactor,
-    HermSpectrum,
     adj,
     as_cmat,
     fro_norm,

@@ -33,7 +33,6 @@ from .errors import (
     EigenvalueBelowFloor,
     NearBoundaryWarning,
     OutOfBall,
-    OutOfDisc,
     Singular,
 )
 from .matkernel import (
@@ -108,6 +107,7 @@ def defects(points, power: float, side: str) -> np.ndarray:
     shape, as one read-only stack (:func:`~opball.matkernel.powers`).  Each
     point near the sphere warns; a collapsed margin in any point raises
     :class:`Singular` for the first such point."""
+    points = list(points)
     if power < 0:
         for point in points:
             if point.margin < DEFAULT.near_boundary:
@@ -187,9 +187,10 @@ def mobius_to_origin(center: BallPoint, point: BallPoint) -> BallPoint:
 def poincare_dist(a: complex, b: complex) -> float:
     """Hyperbolic distance on the unit disc, the 1 x 1 case of :func:`ball_dist`:
     asinh(|b - a| / sqrt((1 - |a|^2)(1 - |b|^2))) = atanh(|a - b| / |1 - conj(a) b|).
+    A scalar outside the disc raises :class:`OutOfBall`, as a 1 x 1 point does.
     """
     if not (abs(a) < 1.0 and abs(b) < 1.0):
-        raise OutOfDisc(f"disc points required, got |a|={abs(a)}, |b|={abs(b)}")
+        raise OutOfBall(f"disc points required, got |a|={abs(a)}, |b|={abs(b)}")
     return math.asinh(abs(b - a) / math.sqrt((1.0 - abs(a) ** 2) * (1.0 - abs(b) ** 2)))
 
 
@@ -213,6 +214,7 @@ def lifts(pairs) -> np.ndarray:
     """The lift (I - X X*)^(-1/2) (Y - X) (I - Y* Y)^(-1/2) of each (x, y)
     of ``pairs``, all of one shape, as one stack: the off-diagonal block of
     g_X^(-1) g_Y, whose norm is sinh of :func:`ball_dist`."""
+    pairs = list(pairs)
     xs, ys = stacked([x.mat for x, _ in pairs]), stacked([y.mat for _, y in pairs])
     require_shape(ys[0], xs[0].shape, "ball point")
     left = defects([x for x, _ in pairs], -0.5, "left")

@@ -47,11 +47,11 @@ class Singular(OpballError):
 
 
 class OutOfBall(OpballError):
-    """A matrix supposed to lie strictly inside the unit operator ball does not."""
+    """A matrix supposed to lie strictly inside the unit operator ball does not.
 
-
-class OutOfDisc(OpballError):
-    """A scalar input of ``poincare_dist`` is not strictly inside the unit disc."""
+    The unit disc is the 1 x 1 ball: a scalar input of ``poincare_dist``
+    outside it raises this too.
+    """
 
 
 class BadDims(OpballError):

@@ -110,6 +110,8 @@ _EPS = float(np.finfo(float).eps)
 _EMPTY = "stack is empty: need at least one member"
 _OUT_OF_RANGE = f"result exceeds the float range (max {np.finfo(float).max:.3e})"
 _MAX_BYTES = int(np.iinfo(np.intp).max)
+# the scalar types a Gram power's sign and power may have
+_REAL = (int, float, np.integer, np.floating)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -254,18 +256,6 @@ def fro_norm(a):
     s, exp = _pow2_scaled(m)
     norms = _unscaled(np.sqrt((np.abs(s) ** 2).sum(axis=(1, 2))), exp)
     return float(norms[0]) if single else _freeze(norms)
-
-
-@dataclass(frozen=True, eq=False)
-class HermSpectrum:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; ``basis`` is unitary with the
-    matching eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
 
 
 @functools.cache
@@ -556,8 +546,10 @@ def _jacobi_scalar(h: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.nd
     return np.array(vals) + 0.0, vecs
 
 
-def herm_eig(p) -> HermSpectrum:
-    """Eigendecomposition of a (near-)Hermitian matrix.
+def herm_eig(p) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (eigenvalues, basis) of a (near-)Hermitian matrix,
+    two read-only arrays: the eigenvalues real and ascending, the basis
+    unitary with the matching eigenvectors as columns.
 
     The input is symmetrized to (P + P*)/2 before decomposition; asymmetry
     beyond ``DEFAULT.herm_asym`` relative to max(1, ||P||) raises
@@ -577,7 +569,7 @@ def herm_eig(p) -> HermSpectrum:
         relative = asym / bound
         raise NotHermitian(f"relative asymmetry {relative:.3e} above {DEFAULT.herm_asym:.1e}")
     vals, basis = _sorted_eig(*_jacobi(0.5 * (a + adj(a))))
-    return HermSpectrum(_freeze(_unscaled(vals, exp)[0]), basis[0])
+    return _freeze(_unscaled(vals, exp)[0]), basis[0]
 
 
 def _spectral(basis: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -595,23 +587,22 @@ def herm_sqrt(p) -> np.ndarray:
     Hermitian root.  The roundoff negatives above that floor, as a zero
     eigenvalue solves, are clipped to zero.
     """
-    spectrum = herm_eig(p)
-    vals = spectrum.eigenvalues
+    vals, basis = herm_eig(p)
     lo = float(vals[0])
     floor = -len(vals) * _EPS * max(-lo, float(vals[-1]))
     if lo < floor:
         raise EigenvalueBelowFloor(lo, floor)
-    return _spectral(spectrum.basis, np.sqrt(np.maximum(vals, 0.0)))
+    return _spectral(basis, np.sqrt(np.maximum(vals, 0.0)))
 
 
 def herm_inv_sqrt(p) -> np.ndarray:
     """Spectral inverse square root; an eigenvalue below
     ``DEFAULT.defect_floor`` raises :class:`EigenvalueBelowFloor`."""
-    spectrum = herm_eig(p)
-    lo = float(spectrum.eigenvalues[0])
+    vals, basis = herm_eig(p)
+    lo = float(vals[0])
     if lo < DEFAULT.defect_floor:
         raise EigenvalueBelowFloor(lo, DEFAULT.defect_floor)
-    return _spectral(spectrum.basis, 1.0 / np.sqrt(spectrum.eigenvalues))
+    return _spectral(basis, 1.0 / np.sqrt(vals))
 
 
 def _scaled_gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
@@ -653,8 +644,9 @@ def powers(factors, sign: float, power: float, side: str) -> np.ndarray:
     of the matrix M of each factor of ``factors``, matrices of one shape, as
     one read-only stack; one factor is a stack of one.
 
-    ``sign`` is +1 or -1, ``power`` is +1/2 or -1/2 and ``side`` is
-    "left" or "right"; any other raises :class:`ShapeMismatch`.  When ``side``
+    ``sign`` is +1 or -1 and ``power`` +1/2 or -1/2, each a real number,
+    and ``side`` is the string "left" or "right"; any other raises
+    :class:`ShapeMismatch`.  When ``side``
     names the Gram matrix not held, the push-through identity gives
 
         (I + sign N*N)^power = I + N* h(NN*) N,   h(x) = (g(x) - 1) / x,
@@ -684,7 +676,10 @@ def powers(factors, sign: float, power: float, side: str) -> np.ndarray:
     Members of different shapes raise :class:`ShapeMismatch` naming them.
     Each member's power is the bytes it gives alone.
     """
-    if side not in ("left", "right") or sign not in (1, -1) or power not in (0.5, -0.5):
+    factors = list(factors)
+    if not (isinstance(side, str) and side in ("left", "right")
+            and isinstance(sign, _REAL) and sign in (1, -1)
+            and isinstance(power, _REAL) and power in (0.5, -0.5)):
         raise ShapeMismatch(f"unsupported Gram power sign={sign}, power={power}, side={side!r}")
     require_one_shape([f.mat.shape for f in factors])
     if sign < 0:
@@ -731,6 +726,7 @@ def transport(factors, mats, eigen_map, flip: bool) -> tuple[GramFactor, ...]:
     eigenvalues) only if some member's spectrum is out of order.  Each
     factor's ``mat`` is a read-only view into one checked copy of ``mats``.
     """
+    factors = list(factors)
     stack, _ = as_cstack(mats)
     b, rows, cols = stack.shape
     if b != len(factors):

@@ -279,6 +279,7 @@ def symmetry_residuals(items) -> list[float]:
     frames, oriented matrices, coordinates and norms each one stack.  Each
     operator is checked against its own pair, since one batch may mix pairs
     of opposite sides; a shape that does not match raises ShapeMismatch."""
+    items = list(items)
     for t, pair in items:
         require_shape(t.mat, (pair.dim_dst, pair.dim_src), "matrix for the pair")
     firsts = stacked([_first(pair.j_fwd, pair.side) for _, pair in items])
@@ -373,6 +374,7 @@ def induced_pairs(points, pair: ConjugationPair) -> list[ConjugationPair]:
     beyond ``DEFAULT.induced_pair_residual`` raises, for the first such
     point, the :class:`ShapeMismatch` of the constructor's gate at that
     tolerance."""
+    points = list(points)
     mats = stacked([a.mat for a in points])
     require_shape(mats[0], (pair.dim_dst, pair.dim_src), "matrix for the pair")
     first = _first(pair.j_fwd, pair.side)

@@ -124,6 +124,7 @@ def inverse_bounded_transforms(points) -> list[OperatorHK]:
     """:func:`inverse_bounded_transform` of each ball point of ``points``,
     all of one shape: the defects, products and transported factors each
     formed as one stack."""
+    points = list(points)
     mats = adj(stacked([a.mat for a in points]))
     mats = defects(points, -0.5, "right") @ mats
     factors = transport([a.factor for a in points], mats, lambda x: x / (1.0 - x), flip=True)
@@ -141,6 +142,7 @@ def left_defects(pairs) -> np.ndarray:
     """:func:`left_defect` of each (t, x) of ``pairs``, all of one shape, as
     one stack, each power taken for all pairs at once
     (:func:`~opball.matkernel.powers`)."""
+    pairs = list(pairs)
     ts, xs = stacked([t.mat for t, _ in pairs]), stacked([x.mat for _, x in pairs])
     require_shape(xs[0], ts[0].shape, "operator")
     left = powers([t.factor for t, _ in pairs], 1.0, 0.5, "right")

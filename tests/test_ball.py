@@ -11,7 +11,6 @@ from opball import (
     BallPoint,
     NearBoundaryWarning,
     OutOfBall,
-    OutOfDisc,
     ShapeMismatch,
     Singular,
     ball_dist,
@@ -117,13 +116,16 @@ def test_poincare_examples():
 
 
 def test_poincare_rejects_outside():
-    with pytest.raises(OutOfDisc):
+    # the disc is the 1 x 1 ball: a scalar outside it raises as a point does
+    with pytest.raises(OutOfBall, match=r"^disc points required, got \|a\|=1.5, \|b\|=0$"):
+        poincare_dist(1.5, 0)
+    with pytest.raises(OutOfBall):
         poincare_dist(1.0, 0.0)
-    with pytest.raises(OutOfDisc):
+    with pytest.raises(OutOfBall):
         poincare_dist(0.0, 2.0j)
     # NaN compares false against the disc bound, so it must not pass as inside
     for a, b in ((float("nan"), 0.5), (0.2 + complex(0.0, float("nan")), 0.1), (0.0, complex("nan"))):
-        with pytest.raises(OutOfDisc):
+        with pytest.raises(OutOfBall):
             poincare_dist(a, b)
 
 

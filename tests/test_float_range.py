@@ -125,11 +125,6 @@ def _factor(m):
     return f.norm, f.eigenvalues, f.basis
 
 
-def _eig(m):
-    s = herm_eig(_hermitian(m))
-    return s.eigenvalues, s.basis
-
-
 # call -> what it computes from a drawn matrix M; every array of its result
 # must be finite
 CALLS = {
@@ -137,7 +132,7 @@ CALLS = {
     "gram_factor": _factor,
     "fro_norm": fro_norm,
     "inverse": lambda m: inverse(_square(m)),
-    "herm_eig": _eig,
+    "herm_eig": lambda m: herm_eig(_hermitian(m)),
     "ConjugationPair": lambda m: ConjugationPair(m, Side.BWD_FWD).j_fwd,
     "symmetric_part": lambda m: symmetric_part(m, _pair(*m.shape[::-1])),
     "symmetry_residual": lambda m: symmetry_residual(OperatorHK(m), _pair(*m.shape[::-1])),

@@ -4,8 +4,9 @@ function or class it defines is referenced in the package, no module uses
 ``matkernel`` scales by powers of two or silences numpy's float warnings,
 no object is made without its constructor but in ``symmetry._built``, no
 input is read with ``complex_array`` but by the readers of a matrix, a stack
-and a vector, no module imports another module's private name, every module
-parses with the grammar of the oldest Python that ``pyproject.toml``
+and a vector, no module imports another module's private name, every
+dataclass holding an array compares by identity (``eq=False``), every
+module parses with the grammar of the oldest Python that ``pyproject.toml``
 declares, and the package re-exports the paper's objects, not the batched
 forms behind them.
 
@@ -279,6 +280,45 @@ def test_a_stray_guard_is_found():
     assert len(_stray_guards(tree, defaults=False)) == 3
 
 
+def _value_compared_array_records(tree: ast.Module) -> list[str]:
+    """Each class decorated ``@dataclass`` without ``eq=False`` that has a
+    field annotated with ``ndarray``, with its line: the generated ``==``
+    would compare arrays, whose truth value is ambiguous."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            func = deco.func if isinstance(deco, ast.Call) else deco
+            if getattr(func, "attr", getattr(func, "id", None)) != "dataclass":
+                continue
+            keywords = deco.keywords if isinstance(deco, ast.Call) else []
+            if any(k.arg == "eq" and getattr(k.value, "value", True) is False for k in keywords):
+                continue
+            annotations = [s.annotation for s in node.body if isinstance(s, ast.AnnAssign)]
+            if any(getattr(n, "attr", getattr(n, "id", None)) == "ndarray"
+                   for a in annotations for n in ast.walk(a)):
+                found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_a_record_holding_arrays_compares_by_identity(module):
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    assert _value_compared_array_records(tree) == []
+
+
+def test_a_value_compared_array_record_is_found():
+    tree = ast.parse(
+        "import dataclasses\nfrom dataclasses import dataclass\nimport numpy as np\n\n"
+        "@dataclass(frozen=True)\nclass A:\n    x: np.ndarray\n\n"
+        "@dataclass(frozen=True, eq=False)\nclass B:\n    x: np.ndarray\n\n"
+        "@dataclasses.dataclass\nclass C:\n    x: np.ndarray | None = None\n\n"
+        "@dataclass\nclass D:\n    x: float\n"
+    )
+    assert _value_compared_array_records(tree) == ["A (line 6)", "C (line 14)"]
+
+
 # the oldest Python that pyproject.toml's requires-python admits
 OLDEST_PYTHON = (3, 10)
 
@@ -407,6 +447,12 @@ def test_the_package_exports_the_papers_objects():
             assert callable(getattr(defining, name)), f"opball.{module}.{name}"
     assert not hasattr(package, "truncate")
     assert not hasattr(importlib.import_module("opball.density"), "truncate")
+    # one name per concept: herm_eig returns its eigenpairs as a tuple, and
+    # the disc is the 1 x 1 ball, guarded by OutOfBall
+    for module in (package, importlib.import_module("opball.matkernel"),
+                   importlib.import_module("opball.errors")):
+        assert not hasattr(module, "HermSpectrum")
+        assert not hasattr(module, "OutOfDisc")
 
 
 def test_a_gram_factor_is_a_plain_record():

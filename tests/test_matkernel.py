@@ -16,7 +16,9 @@ import pytest
 import opball
 from opball import (
     BallPoint,
+    ConjugationPair,
     EigenvalueBelowFloor,
+    GramFactor,
     NearBoundaryWarning,
     NoConvergence,
     NotHermitian,
@@ -62,21 +64,21 @@ def test_as_cmat_rejects_bad_input():
 
 
 def test_herm_eig_diagonal():
-    spectrum = herm_eig(np.diag([1.0, 4.0]))
-    assert np.allclose(spectrum.eigenvalues, [1.0, 4.0])
-    assert np.allclose(np.abs(spectrum.basis), np.eye(2))
+    vals, basis = herm_eig(np.diag([1.0, 4.0]))
+    assert np.allclose(vals, [1.0, 4.0])
+    assert np.allclose(np.abs(basis), np.eye(2))
 
 
 def test_herm_eig_swap_matrix():
     # characteristic polynomial x^2 - 1 by hand
-    spectrum = herm_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(spectrum.eigenvalues, [-1.0, 1.0], atol=1e-14)
+    vals, _ = herm_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.allclose(vals, [-1.0, 1.0], atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_herm_eig_identity(n):
-    spectrum = herm_eig(np.eye(n))
-    assert np.allclose(spectrum.eigenvalues, 1.0)
+    vals, _ = herm_eig(np.eye(n))
+    assert np.allclose(vals, 1.0)
 
 
 def test_herm_eig_random_invariants():
@@ -85,15 +87,15 @@ def test_herm_eig_random_invariants():
     for trial in range(200):
         n = 1 + trial % 8
         h = rand_herm(rng, n, scale=10.0 ** rng.uniform(-2, 2))
-        spectrum = herm_eig(h)
-        assert list(spectrum.eigenvalues) == sorted(spectrum.eigenvalues)
+        vals, basis = herm_eig(h)
+        assert list(vals) == sorted(vals)
         scale = 1.0 + fro_norm(h)
-        recon = spectrum.basis @ np.diag(spectrum.eigenvalues) @ spectrum.basis.conj().T - h
+        recon = basis @ np.diag(vals) @ basis.conj().T - h
         assert fro_norm(recon) <= 1e-9 * scale
-        unit = spectrum.basis.conj().T @ spectrum.basis - np.eye(n)
+        unit = basis.conj().T @ basis - np.eye(n)
         assert fro_norm(unit) <= 1e-10 * n
         # independent oracle
-        assert np.abs(spectrum.eigenvalues - np.linalg.eigvalsh(h)).max() <= 1e-11 * scale
+        assert np.abs(vals - np.linalg.eigvalsh(h)).max() <= 1e-11 * scale
 
 
 def random_unitary(rng, n):
@@ -140,25 +142,25 @@ def test_herm_eig_and_op_norm_on_structured_inputs(kind):
         h = 0.5 * (h + h.conj().T)
         scale = 1.0 + fro_norm(h)
         ref = np.linalg.eigvalsh(h)
-        spectrum = herm_eig(h)
-        recon = spectrum.basis @ np.diag(spectrum.eigenvalues) @ spectrum.basis.conj().T - h
+        vals, basis = herm_eig(h)
+        recon = basis @ np.diag(vals) @ basis.conj().T - h
         assert fro_norm(recon) <= 1e-9 * scale
-        unit = spectrum.basis.conj().T @ spectrum.basis - np.eye(n)
+        unit = basis.conj().T @ basis - np.eye(n)
         assert fro_norm(unit) <= 1e-10 * n
-        assert np.abs(spectrum.eigenvalues - ref).max() <= 1e2 * eps * scale, (kind, n)
+        assert np.abs(vals - ref).max() <= 1e2 * eps * scale, (kind, n)
         # op_norm solves the Gram matrix h h*, of the same structure, without vectors
         top = np.abs(ref).max()
         assert abs(op_norm(h) - top) <= 1e2 * eps * top, (kind, n)
         if kind == "diagonal":
-            assert np.array_equal(spectrum.eigenvalues, np.sort(np.diagonal(h).real))
+            assert np.array_equal(vals, np.sort(np.diagonal(h).real))
 
 
 @pytest.mark.parametrize("corner", [0.0, -0.0])
 def test_herm_eig_signed_zero_diagonal(corner):
     # d_q - d_p is +0 or -0: either way the rotation is by a quarter turn
-    spectrum = herm_eig(np.array([[-corner, 1.0], [1.0, corner]]))
-    assert np.abs(spectrum.eigenvalues - [-1.0, 1.0]).max() <= 1e-15
-    assert fro_norm(spectrum.basis.conj().T @ spectrum.basis - np.eye(2)) <= 1e-15
+    vals, basis = herm_eig(np.array([[-corner, 1.0], [1.0, corner]]))
+    assert np.abs(vals - [-1.0, 1.0]).max() <= 1e-15
+    assert fro_norm(basis.conj().T @ basis - np.eye(2)) <= 1e-15
 
 
 def test_herm_eig_extreme_range():
@@ -167,7 +169,7 @@ def test_herm_eig_extreme_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for size in (1e200, 1e-300):
-            vals = herm_eig(np.array([[0.0, size], [size, 0.0]])).eigenvalues
+            vals = herm_eig(np.array([[0.0, size], [size, 0.0]]))[0]
             assert np.abs(vals - [-size, size]).max() <= 1e-14 * size
         p = np.array([[4.0, 0.1 + 0.1j], [0.1 - 0.1j, 3.0]])
         vals, vecs = np.linalg.eigh(p)
@@ -181,7 +183,7 @@ def test_herm_eig_in_range_up_to_the_float_maximum():
     # scale of max|P|, so neither sum overflows on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals = herm_eig(np.diag([1e308, 1e308])).eigenvalues
+        vals = herm_eig(np.diag([1e308, 1e308]))[0]
         assert np.array_equal(vals, [1e308, 1e308])
         with pytest.raises(NotHermitian):
             herm_eig(np.array([[0.0, 1e308], [-1e308, 0.0]]))
@@ -465,6 +467,62 @@ def test_an_empty_stack_is_refused(entry):
     assert str(info.value) == "stack is empty: need at least one member"
 
 
+def _one_shot(members):
+    return (member for member in members)
+
+
+def _two_operators():
+    return [
+        (OperatorHK(np.arange(6.0).reshape(3, 2)), random_pair(2, 3, 1)),
+        (OperatorHK(np.ones((3, 2))), random_pair(2, 3, 2)),
+    ]
+
+
+# batched form -> its call on a batch of records passed through `batch`,
+# `list` or `_one_shot`
+ONE_SHOT_BATCHES = {
+    "ball_dists": lambda batch: ball_dists(batch([_point_pair((2, 3)), _point_pair((2, 3))[::-1]])),
+    "operator_dists": lambda batch: operator_dists(
+        batch([_operator_pair((3, 2)), _operator_pair((3, 2))[::-1]])),
+    "lifts": lambda batch: lifts(batch([_point_pair((2, 3)), _point_pair((2, 3))[::-1]])),
+    "left_defects": lambda batch: left_defects(
+        batch([_operator_pair((3, 2)), _operator_pair((3, 2))[::-1]])),
+    "symmetry_residuals": lambda batch: symmetry_residuals(batch(_two_operators())),
+    "defects": lambda batch: defects(batch(_point_pair((2, 3))), -0.5, "left"),
+    "inverse_bounded_transforms": lambda batch: inverse_bounded_transforms(
+        batch(_point_pair((2, 3)))),
+    "induced_pairs": lambda batch: induced_pairs(batch(_point_pair((2, 2))), identity_pair(2)),
+    "powers": lambda batch: powers(
+        batch(gram_factor([np.eye(2), np.ones((2, 2))])), 1.0, -0.5, "right"),
+    "transport": lambda batch: transport(
+        batch(gram_factor([np.eye(2), np.ones((2, 2))])), [2.0 * np.eye(2), 2.0 * np.ones((2, 2))],
+        lambda x: 4.0 * x, flip=False),
+}
+
+
+def _held(result) -> list:
+    """The arrays, numbers and names a batched form's result holds, in order."""
+    if isinstance(result, (list, tuple)):
+        return [x for item in result for x in _held(item)]
+    if isinstance(result, GramFactor):
+        return [result.mat, result.side, result.eigenvalues, result.basis, result.norm]
+    if isinstance(result, OperatorHK):
+        return [result.mat]
+    if isinstance(result, ConjugationPair):
+        return [result.j_fwd, result.side.value]
+    return [result]
+
+
+@pytest.mark.parametrize("entry", sorted(ONE_SHOT_BATCHES))
+def test_a_one_shot_batch_is_read_once(entry):
+    # a zip or a generator is read once: the same bytes as the list
+    once = _held(ONE_SHOT_BATCHES[entry](_one_shot))
+    listed = _held(ONE_SHOT_BATCHES[entry](list))
+    assert len(once) == len(listed)
+    for x, y in zip(once, listed):
+        assert same_bytes(x, y), entry
+
+
 def test_a_malformed_stack_member_is_a_shape_mismatch():
     for stack in ([np.eye(2), "ab"], [[[1.0, "a"]], [[1.0, 2.0]]], [[1.0, 2.0], [3.0]]):
         with pytest.raises(ShapeMismatch, match="not a complex matrix or stack of matrices"):
@@ -483,6 +541,8 @@ MALFORMED_MATRICES = {
     "vector": [1.0, 2.0],
     "scalar": 3.0,
     "4-d": np.zeros((1, 1, 2, 2)),
+    # numpy reads no iterator as an array, so a matrix is never one
+    "iterator": iter([np.eye(2)]),
 }
 
 
@@ -606,8 +666,8 @@ def test_op_norm_against_svd_and_unitary_invariance():
         assert op_norm(a) == pytest.approx(ref, abs=1e-12 * (1 + ref))
         assert op_norm(a.conj().T) == pytest.approx(op_norm(a), abs=1e-12 * (1 + ref))
         # unitaries from our own eigenbases
-        u = herm_eig(rand_herm(rng, p)).basis
-        v = herm_eig(rand_herm(rng, q)).basis
+        u = herm_eig(rand_herm(rng, p))[1]
+        v = herm_eig(rand_herm(rng, q))[1]
         assert abs(op_norm(u @ a @ v) - op_norm(a)) <= 1e-10 * (1 + ref)
 
 
@@ -723,6 +783,15 @@ def test_gram_power_rejects_unsupported_arguments():
         "sign=-1.0, power=0.3, side='left'": lambda: point.defect(0.3, "left"),
         "sign=-1.0, power=0.5, side='up'": lambda: point.defect(0.5, "up"),
         "sign=-1.0, power=0.5, side=['left']": lambda: point.defect(0.5, ["left"]),
+        # an array compares elementwise: it is refused, not read as its entries
+        "sign=-1.0, power=0.5, side=array(['left'], dtype='<U4')":
+            lambda: point.defect(0.5, np.array(["left"])),
+        "sign=-1.0, power=0.5, side=array(['left', 'right'], dtype='<U5')":
+            lambda: point.defect(0.5, np.array(["left", "right"])),
+        "sign=[ 1. -1.], power=0.5, side='left'":
+            lambda: powers((factor,), np.array([1.0, -1.0]), 0.5, "left"),
+        "sign=1.0, power=[ 0.5 -0.5], side='left'":
+            lambda: powers((factor,), 1.0, np.array([0.5, -0.5]), "left"),
     }
     for args, call in calls.items():
         with pytest.raises(ShapeMismatch) as info:
@@ -773,9 +842,11 @@ def test_inverse_singular():
 
 
 def test_results_are_read_only():
-    spectrum = herm_eig(np.eye(3))
+    vals, basis = herm_eig(np.eye(3))
     with pytest.raises(ValueError):
-        spectrum.basis[0, 0] = 5.0
+        vals[0] = 5.0
+    with pytest.raises(ValueError):
+        basis[0, 0] = 5.0
     with pytest.raises(ValueError):
         inverse(np.eye(2))[0, 0] = 3.0
 

@@ -54,7 +54,6 @@ ARRAY_RECORDS = {
     "OperatorHK": lambda: OperatorHK(np.arange(6.0).reshape(2, 3)),
     "ConjugationPair": lambda: canonical_pair(2, 3),
     "GramFactor": lambda: gram_factor(np.arange(6.0).reshape(3, 2)),
-    "HermSpectrum": lambda: herm_eig(np.diag([1.0, 2.0])),
 }
 
 

@@ -15,6 +15,7 @@ from opball import (
     Singular,
     adj,
     ball_dist,
+    ball_dists,
     bounded_transform,
     canonical_pair,
     induced_pair,
@@ -30,7 +31,10 @@ from opball import (
     swap_roles,
     zero_operator,
 )
+from opball.ball import defects, lifts, mobius_images
 from opball.sampling import complex_gaussian, random_ball_point, random_operator
+from opball.symmetry import induced_pairs
+from opball.transform import inverse_bounded_transforms
 
 
 def scalar_op(t: complex) -> OperatorHK:
@@ -90,22 +94,34 @@ def test_round_trips_both_directions():
         assert op_norm(again.mat - a.mat) <= 1e-8
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda a: mobius(a, BallPoint(np.array([[0.5]]))),
-        lambda a: mobius_inv(a, BallPoint(np.array([[0.5]]))),
-        inverse_bounded_transform,
-        lambda a: ball_dist(BallPoint(np.array([[0.5]])), a),
-    ],
-    ids=["mobius", "mobius_inv", "inverse_bounded_transform", "ball_dist"],
-)
-def test_near_boundary_warning(call):
-    # every inverse defect warns from BallPoint.defect, below 1e-8 only, and
-    # names the caller's line
+def _half() -> BallPoint:
+    return BallPoint(np.array([[0.5]]))
+
+
+# call on a 1 x 1 point a -> the warnings it gives near the sphere, one per
+# point whose inverse defect it takes
+NEAR_BOUNDARY_CALLS = {
+    "mobius": (lambda a: mobius(a, _half()), 1),
+    "mobius_inv": (lambda a: mobius_inv(a, _half()), 1),
+    "inverse_bounded_transform": (inverse_bounded_transform, 1),
+    "ball_dist": (lambda a: ball_dist(_half(), a), 1),
+    "ball_dists": (lambda a: ball_dists([(_half(), a)]), 1),
+    "mobius_images": (lambda a: mobius_images(a, [_half()]), 1),
+    "inverse_bounded_transforms": (lambda a: inverse_bounded_transforms([a]), 1),
+    "lifts": (lambda a: lifts([(a, a)]), 2),
+    "defects": (lambda a: defects([a], -0.5, "left"), 1),
+    "induced_pairs": (lambda a: induced_pairs([a], canonical_pair(1, 1)), 1),
+}
+
+
+@pytest.mark.parametrize("name", NEAR_BOUNDARY_CALLS)
+def test_near_boundary_warning(name):
+    # every inverse defect warns from ball.defects, below 1e-8 only, and
+    # names the caller's line, for the one-item and the batched forms
+    call, count = NEAR_BOUNDARY_CALLS[name]
     with pytest.warns(NearBoundaryWarning) as record:
         call(BallPoint(np.array([[1.0 - 1e-9]])))
-    assert [w.filename for w in record] == [__file__] * len(record)
+    assert [w.filename for w in record] == [__file__] * count
     with warnings.catch_warnings():
         warnings.simplefilter("error", NearBoundaryWarning)
         call(BallPoint(np.array([[1.0 - 1e-7]])))
