@@ -28,7 +28,6 @@ from .density import (
     symmetric_approximant,
 )
 from .errors import (
-    BadDepth,
     BadDims,
     EigenvalueBelowFloor,
     NearBoundaryWarning,

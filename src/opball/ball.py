@@ -10,7 +10,7 @@ a bi-holomorphic automorphism of the ball.  Distances use the closed form
     ball_dist(X, Y) = asinh || (I - X X*)^(-1/2) (Y - X) (I - Y* Y)^(-1/2) ||,
 
 the off-diagonal block of g_X^(-1) g_Y for the lift g_X of X to U(p, q), of
-singular values sinh(r_i); it equals atanh ||mobius_to_origin(X, Y)|| without
+singular values sinh(r_i); it equals atanh ||mobius_inv(X, Y)|| without
 forming that image, and is definitional here: the chain-infimum (Kobayashi)
 pseudo-metric reduces to it on the ball, so chains are never constructed.
 
@@ -23,6 +23,7 @@ which warns for an inverse square root near the sphere and raises
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ from .errors import (
     EigenvalueBelowFloor,
     NearBoundaryWarning,
     OutOfBall,
+    ShapeMismatch,
     Singular,
 )
 from .matkernel import (
@@ -106,16 +108,23 @@ def defects(points, power: float, side: str) -> np.ndarray:
     """:meth:`BallPoint.defect` of each point of ``points``, all of one
     shape, as one read-only stack (:func:`~opball.matkernel.powers`).  Each
     point near the sphere warns; a collapsed margin in any point raises
-    :class:`Singular` for the first such point."""
+    :class:`Singular` for the first such point.  A power or side that
+    :func:`~opball.matkernel.powers` refuses raises before any warning."""
     points = list(points)
+    below_floor = None
+    try:
+        stack = powers([point.factor for point in points], -1.0, power, side)
+    except EigenvalueBelowFloor as exc:
+        below_floor = exc
     if power < 0:
         for point in points:
             if point.margin < DEFAULT.near_boundary:
                 _warn_near_boundary(point.margin)
-    try:
-        return powers([point.factor for point in points], -1.0, power, side)
-    except EigenvalueBelowFloor as exc:
-        raise Singular(f"defect eigenvalue {exc.eigenvalue:.3e}: margin too small") from exc
+    if below_floor is not None:
+        raise Singular(
+            f"defect eigenvalue {below_floor.eigenvalue:.3e}: margin too small"
+        ) from below_floor
+    return stack
 
 
 def _warn_near_boundary(margin: float) -> None:
@@ -169,26 +178,28 @@ def mobius(a: BallPoint, z: BallPoint) -> BallPoint:
 
 
 def mobius_inv(a: BallPoint, z: BallPoint) -> BallPoint:
-    """Inverse of :func:`mobius` with the same center: sends ``a`` to 0."""
+    """Inverse of :func:`mobius` with the same center: the automorphism that
+    moves ``a`` to the origin, at ``z``.
+
+    This is :func:`mobius` with center ``-a`` exactly (IEEE negation is
+    exact), reusing the factorization of ``a``; it satisfies
+    mobius_inv(X, X) = 0 and mobius_inv(X, 0) = -X.
+    """
     return _mobius_images(a, (z,), -1.0)[0]
 
 
-def mobius_to_origin(center: BallPoint, point: BallPoint) -> BallPoint:
-    """The automorphism that moves ``center`` to the origin, at ``point``.
-
-    This is :func:`mobius` with center ``-center``, which is exactly
-    :func:`mobius_inv` with center ``center`` (IEEE negation is exact), so it
-    reuses the center's factorization.  It satisfies
-    mobius_to_origin(X, X) = 0 and mobius_to_origin(X, 0) = -X.
-    """
-    return mobius_inv(center, point)
+mobius_to_origin = mobius_inv
 
 
 def poincare_dist(a: complex, b: complex) -> float:
     """Hyperbolic distance on the unit disc, the 1 x 1 case of :func:`ball_dist`:
     asinh(|b - a| / sqrt((1 - |a|^2)(1 - |b|^2))) = atanh(|a - b| / |1 - conj(a) b|).
-    A scalar outside the disc raises :class:`OutOfBall`, as a 1 x 1 point does.
+    A scalar outside the disc raises :class:`OutOfBall`, as a 1 x 1 point does,
+    and anything but a real or complex scalar :class:`ShapeMismatch`.
     """
+    for z in (a, b):
+        if not isinstance(z, numbers.Complex):
+            raise ShapeMismatch(f"disc points must be real or complex scalars, got {z!r}")
     if not (abs(a) < 1.0 and abs(b) < 1.0):
         raise OutOfBall(f"disc points required, got |a|={abs(a)}, |b|={abs(b)}")
     return math.asinh(abs(b - a) / math.sqrt((1.0 - abs(a) ** 2) * (1.0 - abs(b) ** 2)))
@@ -198,7 +209,7 @@ def ball_dist(x: BallPoint, y: BallPoint) -> float:
     """Invariant distance between two ball points.
 
     asinh || (I - X X*)^(-1/2) (Y - X) (I - Y* Y)^(-1/2) ||, which equals
-    atanh || mobius_to_origin(x, y) ||; reduces to :func:`poincare_dist` for
+    atanh || mobius_inv(x, y) ||; reduces to :func:`poincare_dist` for
     1 x 1 points and to atanh ||y|| at the origin.
     """
     return ball_dists([(x, y)])[0]

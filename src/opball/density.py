@@ -29,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from .ball import BallPoint
-from .errors import BadDepth, BadDims
+from .errors import BadDims
 from .matkernel import as_integers, gram_factor, op_norm, require_positive
 from .sampling import random_operator
 from .symmetry import (
@@ -84,12 +84,12 @@ def symmetric_approximant(
     ball point it is the inverse transform of, whose ``margin`` and
     ``factor.norm`` are those of the depth-n truncation.  ``depth`` is
     computed with as the Python int it parses to; one that is not an
-    integer in 1..dimH raises :class:`BadDepth` before any solve.
+    integer in 1..dimH raises :class:`BadDims` before any solve.
     """
     _require_pair_dims(t, pair)
-    (depth,) = as_integers(BadDepth, depth=depth)
+    (depth,) = as_integers(depth=depth)
     if not 1 <= depth <= t.dim_h:
-        raise BadDepth(f"depth {depth} outside 1..{t.dim_h}")
+        raise BadDims(f"depth {depth} outside 1..{t.dim_h}")
     approxes, out_pairs, doubled = _approximants(bounded_transform(t), pair, [depth])
     return approxes[0], out_pairs[0], doubled[0]
 

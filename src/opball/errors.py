@@ -55,11 +55,8 @@ class OutOfBall(OpballError):
 
 
 class BadDims(OpballError):
-    """Requested dimensions are invalid for the construction."""
-
-
-class BadDepth(OpballError):
-    """Truncation depth outside the admissible range."""
+    """A size, depth, count or seed is invalid: not an integer, or outside
+    the range its construction admits."""
 
 
 class NotSymmetric(OpballError):

@@ -93,7 +93,6 @@ from .errors import (
     EigenvalueBelowFloor,
     NoConvergence,
     NotHermitian,
-    OpballError,
     ShapeMismatch,
     Singular,
 )
@@ -226,16 +225,17 @@ def require_positive(shape: tuple[int, ...]) -> None:
         raise ShapeMismatch(f"matrix of shape {shape} exceeds numpy's index range")
 
 
-def as_integers(error: type[OpballError] = BadDims, /, **values) -> tuple[int, ...]:
+def as_integers(**values) -> tuple[int, ...]:
     """The ``values`` as Python ints, in keyword order, as
-    :func:`operator.index` parses them; raise ``error`` naming the first
-    that is not an integer.  Callers compute with the returned ints only."""
+    :func:`operator.index` parses them; raise :class:`BadDims` naming the
+    first that is not an integer.  Callers compute with the returned ints
+    only."""
     ints = []
     for name, value in values.items():
         try:
             ints.append(operator.index(value))
         except TypeError:
-            raise error(f"{name} {value!r} is not an integer") from None
+            raise BadDims(f"{name} {value!r} is not an integer") from None
     return tuple(ints)
 
 
@@ -680,7 +680,7 @@ def powers(factors, sign: float, power: float, side: str) -> np.ndarray:
     if not (isinstance(side, str) and side in ("left", "right")
             and isinstance(sign, _REAL) and sign in (1, -1)
             and isinstance(power, _REAL) and power in (0.5, -0.5)):
-        raise ShapeMismatch(f"unsupported Gram power sign={sign}, power={power}, side={side!r}")
+        raise ShapeMismatch(f"unsupported Gram power sign={sign!r}, power={power!r}, side={side!r}")
     require_one_shape([f.mat.shape for f in factors])
     if sign < 0:
         floor = DEFAULT.defect_floor if power < 0 else 0.0

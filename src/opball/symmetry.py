@@ -222,15 +222,16 @@ def random_pair(dim_src: int, dim_dst: int, seed) -> ConjugationPair:
 def conj_apply(pair: ConjugationPair, direction: str, x) -> np.ndarray:
     """Apply C1 (``direction='fwd'``) or C2 (``'bwd'``) to a vector, given
     as a 1-D array or as an n x 1 column; any other shape, an entry that is
-    not finite or one numpy cannot read as a complex number, or an image
-    past the float range raises :class:`ShapeMismatch`."""
+    not finite or one numpy cannot read as a complex number, a direction
+    that is not one of those two strings, or an image past the float range
+    raises :class:`ShapeMismatch`."""
     vec = complex_array(x, "a complex vector")
     if vec.ndim not in (1, 2) or vec.shape[1:] not in ((), (1,)):
         raise ShapeMismatch(f"expected a vector or a column, got shape {vec.shape}")
     vec = vec.reshape(-1)
     if not np.isfinite(vec).all():
         raise ShapeMismatch("vector entries must be finite")
-    if direction not in ("fwd", "bwd"):
+    if not (isinstance(direction, str) and direction in ("fwd", "bwd")):
         raise ShapeMismatch(f"direction must be 'fwd' or 'bwd', got {direction!r}")
     j = pair.j_fwd if direction == "fwd" else pair.j_bwd
     if vec.shape[0] != j.shape[1]:

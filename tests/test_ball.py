@@ -127,6 +127,13 @@ def test_poincare_rejects_outside():
     for a, b in ((float("nan"), 0.5), (0.2 + complex(0.0, float("nan")), 0.1), (0.0, complex("nan"))):
         with pytest.raises(OutOfBall):
             poincare_dist(a, b)
+    # a disc point is a real or complex scalar, Python's or numpy's; an
+    # array, a string, None or a list is refused, not compared or parsed
+    for bad in (np.array([0.5, -0.5]), np.array(0.5), "-0.5", None, [0.5]):
+        for a, b in ((bad, 0.1), (0.1, bad)):
+            with pytest.raises(ShapeMismatch, match="^disc points must be real or complex scalars"):
+                poincare_dist(a, b)
+    assert poincare_dist(np.float64(0.3), np.complex128(0.1j)) == poincare_dist(0.3, 0.1j)
 
 
 @given(re_a=disc_coord, im_a=disc_coord, re_b=disc_coord, im_b=disc_coord)

@@ -7,7 +7,6 @@ import pytest
 
 from opball import (
     ApproxProfile,
-    BadDepth,
     BadDims,
     BallPoint,
     OperatorHK,
@@ -59,7 +58,7 @@ def test_approximant_cut_norm_monotone():
 def test_approximant_bad_depth():
     pair = random_pair(1, 3, seed=0)
     for depth in (0, 4, 1.5):
-        with pytest.raises(BadDepth):
+        with pytest.raises(BadDims):
             symmetric_approximant(zero_operator(3, 1), pair, depth)
     # a numpy integer is a depth like any other
     t = inverse_bounded_transform(BallPoint(np.array([[0.3], [0.4], [0.2]])))

@@ -74,24 +74,24 @@ def test_no_module_drops_the_ints_it_parses(module):
 def test_a_dropped_parse_is_found():
     tree = ast.parse(
         "def f(n, m):\n    as_integers(n=n)\n    (m,) = as_integers(m=m)\n"
-        "    matkernel.as_integers(BadDepth, depth=m)\n    return n + m\n"
+        "    matkernel.as_integers(depth=m)\n    return n + m\n"
     )
     assert _dropped_parses(tree) == [
-        "as_integers(n=n) (line 2)", "matkernel.as_integers(BadDepth, depth=m) (line 4)",
+        "as_integers(n=n) (line 2)", "matkernel.as_integers(depth=m) (line 4)",
     ]
 
 
 def _linalg_uses(tree: ast.Module) -> list[str]:
     """Each import of ``numpy.linalg`` or of a name from it, and each
-    ``<name>.linalg`` attribute, with its line."""
+    ``.linalg`` attribute, however deep (``np.core.linalg``), with its line."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             names = [f"{node.module}.{alias.name}" for alias in node.names]
-        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            names = [f"{node.value.id}.{node.attr}"]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
         else:
             continue
         if any("linalg" in name.split(".") for name in names):
@@ -110,10 +110,12 @@ def test_a_numpy_linalg_use_is_found():
     tree = ast.parse(
         "import numpy as np\nimport numpy.linalg\nfrom numpy import linalg\n"
         "from numpy.linalg import eigh\n\nnp.linalg.norm(np.eye(2))\nnp.abs(1)\n"
+        "np.core.linalg.eigh(np.eye(2))\n"
     )
     assert _linalg_uses(tree) == [
         "import numpy.linalg (line 2)", "from numpy import linalg (line 3)",
         "from numpy.linalg import eigh (line 4)", "np.linalg (line 6)",
+        "np.core.linalg (line 8)",
     ]
 
 
@@ -349,12 +351,16 @@ def _foreign_private_names(tree: ast.Module) -> list[str]:
     """Each single-underscore name taken from another module of the package,
     imported (``from .x import _y``, or ``from opball.x import _y``) or read
     as an attribute of a module of the package bound by an import
-    (``x._y``), with its line, in line order."""
+    (``x._y``), and each private module path imported (``from ._x import
+    y``, ``import opball._x``), with its line, in line order."""
     modules, found = set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
             node.level or (node.module or "").split(".")[0] == "opball"
         ):
+            path = "." * node.level + (node.module or "")
+            if any(_private(part) for part in path.split(".")):
+                found.append((node.lineno, f"{path} (line {node.lineno})"))
             for alias in node.names:
                 if node.module is None or node.module == "opball":
                     modules.add(alias.asname or alias.name)
@@ -364,6 +370,8 @@ def _foreign_private_names(tree: ast.Module) -> list[str]:
             for alias in node.names:
                 if alias.name.split(".")[0] == "opball":
                     modules.add(alias.asname or alias.name)
+                    if any(_private(part) for part in alias.name.split(".")):
+                        found.append((node.lineno, f"{alias.name} (line {node.lineno})"))
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and _private(node.attr) and (
             ast.unparse(node.value) in modules
@@ -386,10 +394,12 @@ def test_a_foreign_private_name_is_found():
         "from .matkernel import _freeze as freeze, __all__\nimport opball.symmetry as sym\n"
         "import opball.ball\n\n\ndef f(self):\n    self._x = matkernel._jacobi(matkernel.adj)\n"
         "    return sym._built(opball.ball._lift, matkernel.__name__)\n"
+        "\n\nfrom ._internal import helper\nimport opball._hidden\n"
     )
     assert _foreign_private_names(tree) == [
         "_lift (line 2)", "_freeze (line 3)", "matkernel._jacobi (line 9)",
         "opball.ball._lift (line 10)", "sym._built (line 10)",
+        "._internal (line 13)", "opball._hidden (line 14)",
     ]
 
 
@@ -453,6 +463,12 @@ def test_the_package_exports_the_papers_objects():
                    importlib.import_module("opball.errors")):
         assert not hasattr(module, "HermSpectrum")
         assert not hasattr(module, "OutOfDisc")
+    # a bad depth is a bad dimension, and moving a center to the origin is
+    # the inverse Moebius map under its second name
+    for module in (package, importlib.import_module("opball.errors")):
+        assert not hasattr(module, "BadDepth")
+    ball = importlib.import_module("opball.ball")
+    assert ball.mobius_to_origin is ball.mobius_inv
 
 
 def test_a_gram_factor_is_a_plain_record():

@@ -47,6 +47,7 @@ from opball import (
 from opball.ball import mobius_images
 from opball.density import report_json
 from opball.identities import run_identities
+from opball.matkernel import as_integers
 from opball.symmetry import extension_blocks, induced_pairs
 
 ARRAY_RECORDS = {
@@ -158,6 +159,9 @@ NON_INTEGER_SIZES = {
     "ensemble_experiment trials": lambda: ensemble_experiment(3, 2, 2.5, 0),
     "ensemble_experiment seed": lambda: ensemble_experiment(3, 2, 1, 1.5),
     "ensemble_experiment jobs": lambda: ensemble_experiment(2, 1, 1, 0, jobs=1.5),
+    "symmetric_approximant depth": lambda: symmetric_approximant(
+        zero_operator(3, 1), random_pair(1, 3, 0), 1.5
+    ),
 }
 
 
@@ -165,6 +169,14 @@ NON_INTEGER_SIZES = {
 def test_a_non_integer_size_raises_bad_dims(name):
     with pytest.raises(BadDims, match=r"is not an integer$"):
         NON_INTEGER_SIZES[name]()
+
+
+def test_as_integers_takes_keywords_only():
+    # every integer argument that is refused raises BadDims; no caller picks
+    # another class
+    assert as_integers(n=np.int64(2), m=True) == (2, 1)
+    with pytest.raises(TypeError):
+        as_integers(BadDims, n=1)
 
 
 def test_numpy_integer_sizes_pass():

@@ -22,7 +22,7 @@ import opball.symmetry
 import opball.transform
 from opball import (
     DEFAULT,
-    BadDepth,
+    BadDims,
     BallPoint,
     ConjugationPair,
     EigenvalueBelowFloor,
@@ -150,7 +150,7 @@ def test_pair_validation_at_roundoff_needs_no_solve(solves):
 def test_a_bad_depth_is_refused_before_any_solve(solves, depth):
     t, pair = OperatorHK(np.ones((2, 4))), random_pair(2, 4, 0)
     before = solves()
-    with pytest.raises(BadDepth):
+    with pytest.raises(BadDims):
         symmetric_approximant(t, pair, depth)  # depths 1..4
     assert solves() - before == 0
 

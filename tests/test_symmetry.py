@@ -183,6 +183,10 @@ def test_conj_apply():
     rect = canonical_pair(2, 3)
     with pytest.raises(ShapeMismatch, match="direction must be 'fwd' or 'bwd', got 'up'"):
         conj_apply(rect, "up", [1, 2])
+    # an array is not a direction, whatever strings it holds
+    for direction in (np.array(["fwd"]), np.array(["bwd"]), np.array(["fwd", "bwd"])):
+        with pytest.raises(ShapeMismatch, match="direction must be 'fwd' or 'bwd', got array"):
+            conj_apply(rect, direction, [1, 2])
     with pytest.raises(ShapeMismatch, match="vector length 3, expected 2"):
         conj_apply(rect, "fwd", [1, 2, 3])
 
