@@ -18,6 +18,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -114,11 +115,11 @@ def _cmd_symcheck(args) -> int:
     rows, cols = mat.shape
     if args.pair == "identity":
         if rows != cols:
-            raise OpballError(f"identity pair needs a square matrix, got {rows}x{cols}")
+            raise ShapeMismatch(f"identity pair needs a square matrix, got {rows}x{cols}")
         pair = identity_pair(rows)
     elif args.pair == "canonical":
         if rows < cols:
-            raise OpballError(f"canonical pair needs rows >= cols, got {rows}x{cols}")
+            raise ShapeMismatch(f"canonical pair needs rows >= cols, got {rows}x{cols}")
         pair = canonical_pair(cols, rows)
     else:
         pair = read_pair(args.pair)
@@ -145,18 +146,18 @@ def _cmd_approx(args) -> int:
         raise BadDims("need trials >= 1 and jobs >= 1")
     if args.seed < 0:
         raise BadDims("need seed >= 0")
-    prefix = Path(args.out)
-    # an unwritable prefix fails before any trial runs
+    folder = os.path.dirname(args.out)
+    # the prefix is used as given; an unwritable one fails before any trial runs
     with _writing():
-        if prefix.parent != Path(""):
-            prefix.parent.mkdir(parents=True, exist_ok=True)
+        if folder:
+            Path(folder).mkdir(parents=True, exist_ok=True)
     report = ensemble_experiment(
         args.dim_h, args.dim_k, args.trials, args.seed, jobs=args.jobs
     )
     with _writing():
         for i, result in enumerate(report.results):
-            Path(f"{prefix}_trial{i:03d}.csv").write_text(profile_csv(result))
-        Path(f"{prefix}_ensemble.json").write_text(report_json(report))
+            Path(f"{args.out}_trial{i:03d}.csv").write_text(profile_csv(result))
+        Path(f"{args.out}_ensemble.json").write_text(report_json(report))
     return 0 if report.all_valid() else 1
 
 

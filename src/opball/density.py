@@ -30,7 +30,7 @@ import numpy as np
 
 from .ball import BallPoint
 from .errors import BadDims
-from .matkernel import as_integers, gram_factor, op_norm, require_positive
+from .matkernel import as_integers, gram_factor, op_norm, require_positive, require_shape
 from .sampling import random_operator
 from .symmetry import (
     ConjugationPair,
@@ -49,24 +49,19 @@ from .transform import (
 )
 
 
-def _require_pair_dims(t: OperatorHK, pair: ConjugationPair) -> None:
-    if (pair.dim_src, pair.dim_dst) != (t.dim_k, t.dim_h):
-        raise BadDims(
-            f"pair dims ({pair.dim_src}, {pair.dim_dst}) do not match operator "
-            f"spaces (K={t.dim_k}, H={t.dim_h})"
-        )
-
-
 def _approximants(
-    that: BallPoint, pair: ConjugationPair, depths
+    t: OperatorHK, pair: ConjugationPair, depths
 ) -> tuple[list[OperatorHK], list[ConjugationPair], list[BallPoint]]:
     """Steps 1-3 of the pipeline at each of ``depths`` (checked by the
-    caller), for the ball point ``that`` of an operator: the approximants,
-    their pairs and their doubled points, as three lists.  Each step runs
-    as one stacked expression over all depths: the cuts (rows past the
-    depth zeroed) and their extension blocks, the doubled points' factors,
-    their induced pairs and the inverse transforms.  The cut is not
-    factored on its own: the doubled point's factor checks both blocks."""
+    caller) for the operator ``t``: the approximants, their pairs and their
+    doubled points, as three lists.  A ``pair`` that does not run from K to
+    H raises :class:`ShapeMismatch` before any solve.  Each step runs as
+    one stacked expression over all depths: the cuts (rows past the depth
+    zeroed) and their extension blocks, the doubled points' factors, their
+    induced pairs and the inverse transforms.  The cut is not factored on
+    its own: the doubled point's factor checks both blocks."""
+    require_shape(t.mat, (pair.dim_src, pair.dim_dst), "operator for the pair")
+    that = bounded_transform(t)
     rows = np.arange(that.dim_h)[None, :, None]
     cuts = np.where(rows < np.asarray(depths)[:, None, None], that.mat, 0.0)
     doubled = [BallPoint(f) for f in gram_factor(extension_blocks(cuts, pair))]
@@ -84,13 +79,13 @@ def symmetric_approximant(
     ball point it is the inverse transform of, whose ``margin`` and
     ``factor.norm`` are those of the depth-n truncation.  ``depth`` is
     computed with as the Python int it parses to; one that is not an
-    integer in 1..dimH raises :class:`BadDims` before any solve.
+    integer in 1..dimH raises :class:`BadDims`, and a pair that does not
+    fit ``t`` :class:`ShapeMismatch`, before any solve.
     """
-    _require_pair_dims(t, pair)
     (depth,) = as_integers(depth=depth)
     if not 1 <= depth <= t.dim_h:
         raise BadDims(f"depth {depth} outside 1..{t.dim_h}")
-    approxes, out_pairs, doubled = _approximants(bounded_transform(t), pair, [depth])
+    approxes, out_pairs, doubled = _approximants(t, pair, [depth])
     return approxes[0], out_pairs[0], doubled[0]
 
 
@@ -142,9 +137,8 @@ def approximation_profile(t: OperatorHK, pair: ConjugationPair) -> ApproxProfile
     block recovers ``t``; ``recovery_residual`` is the norm of that block
     minus ``t``.
     """
-    _require_pair_dims(t, pair)
     depths = range(1, t.dim_h + 1)
-    approxes, out_pairs, doubled = _approximants(bounded_transform(t), pair, depths)
+    approxes, out_pairs, doubled = _approximants(t, pair, depths)
     full = approxes[-1]
     rows = tuple(
         ProfileRow(n=depth, dist=dist, sym_residual=residual, margin=point.margin)

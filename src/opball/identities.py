@@ -280,24 +280,14 @@ def defect_commutation(rng, dim_h, dim_k) -> float:
 
 
 CHECKS: dict[str, Callable] = {
-    "mobius_round_trip": mobius_round_trip,
-    "mobius_commutation": mobius_commutation,
-    "ball_membership": ball_membership,
-    "mobius_invariance": mobius_invariance,
-    "origin_distance": origin_distance,
-    "scalar_reduction": scalar_reduction,
-    "transform_norm_identity": transform_norm_identity,
-    "transform_round_trip": transform_round_trip,
-    "metric_two_routes": metric_two_routes,
-    "metric_symmetry": metric_symmetry,
-    "metric_triangle": metric_triangle,
-    "closed_right_inverse": closed_right_inverse,
-    "pair_invariants": pair_invariants,
-    "block_characterization": block_characterization,
-    "extension_symmetry": extension_symmetry,
-    "induced_pair_invariants": induced_pair_invariants,
-    "graph_identity": graph_identity,
-    "defect_commutation": defect_commutation,
+    check.__name__: check
+    for check in (
+        mobius_round_trip, mobius_commutation, ball_membership, mobius_invariance,
+        origin_distance, scalar_reduction, transform_norm_identity,
+        transform_round_trip, metric_two_routes, metric_symmetry, metric_triangle,
+        closed_right_inverse, pair_invariants, block_characterization,
+        extension_symmetry, induced_pair_invariants, graph_identity, defect_commutation,
+    )
 }
 
 

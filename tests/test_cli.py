@@ -11,8 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from opball.cli import _fmt12, build_parser, main
-from opball.errors import BadDims
+from opball.cli import _cmd_symcheck, _fmt12, build_parser, main
+from opball.errors import BadDims, ShapeMismatch
 from opball.identities import run_identities
 from opball.matio import MatrixFileError, read_matrix, read_pair, write_matrix, write_pair
 from opball.symmetry import canonical_pair
@@ -369,6 +369,19 @@ def test_symcheck_zero_matrix(tmp_path, capsys):
     assert "SYMMETRIC" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [("identity", "identity pair needs a square matrix, got 3x5"),
+     ("canonical", "canonical pair needs rows >= cols, got 3x5")],
+)
+def test_symcheck_pair_that_cannot_fit_is_a_shape_mismatch(tmp_path, capsys, pair, message):
+    args = ["symcheck", save(tmp_path, "wide.json", np.ones((3, 5))), "--pair", pair]
+    with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+        _cmd_symcheck(build_parser().parse_args(args))
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"symcheck: {message}\n"
+
+
 def test_symcheck_incompatible(tmp_path, capsys):
     wide = save(tmp_path, "wide.json", [[1.0, 2.0, 3.0]])
     assert main(["symcheck", wide, "--pair", "canonical"]) == 2
@@ -426,6 +439,20 @@ def test_output_keys_are_the_record_fields(tmp_path, capsys):
         assert set(entry) == {"name", "max_residual", "passed"}
 
 
+@pytest.mark.parametrize(
+    "prefix, written",
+    [("", ["_ensemble.json", "_trial000.csv"]),
+     ("runs/", ["runs/_ensemble.json", "runs/_trial000.csv"])],
+)
+def test_approx_uses_its_prefix_as_given(tmp_path, monkeypatch, prefix, written):
+    # an empty prefix names files in the working directory, and one ending
+    # in a separator names files inside that directory, made if missing
+    monkeypatch.chdir(tmp_path)
+    assert main(["approx", "--dim-h", "3", "--dim-k", "1", "--trials", "1", "--out", prefix]) == 0
+    files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert files == written
+
+
 def test_approx_deterministic_across_runs_and_jobs(tmp_path):
     args = ["approx", "--dim-h", "5", "--dim-k", "2", "--trials", "3", "--seed", "3"]
     assert main([*args, "--out", str(tmp_path / "a")]) == 0
@@ -478,6 +505,16 @@ def test_module_run_flags_an_asymmetric_matrix_and_exits_one(tmp_path):
     assert done.returncode == 1
     assert "NOT-SYMMETRIC" in done.stdout
     assert done.stderr == ""
+
+
+def test_module_run_writes_inside_a_prefix_directory(tmp_path):
+    done = run_module(tmp_path, "approx", "--dim-h", "3", "--dim-k", "1", "--trials", "1",
+                      "--out", "runs/")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
+        "_ensemble.json", "_trial000.csv",
+    ]
+    assert not list(tmp_path.glob("runs_*"))
 
 
 def test_module_run_refuses_a_malformed_file_and_exits_two(tmp_path):

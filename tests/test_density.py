@@ -1,6 +1,7 @@
 """Truncation pipeline, approximation profiles, ensemble experiments."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from opball import (
     BallPoint,
     OperatorHK,
     ProfileRow,
+    ShapeMismatch,
     bounded_transform,
     inverse_bounded_transform,
     mobius_to_origin,
@@ -113,8 +115,10 @@ def test_approximant_norm_equals_truncation_norm():
 
 
 def test_approximant_dim_guard():
+    # a pair that does not run from K to H is a misfit operand, not a bad size
     t = zero_operator(4, 2)
-    with pytest.raises(BadDims):
+    message = "operator for the pair has shape (2, 4), expected (4, 2)"
+    with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
         symmetric_approximant(t, random_pair(4, 2, seed=0), 2)
 
 

@@ -1,14 +1,15 @@
 """Every name a module of the package imports is used in it, every private
 function or class it defines is referenced in the package, no module uses
-``numpy.linalg`` or drops the ints ``as_integers`` returns, no module but
-``matkernel`` scales by powers of two or silences numpy's float warnings,
-no object is made without its constructor but in ``symmetry._built``, no
-input is read with ``complex_array`` but by the readers of a matrix, a stack
-and a vector, no module imports another module's private name, every
-dataclass holding an array compares by identity (``eq=False``), every
-module parses with the grammar of the oldest Python that ``pyproject.toml``
-declares, and the package re-exports the paper's objects, not the batched
-forms behind them.
+``numpy.linalg`` or drops the ints ``as_integers`` returns, no function
+outside the CLI raises ``BadDims`` without parsing its integers with
+``as_integers``, no module but ``matkernel`` scales by powers of two or
+silences numpy's float warnings, no object is made without its constructor
+but in ``symmetry._built``, no input is read with ``complex_array`` but by
+the readers of a matrix, a stack and a vector, no module imports another
+module's private name, every dataclass holding an array compares by
+identity (``eq=False``), every module parses with the grammar of the oldest
+Python that ``pyproject.toml`` declares, and the package re-exports the
+paper's objects, not the batched forms behind them.
 
 The package's ``__init__.py`` imports names only to re-export them, so it is
 not walked for unused imports.  A name counts as used when the module refers
@@ -79,6 +80,53 @@ def test_a_dropped_parse_is_found():
     assert _dropped_parses(tree) == [
         "as_integers(n=n) (line 2)", "matkernel.as_integers(depth=m) (line 4)",
     ]
+
+
+def _unparsed_bad_dims(tree: ast.Module) -> list[str]:
+    """Each function that raises ``BadDims``, bare or as an attribute, and
+    calls no ``as_integers``, with the line of its first such raise;
+    ``as_integers``, the parser itself, is not counted."""
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef) or func.name == "as_integers":
+            continue
+        nodes = list(ast.walk(func))
+        raises = [
+            node.lineno for node in nodes
+            if isinstance(node, ast.Raise) and name(
+                node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            ) == "BadDims"
+        ]
+        parses = any(
+            isinstance(node, ast.Call) and name(node.func) == "as_integers" for node in nodes
+        )
+        if raises and not parses:
+            found.append(f"{func.name} (line {min(raises)})")
+    return found
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "cli.py"] + ["__init__.py"])
+def test_a_bad_dimension_is_one_that_was_parsed(module):
+    # BadDims is the error of a size, depth, count or seed, which an entry
+    # parses with as_integers; a misfit operand is a ShapeMismatch.  The CLI
+    # range-checks its parsed options itself
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    assert _unparsed_bad_dims(tree) == []
+
+
+def test_an_unparsed_bad_dims_is_found():
+    tree = ast.parse(
+        "def as_integers(**values):\n    raise BadDims('not an integer')\n\n\n"
+        "def depth(t, d):\n    (d,) = matkernel.as_integers(d=d)\n"
+        "    raise errors.BadDims(f'depth {d}')\n\n\n"
+        "def fit(t, pair):\n    if t.dim_h != pair.dim_dst:\n"
+        "        raise errors.BadDims('pair')\n    raise BadDims\n\n\n"
+        "def other(m):\n    raise ShapeMismatch(m)\n"
+    )
+    assert _unparsed_bad_dims(tree) == ["fit (line 12)"]
 
 
 def _linalg_uses(tree: ast.Module) -> list[str]:

@@ -20,6 +20,7 @@ from opball import (
     OpballError,
     ShapeMismatch,
     Side,
+    approximation_profile,
     ball_dist,
     ball_dists,
     canonical_pair,
@@ -39,6 +40,7 @@ from opball import (
     right_defect,
     right_defect_inv,
     symmetric_approximant,
+    symmetric_extension,
     symmetric_part,
     symmetry_residual,
     zero_operator,
@@ -48,7 +50,7 @@ from opball.ball import mobius_images
 from opball.density import report_json
 from opball.identities import run_identities
 from opball.matkernel import as_integers
-from opball.symmetry import extension_blocks, induced_pairs
+from opball.symmetry import extension_blocks, induced_pairs, symmetry_residuals
 
 ARRAY_RECORDS = {
     "BallPoint": lambda: BallPoint(np.full((3, 2), 0.1)),
@@ -89,6 +91,31 @@ SHAPE_CHECKED = {
 def test_shape_mismatch_goes_through_one_check(name):
     with pytest.raises(ShapeMismatch, match=r"has shape \(\d+, \d+\), expected"):
         SHAPE_CHECKED[name]()
+
+
+# entry taking a pair -> its call with a pair that does not fit the operand:
+# the approximations take an operator H -> K and a pair from K to H, the
+# others a dst x src matrix or contraction
+PAIR_MISFITS = {
+    "approximation_profile": lambda: approximation_profile(
+        _operator(2, 4), random_pair(4, 2, 0)),
+    "symmetric_approximant": lambda: symmetric_approximant(
+        _operator(2, 4), random_pair(4, 2, 0), 1),
+    "symmetry_residual": lambda: symmetry_residual(_operator(2, 3), canonical_pair(2, 3)),
+    "symmetry_residuals": lambda: symmetry_residuals([(_operator(2, 3), canonical_pair(2, 3))]),
+    "induced_pair": lambda: induced_pair(BallPoint(np.zeros((3, 3))), canonical_pair(2, 3)),
+    "induced_pairs": lambda: induced_pairs([BallPoint(np.zeros((3, 3)))], canonical_pair(2, 3)),
+    "symmetric_part": lambda: symmetric_part(np.ones((2, 3)), canonical_pair(2, 3)),
+    "extension_blocks": lambda: extension_blocks(np.ones((3, 3)), canonical_pair(2, 3)),
+    "symmetric_extension": lambda: symmetric_extension(_operator(2, 3), canonical_pair(2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", PAIR_MISFITS)
+def test_a_pair_that_does_not_fit_is_a_shape_mismatch(name):
+    # one rule for every entry that takes a pair: require_shape's error
+    with pytest.raises(ShapeMismatch, match=r" has shape \(\d+, \d+\), expected \(\d+, \d+\)$"):
+        PAIR_MISFITS[name]()
 
 
 # batched form -> (a batch of two members that share a wrong shape, the

@@ -155,6 +155,23 @@ def test_a_bad_depth_is_refused_before_any_solve(solves, depth):
     assert solves() - before == 0
 
 
+# approximation entry -> its call on an operator and a pair
+APPROXIMATIONS = {
+    "approximation_profile": approximation_profile,
+    "symmetric_approximant": lambda t, pair: symmetric_approximant(t, pair, 1),
+}
+
+
+@pytest.mark.parametrize("name", APPROXIMATIONS)
+def test_a_misfit_pair_is_refused_before_any_solve(solves, name):
+    # the pair runs from H to K, not from K to H
+    t, pair = OperatorHK(np.ones((2, 4))), random_pair(4, 2, 0)
+    before = solves()
+    with pytest.raises(ShapeMismatch, match=r"^operator for the pair has shape"):
+        APPROXIMATIONS[name](t, pair)
+    assert solves() - before == 0
+
+
 def test_approx_trial_solve_budget(solves):
     # four solves per depth (doubled point, induced Gram, distance, symmetry
     # residual) plus the operand and the recovery residual; the transform
